@@ -210,7 +210,7 @@ def hamiltonian_block(couplings: CouplingMatrix, k: int,
 
     Element between states differing by one excitation hop i -> j is D_ij/2;
     everything else (including the diagonal) is zero, so the output is a real
-    symmetric matrix returned as complex Hermitian.
+    symmetric float64 matrix.
     """
     n = couplings.n_sites
     if basis is None:
@@ -219,7 +219,7 @@ def hamiltonian_block(couplings: CouplingMatrix, k: int,
         raise ValueError(f"basis is for (n={basis.n}, k={basis.k}), "
                          f"expected (n={n}, k={k})")
     dim = len(basis)
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     d = couplings.d
     for a, m in enumerate(basis.states):
         occ = [q for q in range(n) if (m >> q) & 1]

@@ -36,6 +36,7 @@ PAPER_TABLE_2 = {20: (26.506, 0.265), 30: (37.393, 0.136), 40: (52.846, 0.079)}
 PAPER_TABLE_2_N42 = (57.267, 0.467)
 N42_OVERRIDES = {1: 0.3005, 2: 0.5311, 40: 0.5311, 41: 0.3005}
 TABLE_2_WINDOWS = {20: 30.0, 30: 45.0, 40: 60.0, 42: 65.0}
+CSV_BATCH_ROWS = 4096
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -51,11 +52,13 @@ def _json_dump(obj) -> str:
 
 def _scan_csv(result: scale.ScanResult) -> str:
     m = result.roots.shape[1]
-    lines = ["tau," + ",".join(f"root_{i + 1}" for i in range(m)) + ",min_root"]
-    for tau, row in zip(result.taus, result.roots):
-        vals = ",".join(format(x, ".9g") for x in row)
-        lines.append(f"{format(tau, '.9g')},{vals},{format(row[0], '.9g')}")
-    return "\n".join(lines) + "\n"
+    header = "tau," + ",".join(f"root_{i + 1}" for i in range(m)) + ",min_root\n"
+    row_fmt = ",".join(["%.9g"] * (m + 2)) + "\n"
+    table = np.column_stack([result.taus, result.roots, result.roots[:, 0]])
+    # rows become Python floats a batch at a time, which bounds the peak memory
+    return header + "".join(
+        "".join(row_fmt % tuple(row) for row in table[lo:lo + CSV_BATCH_ROWS].tolist())
+        for lo in range(0, len(table), CSV_BATCH_ROWS))
 
 
 def cmd_scan(args) -> int:

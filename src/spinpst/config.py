@@ -53,13 +53,16 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def _parse_site_range(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"empty site range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+    try:
+        if "-" in text:
+            lo, hi = (int(x) for x in text.split("-", 1))
+        else:
+            lo = hi = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad site range {text!r}") from exc
+    if hi < lo:
+        raise ConfigError(f"empty site range {text!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def _parse_overrides(text: str) -> dict[int, float]:
@@ -132,14 +135,21 @@ class RunConfig:
             raise ConfigError(f"chain.model must be dipole or explicit, got {model!r}")
         positions = None
         if "chain.positions" in self.raw:
-            positions = tuple(float(x) for x in self.raw["chain.positions"].split(","))
+            try:
+                positions = tuple(float(x) for x in self.raw["chain.positions"].split(","))
+            except ValueError as exc:
+                raise ConfigError(f"chain.positions must be numbers, got "
+                                  f"{self.raw['chain.positions']!r}") from exc
         overrides = None
         if "chain.nn_overrides" in self.raw:
             overrides = _parse_overrides(self.raw["chain.nn_overrides"])
         matrix = None
         if model == "explicit":
             path = self._require("chain.matrix_file")
-            matrix = np.loadtxt(path, delimiter=",", dtype=float)
+            try:
+                matrix = np.loadtxt(path, delimiter=",", dtype=float)
+            except ValueError as exc:
+                raise ConfigError(f"chain.matrix_file {path!r}: {exc}") from exc
         mode = self._get("chain.nn_override_mode", "distance")
         if mode not in ("distance", "direct"):
             raise ConfigError("chain.nn_override_mode must be distance or direct")

@@ -1,9 +1,10 @@
 """Sector propagators and the sender-to-extended-receiver transfer block.
 
 One Hermitian eigendecomposition per (chain, k) pair serves every evaluation
-time: V(tau) = U exp(-i Lambda tau) U^dag.  The transfer block collects the
-propagator elements between "all excitations in the sender" and "all
-excitations in the extended receiver" states, both in sector-basis order.
+time: V(tau) = U exp(-i Lambda tau) U^dag.  The chain's sector blocks are
+real symmetric, so U is real.  The transfer block collects the propagator
+elements between "all excitations in the sender" and "all excitations in the
+extended receiver" states, both in sector-basis order.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from .basis import SectorBasis, embed_subsystem, k_states
 from .chain import CouplingMatrix, Partition, hamiltonian_block
 
 HERMITICITY_TOL = 1e-10
+# Grid points per phase-table GEMM in TransferMap.gram_batch.  Scans at
+# N=30 and N=42 (k=2, one BLAS thread) took within 10 % of each other for 64,
+# 128 and 256; 128 had the fastest gram_batch at N=42, and 512 was 30 % slower.
+GRAM_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,11 @@ class TransferBlock:
 
 
 def eigendecompose(h_block: np.ndarray) -> SectorEigensystem:
-    """Diagonalize a Hermitian sector block."""
-    h = np.asarray(h_block, dtype=complex)
+    """Diagonalize a Hermitian sector block.
+
+    A real symmetric block gives real eigenvectors; a complex one, complex.
+    """
+    h = np.asarray(h_block)
     asym = np.abs(h - h.conj().T).max() if h.size else 0.0
     if asym > HERMITICITY_TOL:
         raise ValueError(f"input is not Hermitian (max asymmetry {asym:.2e})")
@@ -99,8 +107,10 @@ def transfer_block(v_k: np.ndarray, partition: Partition, k: int,
 class TransferMap:
     """Cached evaluator of the transfer block over many registration times.
 
-    Keeps only the eigenvector rows needed for the block, so a single
-    eigendecomposition supports dense tau scans at O(dim * block) per point.
+    With real eigenvectors U, V_hat(tau)[r, s] = sum_a U_ER[r, a] U_S[s, a]
+    exp(-i lambda_a tau), so one real Khatri-Rao factor K[a, (r, s)] =
+    U_ER[r, a] U_S[s, a] turns each evaluation into a phase-vector product and
+    a batch of grid points into one GEMM.
     """
 
     def __init__(self, couplings: CouplingMatrix, partition: Partition, k: int):
@@ -111,27 +121,42 @@ class TransferMap:
         s_map = embed_subsystem(partition.sender_sites, n, k)
         er_map = embed_subsystem(partition.er_sites, n, k)
         u = self.eig.eigenvectors
-        self._u_er = u[np.asarray(er_map.chain_ordinals), :]
-        self._u_s_conj = u[np.asarray(s_map.chain_ordinals), :].conj()
-
-    @property
-    def n_er_k(self) -> int:
-        return self._u_er.shape[0]
-
-    @property
-    def n_s_k(self) -> int:
-        return self._u_s_conj.shape[0]
+        u_er = u[np.asarray(er_map.chain_ordinals), :]
+        u_s = u[np.asarray(s_map.chain_ordinals), :]
+        self.n_er_k, self.n_s_k = len(u_er), len(u_s)
+        self._khatri_rao = np.einsum("ra,sa->ars", u_er, u_s).reshape(self.eig.dim, -1)
 
     def v_hat(self, tau: float) -> TransferBlock:
         phases = np.exp(-1j * self.eig.eigenvalues * tau)
-        block = (self._u_er * phases) @ self._u_s_conj.T
+        block = (phases @ self._khatri_rao).reshape(self.n_er_k, self.n_s_k)
         return TransferBlock(v_hat=block, tau=float(tau),
                              n_sites=self.partition.n_sites,
                              n_s=self.partition.n_s,
                              n_er=self.partition.n_er, k=self.k)
 
     def gram_batch(self, taus: np.ndarray) -> np.ndarray:
-        """Gram matrices V^dag V of the transfer block, one per tau."""
-        phases = np.exp(-1j * np.outer(taus, self.eig.eigenvalues))
-        blocks = np.einsum("ra,ta,sa->trs", self._u_er, phases, self._u_s_conj)
-        return np.einsum("tri,trj->tij", blocks.conj(), blocks)
+        """Gram matrices V^dag V of the transfer block on a uniform tau grid.
+
+        The grid is cut into blocks of GRAM_BLOCK points.  Since
+        exp(-i lambda (tau_lo + j delta)) = exp(-i lambda tau_lo)
+        exp(-i lambda j delta), one table of step phases serves every block,
+        and each block is one GEMM of that table against K scaled by the
+        block's base phases.  A grid that is not uniform to rounding raises
+        ValueError.
+        """
+        taus = np.asarray(taus, dtype=float)
+        n_t, r, s = len(taus), self.n_er_k, self.n_s_k
+        delta = (taus[-1] - taus[0]) / (n_t - 1) if n_t > 1 else 0.0
+        ideal = taus[:1] + delta * np.arange(n_t)
+        scale = max(1.0, float(np.abs(taus).max(initial=0.0)))
+        if np.abs(taus - ideal).max(initial=0.0) > 16 * np.finfo(float).eps * scale:
+            raise ValueError("gram_batch needs a uniform tau grid")
+        lam = self.eig.eigenvalues
+        steps = np.exp(-1j * np.outer(delta * np.arange(min(GRAM_BLOCK, n_t)), lam))
+        grams = np.empty((n_t, s, s), dtype=complex)
+        for lo in range(0, n_t, GRAM_BLOCK):
+            m = min(GRAM_BLOCK, n_t - lo)
+            base = np.exp(-1j * lam * taus[lo])
+            v = (steps[:m] @ (base[:, None] * self._khatri_rao)).reshape(m, r, s)
+            grams[lo:lo + m] = v.conj().transpose(0, 2, 1) @ v
+        return grams

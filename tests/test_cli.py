@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from spinpst.cli import main
+from spinpst.cli import CSV_BATCH_ROWS, _scan_csv, main
 from spinpst.config import ConfigError, RunConfig, parse_config_text
+from spinpst.scale import ScanResult
 
 BASE_CFG = """
 chain.n = 6
@@ -68,6 +69,27 @@ class TestConfig:
         assert part.r0_sites == (4,)
 
 
+def _scan_csv_reference(result: ScanResult) -> str:
+    """Per-value formatting of the scan CSV, kept as the byte-level reference."""
+    m = result.roots.shape[1]
+    lines = ["tau," + ",".join(f"root_{i + 1}" for i in range(m)) + ",min_root"]
+    for tau, row in zip(result.taus, result.roots):
+        vals = ",".join(format(x, ".9g") for x in row)
+        lines.append(f"{format(tau, '.9g')},{vals},{format(row[0], '.9g')}")
+    return "\n".join(lines) + "\n"
+
+
+def test_scan_csv_matches_per_value_format():
+    n = CSV_BATCH_ROWS + 3                        # crosses a formatting batch
+    taus = 57.267 - 0.001 * np.arange(n)[::-1]    # ends at 57.267
+    roots = np.sort(np.random.default_rng(3).random((n, 3)), axis=1)
+    special = [[0.0, 1e-16, 0.999999999], [1.2065321e-13, 0.4672960566944291, 1.0]]
+    roots[:2] = roots[CSV_BATCH_ROWS - 1:CSV_BATCH_ROWS + 1] = special
+    result = ScanResult(taus=taus, roots=roots, tau0=57.267, tau_argmax=taus[-2],
+                        lambda_min=float(roots[:, 0].max()), n_er=5, k=2)
+    assert _scan_csv(result) == _scan_csv_reference(result)
+
+
 class TestCommands:
     def test_scan_writes_csv_and_summary(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "scan.csv"
@@ -85,6 +107,20 @@ class TestCommands:
         p = tmp_path / "bad.cfg"
         p.write_text(BASE_CFG.replace("scan.tau_max = 8", "scan.tau_max = -1"))
         assert main(["scan", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("extra", [
+        "chain.positions = 0,1,2,3,4,abc",
+        "partition.s0 = 4-x",
+        "chain.model = explicit\nchain.matrix_file = {matrix}",
+    ], ids=["positions", "s0", "matrix_file"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, extra):
+        matrix = tmp_path / "d.csv"
+        matrix.write_text("x,y\n")
+        p = tmp_path / "bad.cfg"
+        p.write_text(BASE_CFG.replace("chain.model = dipole\n", "")
+                     + extra.format(matrix=matrix) + "\n")
+        assert main(["roots", "--config", str(p), "--tau", "4.0"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self):
         assert main(["scan", "--config", "/nonexistent.cfg"]) == 2

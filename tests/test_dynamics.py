@@ -122,6 +122,23 @@ class TestTransferBlock:
             others = [m for m in range(64) if m not in set(masks)]
             assert np.abs(v_full[np.ix_(others, list(masks))]).max() < 1e-12
 
+    def test_gram_batch_matches_single_tau_at_block_edges(self, tmap10):
+        tm = tmap10(5)
+        taus = 10.0 + 0.001 * np.arange(3001)
+        grams = tm.gram_batch(taus)
+        b = dynamics.GRAM_BLOCK
+        for i in (0, b - 1, b, 2047, 2048, len(taus) - 1):
+            v = tm.v_hat(taus[i]).v_hat
+            assert np.abs(grams[i] - v.conj().T @ v).max() < 1e-13
+
+    def test_gram_batch_rejects_non_uniform_grid(self, tmap10):
+        with pytest.raises(ValueError, match="uniform"):
+            tmap10(5).gram_batch(np.array([0.0, 0.1, 0.3]))
+
+    def test_real_sector_gives_real_eigenvectors(self, chain10):
+        eig = dynamics.sector_eigensystem(chain10, 2)
+        assert eig.eigenvectors.dtype == np.float64
+
     def test_partition_mismatch(self, chain10):
         eig = dynamics.sector_eigensystem(chain10, 2)
         v = dynamics.propagator(eig, 1.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from spinpst import scale
+from spinpst import ChainSpec, Partition, build_couplings, scale
+from spinpst.dynamics import GRAM_BLOCK
 
-from _oracles import cubic_from_gram, random_unitary
+from _oracles import cubic_from_gram, expm_propagator, pauli_xx_hamiltonian, random_unitary
 
 TABLE_1A = {4: (12.493, 0.435), 5: (14.391, 0.597), 6: (14.132, 0.714)}
 ROOT_LISTS = {
@@ -122,9 +123,33 @@ class TestScan:
             assert mins[j] >= 0.9 * mins[i0]
 
     def test_threaded_scan_matches_serial(self, chain10, part10):
-        a = scale.scan(chain10, part10(4), 2, 0.0, 2.0, 0.001)
-        b = scale.scan(chain10, part10(4), 2, 0.0, 2.0, 0.001, threads=2)
+        # 7,001 points: four chunks of up to 2,048 points, each of several phase blocks
+        a = scale.scan(chain10, part10(4), 2, 0.0, 7.0, 0.001)
+        b = scale.scan(chain10, part10(4), 2, 0.0, 7.0, 0.001, threads=2)
         assert np.array_equal(a.roots, b.roots)
+
+    def test_rows_at_block_and_chunk_edges_match_single_tau(self, chain10, part10, tmap10):
+        chunk, b = 2048, GRAM_BLOCK
+        res = scale.scan(chain10, part10(5), 2, 10.0, 13.0, 0.001, chunk=chunk)
+        for i in (0, b - 1, b, chunk - 1, chunk, len(res.taus) - 1):
+            g = scale.gram(tmap10(5).v_hat(res.taus[i])).g
+            want = np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None))
+            assert np.abs(res.roots[i] - want).max() < 1e-13
+
+    def test_rows_match_expm_oracle(self):
+        # N=8, sender sites 1-3, extended receiver sites 5-8; site q is bit q-1
+        c = build_couplings(ChainSpec(n_sites=8))
+        res = scale.scan(c, Partition(n_sites=8, n_s=3, n_r=3, n_er=4), 2,
+                         0.0, 12.0, 0.001)
+        h_full = pauli_xx_hamiltonian(c.d)
+        pairs = [m for m in range(256) if bin(m).count("1") == 2]
+        s_masks = [m for m in pairs if m & ~0b00000111 == 0]
+        er_masks = [m for m in pairs if m & ~0b11110000 == 0]
+        i0 = int(round(res.tau0 / 0.001))
+        for i in (1, i0):
+            v = expm_propagator(h_full, res.taus[i])[np.ix_(er_masks, s_masks)]
+            want = np.sort(np.linalg.svd(v, compute_uv=False))
+            assert np.abs(res.roots[i] - want).max() < 1e-12
 
     def test_empty_range_rejected(self, chain10, part10):
         with pytest.raises(ValueError):
