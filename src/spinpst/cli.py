@@ -128,10 +128,9 @@ def _build_problem(cfg: RunConfig, args, tau: float) -> RestoreProblem:
 def _solve_from_config(cfg: RunConfig, args):
     tau = _resolve_tau(cfg, args)
     problem = _build_problem(cfg, args, tau)
-    threads = max(getattr(args, "threads", 1), 1)
     if problem.mode in CIRCUIT_MODES:
-        return fit_circuit(problem, threads=threads)
-    return solve_general(problem, threads=threads)
+        return fit_circuit(problem, threads=max(getattr(args, "threads", 1), 1))
+    return solve_general(problem)
 
 
 def cmd_solve(args) -> int:

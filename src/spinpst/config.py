@@ -216,7 +216,10 @@ class RunConfig:
         return self._int("solver.q", 2)
 
     def solver_extra_rows(self) -> int | None:
-        return self._int("solver.n_extra_zero_rows")
+        n_extra = self._int("solver.n_extra_zero_rows")
+        if n_extra is not None and n_extra < 0:
+            raise ConfigError(f"solver.n_extra_zero_rows must be >= 0, got {n_extra}")
+        return n_extra
 
     def solver_tau(self) -> float | None:
         return self._float("solver.tau")

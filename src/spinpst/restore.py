@@ -3,16 +3,18 @@
 Four solution families share one constraint set: rows a_i of W_ER must give
 a_i . b_j = lambda * delta_ij on the transfer columns b_j (common lambda),
 extra rows must annihilate every b_j, and the constrained rows must be
-orthonormal.  The general modes treat the row entries as free parameters;
-the circuit modes parameterize W_ER by gate angles.  All modes minimize the
-stacked real/imaginary residuals with damped least squares from random
-restarts; lambda is the derived quantity a_0 . b_0, never a free variable.
+orthonormal.  The general modes treat the row entries as free; their rows
+follow in closed form from the SVD of the transfer columns, with lambda =
+sigma_min.  The circuit modes parameterize W_ER by gate angles and minimize
+the stacked real/imaginary residuals with damped least squares from random
+restarts.  In every mode lambda is the derived quantity a_0 . b_0, never a
+free variable.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,12 +24,10 @@ from scipy.optimize import least_squares
 from .basis import full_basis, k_states
 from .dynamics import TransferBlock
 from .gates import HADAMARD, apply_cnot, apply_single, ry, rz
-from .scale import feasibility
 
 GENERAL_MODES = ("preserving-general", "nonpreserving-general")
 CIRCUIT_MODES = ("circuit-preserving", "circuit-nonpreserving")
 DEFAULT_TOL = 1e-10
-DEFAULT_RESTARTS_GENERAL = 200
 DEFAULT_RESTARTS_CIRCUIT = 1000
 
 
@@ -36,7 +36,7 @@ class FeasibilityError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """No restart reached the residual tolerance."""
+    """No solve or restart reached the residual tolerance."""
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(message)
@@ -50,7 +50,9 @@ class RestoreProblem:
     ``n_extra_zero_rows`` is the number of additional garbage-zeroing
     constraints.  For the general modes it defaults to (and for the
     preserving one must equal) every row the family supports; for circuit
-    modes it is a free choice limited by the parameter budget.
+    modes it is a free choice limited by the parameter budget.  ``restarts``
+    is the circuit fits' restart budget; the general modes solve in closed
+    form and use ``seed`` only to pick among equally valid W_ER.
     """
 
     v_hat: TransferBlock
@@ -82,10 +84,7 @@ class RestoreProblem:
         return self.v_hat.n_er
 
     def default_restarts(self) -> int:
-        if self.restarts is not None:
-            return self.restarts
-        return (DEFAULT_RESTARTS_GENERAL if self.mode in GENERAL_MODES
-                else DEFAULT_RESTARTS_CIRCUIT)
+        return DEFAULT_RESTARTS_CIRCUIT if self.restarts is None else self.restarts
 
 
 @dataclass(frozen=True)
@@ -181,125 +180,52 @@ def _full_er_positions(n_er: int, n_r: int, k: int) -> tuple[list[int], list[int
 
 
 # ---------------------------------------------------------------------------
-# general modes: rows as free parameters
+# general modes: closed form from the SVD of the transfer columns
 # ---------------------------------------------------------------------------
 
-def _constraint_pairs(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n_rows) for j in range(n_cols) if (i, j) != (0, 0)]
+def _constraint_residuals(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of rows @ b - lambda * I, lambda = (rows @ b)_00."""
+    e = rows @ b
+    rc = (e - e[0, 0] * np.eye(*e.shape)).ravel()[1:]   # drop the slot defining lambda
+    return np.concatenate([rc.real, rc.imag])
 
 
-def _general_residuals(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+def _general_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stacked real residuals: restoring constraints then row orthonormality."""
-    m = a.shape[0]
-    e = a @ b
-    lam = e[0, 0]
-    target = np.zeros_like(e)
-    for j in range(min(n, m)):
-        target[j, j] = lam
-    rc = (e - target).ravel()[1:]          # drop the (0,0) slot defining lambda
     g = a @ a.conj().T
-    iu = np.triu_indices(m, k=1)
-    ro_off = g[iu]
-    ro_diag = g.diagonal().real - 1.0
-    return np.concatenate([rc.real, rc.imag, ro_off.real, ro_off.imag, ro_diag])
+    iu = np.triu_indices(a.shape[0], k=1)
+    return np.concatenate([_constraint_residuals(a, b), g[iu].real, g[iu].imag,
+                           g.diagonal().real - 1.0])
 
 
-def _general_jacobian(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Analytic Jacobian of :func:`_general_residuals` w.r.t. [Re(A), Im(A)]."""
-    m, d = a.shape
-    ncols = b.shape[1]
-    n_c = m * ncols - 1
-    iu0, iu1 = np.triu_indices(m, k=1)
-    n_off = len(iu0)
-    n_res = 2 * n_c + 2 * n_off + m
-    jac = np.zeros((n_res, 2 * m * d))
+def _closed_form_rows(b: np.ndarray, n_extra: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Receiver rows with A b = sigma_min I, then ``n_extra`` rows with Z b = 0.
 
-    def re_idx(i, sl):
-        return slice(i * d, (i + 1) * d) if sl else None
-
-    # constraint rows: r_{ij} = (A B)_{ij} - delta_ij (A B)_{00}
-    row = 0
-    pairs = [(i, j) for i in range(m) for j in range(ncols)][1:]
-    for (i, j) in pairs:
-        c = np.zeros((m, d), dtype=complex)
-        c[i, :] = b[:, j]
-        if i == j and i < n:
-            c[0, :] -= b[:, 0]
-        cre = c.ravel()
-        jac[row, :m * d] = cre.real
-        jac[row, m * d:] = -cre.imag
-        jac[row + n_c, :m * d] = cre.imag
-        jac[row + n_c, m * d:] = cre.real
-        row += 1
-
-    # off-diagonal orthonormality: G_{ij} = sum_l A_il conj(A_jl), i < j
-    base = 2 * n_c
-    for t, (i, j) in enumerate(zip(iu0, iu1)):
-        alpha = np.zeros((m, d), dtype=complex)   # d/dRe
-        beta = np.zeros((m, d), dtype=complex)    # d/dIm
-        alpha[i, :] += a[j, :].conj()
-        alpha[j, :] += a[i, :]
-        beta[i, :] += 1j * a[j, :].conj()
-        beta[j, :] += -1j * a[i, :]
-        jac[base + t, :m * d] = alpha.ravel().real
-        jac[base + t, m * d:] = beta.ravel().real
-        jac[base + n_off + t, :m * d] = alpha.ravel().imag
-        jac[base + n_off + t, m * d:] = beta.ravel().imag
-
-    # diagonal orthonormality: G_{ii} - 1 (real)
-    base = 2 * n_c + 2 * n_off
-    for i in range(m):
-        jac[base + i, i * d:(i + 1) * d] = 2.0 * a[i, :].real
-        jac[base + i, m * d + i * d:m * d + (i + 1) * d] = 2.0 * a[i, :].imag
-    return jac
+    With b = W S Q^dag and P a random orthonormal basis of range(W[:, n:]),
+    x_j = c_j w_j + sqrt(1 - c_j^2) p_j with c_j = sigma_min / sigma_j gives
+    X^dag b = sigma_min Q^dag, so the rows Q X^dag restore with lambda =
+    sigma_min; the next ``n_extra`` columns of P give the zeroing rows.
+    """
+    d, n = b.shape
+    w, sigma, qh = np.linalg.svd(b)
+    g = rng.standard_normal((d - n, d - n)) + 1j * rng.standard_normal((d - n, d - n))
+    p = w[:, n:] @ np.linalg.qr(g)[0]
+    c = np.ones(n)
+    np.divide(sigma[-1], sigma, out=c, where=sigma > 0)
+    x = c * w[:, :n]
+    x[:, :-1] += np.sqrt(1.0 - c[:-1] ** 2) * p[:, :n - 1]
+    return np.vstack([qh.conj().T @ x.conj().T, p[:, n - 1:n - 1 + n_extra].conj().T])
 
 
-def _pack(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
-
-
-def _unpack(p: np.ndarray, m: int, d: int) -> np.ndarray:
-    h = m * d
-    return (p[:h] + 1j * p[h:]).reshape(m, d)
-
-
-def _random_orthonormal_rows(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    x = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-    q, _ = np.linalg.qr(x)
-    return q.conj().T
-
-
-def _solve_rows_once(b: np.ndarray, n: int, m: int, rng: np.random.Generator,
-                     tol: float) -> tuple[np.ndarray, float]:
-    d = b.shape[0]
-    a0 = _random_orthonormal_rows(rng, m, d)
-
-    def fun(p):
-        return _general_residuals(_unpack(p, m, d), b, n)
-
-    def jac(p):
-        return _general_jacobian(_unpack(p, m, d), b, n)
-
-    sol = least_squares(fun, _pack(a0), jac=jac, method="trf", tr_solver="lsmr",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-    a = _unpack(sol.x, m, d)
-    res = float(np.abs(_general_residuals(a, b, n)).max())
-    if res > tol:  # polish near-converged candidates once more
-        sol = least_squares(fun, sol.x, jac=jac, method="trf", tr_solver="lsmr",
-                            xtol=1e-16, ftol=1e-16, gtol=1e-16, max_nfev=200)
-        a = _unpack(sol.x, m, d)
-        res = float(np.abs(_general_residuals(a, b, n)).max())
-    return a, res
-
-
-def solve_general(problem: RestoreProblem, min_converged: int = 1,
-                  threads: int = 1) -> RestoreSolution:
+def solve_general(problem: RestoreProblem) -> RestoreSolution:
     """Solve the restoring system with unconstrained rows (either general mode).
 
-    Restarts draw orthonormalized complex-Gaussian rows from per-restart
-    seeds split off ``problem.seed``; the run stops once ``min_converged``
-    candidates reach tolerance.  Candidates merge by largest |lambda|, then
-    lower residual, then lower restart index.
+    The rows come in closed form from the SVD of the transfer columns, so
+    |lambda| = sigma_min(V) exactly; ``problem.seed`` picks the basis of the
+    complement of range(V) and of the unitary completion, since every such
+    basis gives an equally valid W_ER.  The single restart record holds the
+    residual, which must not exceed ``problem.tol``.
     """
     if problem.mode not in GENERAL_MODES:
         raise ValueError(f"solve_general does not handle mode {problem.mode!r}")
@@ -307,100 +233,45 @@ def solve_general(problem: RestoreProblem, min_converged: int = 1,
     n = v.columns
     k = v.k
     n_r = v.n_s  # receiver size equals sender size
-    feas = feasibility(problem.n_er, v.n_s, k)
     if problem.mode == "preserving-general":
-        if not feas.feasible:
-            raise FeasibilityError(
-                f"N^(ER)_k = {feas.n_er_k} < {feas.required_min} required")
         d = v.rows
-        n_extra_default = feas.n_er_k - feas.required_min
-        b = v.v_hat
+        b = np.asarray(v.v_hat, dtype=complex)
         recv, rest = _er_k_positions(problem.n_er, n_r, k)
     else:
         d = 2 ** problem.n_er
-        if d < 2 * n - 1:
-            raise FeasibilityError(f"2**n_er = {d} < {2 * n - 1} required")
-        n_extra_default = d - (2 * n - 1)
         b = np.zeros((d, n), dtype=complex)
         er_states = np.fromiter(k_states(problem.n_er, k).states, dtype=np.int64)
         b[er_states, :] = v.v_hat
-        recv_masks, _ = _full_er_positions(problem.n_er, n_r, k)
-        recv = list(recv_masks)
+        recv, _ = _full_er_positions(problem.n_er, n_r, k)
         # zero-row candidates in excitation-sorted order over the whole register
         rest = [m for m in full_basis(problem.n_er) if m not in set(recv)]
+    if d < 2 * n - 1:
+        raise FeasibilityError(f"dimension {d} < {2 * n - 1} required")
+    n_extra_max = d - (2 * n - 1)
     n_extra = problem.n_extra_zero_rows
     if n_extra is None:
-        n_extra = n_extra_default
-    if problem.mode == "preserving-general" and n_extra != n_extra_default:
-        raise ValueError(f"preserving-general requires exactly {n_extra_default} "
-                         f"extra zero rows, got {n_extra}")
-    m = n + n_extra
+        n_extra = n_extra_max
+    if problem.mode == "preserving-general" and n_extra != n_extra_max:
+        raise FeasibilityError(f"preserving-general requires exactly {n_extra_max} "
+                               f"extra zero rows, got {n_extra}")
+    if not 0 <= n_extra <= n_extra_max:
+        raise FeasibilityError(f"{n_extra} extra zero rows; dimension {d} "
+                               f"admits 0..{n_extra_max}")
 
-    seeds = np.random.SeedSequence(problem.seed).spawn(problem.default_restarts())
-    records: list[RestartRecord] = []
-    candidates: list[tuple[int, np.ndarray, float]] = []
-
-    def attempt(i: int) -> tuple[int, np.ndarray, float]:
-        rng = np.random.default_rng(seeds[i])
-        a, res = _solve_rows_once(b, n, m, rng, problem.tol)
-        return i, a, res
-
-    # restarts run in batches (batch = thread count) so early convergence does
-    # not schedule the whole budget; results are deterministic per (seed, threads)
-    batch_size = max(threads, 1)
-    pool = ThreadPoolExecutor(max_workers=batch_size) if batch_size > 1 else None
-    try:
-        done = 0
-        for lo in range(0, len(seeds), batch_size):
-            batch = list(range(lo, min(lo + batch_size, len(seeds))))
-            outs = (list(pool.map(attempt, batch)) if pool
-                    else [attempt(i) for i in batch])
-            for i, a, res in outs:
-                lam = (a @ b)[0, 0]
-                conv = res <= problem.tol
-                records.append(RestartRecord(i, conv, res, abs(lam)))
-                if conv:
-                    candidates.append((i, a, res))
-                    done += 1
-            if done >= min_converged:
-                break
-    finally:
-        if pool:
-            pool.shutdown()
-    if not candidates:
-        best = min(records, key=lambda r: r.residual)
+    rng = np.random.default_rng(problem.seed)
+    a = _closed_form_rows(b, n_extra, rng)
+    residual = float(np.abs(_general_residuals(a, b)).max())
+    lam = complex((a @ b)[0, 0])
+    if residual > problem.tol:
         raise ConvergenceError(
-            f"no restart of {len(records)} reached tol={problem.tol}", best.residual)
-
-    def merge_key(c):
-        i, a, res = c
-        return (-abs((a @ b)[0, 0]), res, i)
-
-    best_i, best_a, best_res = min(candidates, key=merge_key)
-    lam = complex((best_a @ b)[0, 0])
-
-    rng = np.random.default_rng(np.random.SeedSequence(problem.seed).spawn(
-        problem.default_restarts() + 1)[-1])
+            f"closed-form residual {residual:.2e} exceeds tol={problem.tol}", residual)
     positions = tuple(recv[:n]) + tuple(rest[:n_extra])
-    completed = complete_unitary(best_a, d, row_positions=positions, rng=rng)
-    return RestoreSolution(mode=problem.mode, constrained_rows=best_a,
-                           row_positions=positions, lam=lam, residual=best_res,
+    completed = complete_unitary(a, d, row_positions=positions, rng=rng)
+    return RestoreSolution(mode=problem.mode, constrained_rows=a,
+                           row_positions=positions, lam=lam, residual=residual,
                            completed_unitary=completed, tau=v.tau,
                            n_er=problem.n_er, k=k, seed=problem.seed,
-                           restart_records=tuple(records))
-
-
-def collect_general_solutions(problem: RestoreProblem, count: int,
-                              threads: int = 1) -> list[RestoreSolution]:
-    """Independent converged solutions (distinct seeds), for spread checks."""
-    out = []
-    for trial in range(count):
-        sub = RestoreProblem(v_hat=problem.v_hat, mode=problem.mode,
-                             n_extra_zero_rows=problem.n_extra_zero_rows,
-                             q_layers=problem.q_layers, restarts=problem.restarts,
-                             tol=problem.tol, seed=problem.seed + 1000 * (trial + 1))
-        out.append(solve_general(sub, threads=threads))
-    return out
+                           restart_records=(RestartRecord(0, True, residual, abs(lam)),))
 
 
 # ---------------------------------------------------------------------------
@@ -525,25 +396,14 @@ def _circuit_rows_fast(problem: RestoreProblem, params: np.ndarray,
     return e[cols, :].conj().T
 
 
-def _circuit_residuals(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    e = rows @ b
-    lam = e[0, 0]
-    target = np.zeros_like(e)
-    for j in range(min(n, rows.shape[0])):
-        target[j, j] = lam
-    rc = (e - target).ravel()[1:]
-    return np.concatenate([rc.real, rc.imag])
-
-
 def _fit_attempt(payload) -> tuple[int, np.ndarray, float, complex]:
     """One circuit-fit restart; module level so worker processes can run it."""
     problem, a_qubits, positions, cols, seed, i, n_params = payload
     b_small = problem.v_hat.v_hat
-    n = problem.v_hat.columns
 
     def fun(x):
         rows = _circuit_rows_fast(problem, x, a_qubits, positions, cols)
-        return _circuit_residuals(rows, b_small, n)
+        return _constraint_residuals(rows, b_small)
 
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 2.0 * np.pi, n_params)

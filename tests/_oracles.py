@@ -1,14 +1,18 @@
 """Independent brute-force constructions used as test oracles.
 
 Everything here is built from first principles (Pauli matrices, Kronecker
-products, dense matrix exponentials, hand-expanded determinants) and never
-calls the code paths it checks.
+products, dense matrix exponentials, hand-expanded determinants, a damped
+least-squares search over restoring rows) and never calls the code paths it
+checks.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.linalg
+from scipy.optimize import least_squares
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,3 +85,129 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# ---------------------------------------------------------------------------
+# restoring rows by damped least squares (the general modes' search form)
+# ---------------------------------------------------------------------------
+
+def restoring_columns(v: np.ndarray, n_er: int, k: int, mode: str) -> np.ndarray:
+    """Transfer columns b the restoring rows act on: the k-sector block itself
+    (preserving-general) or that block placed at the lexicographic k-state
+    masks of the 2**n_er register (nonpreserving-general)."""
+    if mode == "preserving-general":
+        return np.asarray(v, dtype=complex)
+    masks = [sum(1 << q for q in c) for c in itertools.combinations(range(n_er), k)]
+    b = np.zeros((2 ** n_er, v.shape[1]), dtype=complex)
+    b[masks] = v
+    return b
+
+
+def restoring_residuals(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Stacked real residuals: restoring constraints then row orthonormality."""
+    m = a.shape[0]
+    e = a @ b
+    lam = e[0, 0]
+    target = np.zeros_like(e)
+    for j in range(min(n, m)):
+        target[j, j] = lam
+    rc = (e - target).ravel()[1:]          # drop the (0,0) slot defining lambda
+    g = a @ a.conj().T
+    iu = np.triu_indices(m, k=1)
+    ro_off = g[iu]
+    ro_diag = g.diagonal().real - 1.0
+    return np.concatenate([rc.real, rc.imag, ro_off.real, ro_off.imag, ro_diag])
+
+
+def restoring_jacobian(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Analytic Jacobian of :func:`restoring_residuals` w.r.t. [Re(A), Im(A)]."""
+    m, d = a.shape
+    ncols = b.shape[1]
+    n_c = m * ncols - 1
+    iu0, iu1 = np.triu_indices(m, k=1)
+    n_off = len(iu0)
+    n_res = 2 * n_c + 2 * n_off + m
+    jac = np.zeros((n_res, 2 * m * d))
+
+    # constraint rows: r_{ij} = (A B)_{ij} - delta_ij (A B)_{00}
+    pairs = [(i, j) for i in range(m) for j in range(ncols)][1:]
+    for row, (i, j) in enumerate(pairs):
+        c = np.zeros((m, d), dtype=complex)
+        c[i, :] = b[:, j]
+        if i == j and i < n:
+            c[0, :] -= b[:, 0]
+        cre = c.ravel()
+        jac[row, :m * d] = cre.real
+        jac[row, m * d:] = -cre.imag
+        jac[row + n_c, :m * d] = cre.imag
+        jac[row + n_c, m * d:] = cre.real
+
+    # off-diagonal orthonormality: G_{ij} = sum_l A_il conj(A_jl), i < j
+    base = 2 * n_c
+    for t, (i, j) in enumerate(zip(iu0, iu1)):
+        alpha = np.zeros((m, d), dtype=complex)   # d/dRe
+        beta = np.zeros((m, d), dtype=complex)    # d/dIm
+        alpha[i, :] += a[j, :].conj()
+        alpha[j, :] += a[i, :]
+        beta[i, :] += 1j * a[j, :].conj()
+        beta[j, :] += -1j * a[i, :]
+        jac[base + t, :m * d] = alpha.ravel().real
+        jac[base + t, m * d:] = beta.ravel().real
+        jac[base + n_off + t, :m * d] = alpha.ravel().imag
+        jac[base + n_off + t, m * d:] = beta.ravel().imag
+
+    # diagonal orthonormality: G_{ii} - 1 (real)
+    base = 2 * n_c + 2 * n_off
+    for i in range(m):
+        jac[base + i, i * d:(i + 1) * d] = 2.0 * a[i, :].real
+        jac[base + i, m * d + i * d:m * d + (i + 1) * d] = 2.0 * a[i, :].imag
+    return jac
+
+
+def pack_rows(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([a.real.ravel(), a.imag.ravel()])
+
+
+def unpack_rows(p: np.ndarray, m: int, d: int) -> np.ndarray:
+    h = m * d
+    return (p[:h] + 1j * p[h:]).reshape(m, d)
+
+
+def least_squares_rows(b: np.ndarray, n: int, m: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """One restart: m restoring rows from orthonormalized Gaussian rows.
+
+    Returns the rows and their largest absolute residual; the caller decides
+    whether that converged.
+    """
+    d = b.shape[0]
+    x = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    a0 = np.linalg.qr(x)[0].conj().T
+
+    def fun(p):
+        return restoring_residuals(unpack_rows(p, m, d), b, n)
+
+    def jac(p):
+        return restoring_jacobian(unpack_rows(p, m, d), b, n)
+
+    sol = least_squares(fun, pack_rows(a0), jac=jac, method="trf", tr_solver="lsmr",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
+    res = float(np.abs(fun(sol.x)).max())
+    if res > 1e-10:  # polish near-converged candidates once more
+        sol = least_squares(fun, sol.x, jac=jac, method="trf", tr_solver="lsmr",
+                            xtol=1e-16, ftol=1e-16, gtol=1e-16, max_nfev=200)
+        res = float(np.abs(fun(sol.x)).max())
+    return unpack_rows(sol.x, m, d), res
+
+
+def least_squares_lambda(b: np.ndarray, n: int, m: int, seed: int,
+                         tol: float = 1e-10, restarts: int = 8) -> float:
+    """|lambda| of the first restart (seeds split off ``seed``) within ``tol``."""
+    best = np.inf
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        a, res = least_squares_rows(b, n, m, np.random.default_rng(child))
+        if res <= tol:
+            return abs((a @ b)[0, 0])
+        best = min(best, res)
+    raise AssertionError(f"no least-squares restart of {restarts} reached "
+                         f"tol={tol} (best {best:.2e})")

@@ -40,14 +40,14 @@ def vhat_at(tmap10):
 @pytest.fixture(scope="session")
 def solution5(vhat_at):
     problem = RestoreProblem(v_hat=vhat_at(5), mode="preserving-general",
-                             seed=42, restarts=20)
+                             seed=42)
     return solve_general(problem)
 
 
 @pytest.fixture(scope="session")
 def solution5_nonpreserving(vhat_at):
     problem = RestoreProblem(v_hat=vhat_at(5), mode="nonpreserving-general",
-                             seed=42, restarts=10)
+                             seed=42)
     return solve_general(problem)
 
 

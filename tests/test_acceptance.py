@@ -16,9 +16,10 @@ from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
                      build_couplings, direct_override_matrix, fit_circuit,
                      protocol, scale, solve_general)
 from spinpst.basis import k_states
-from spinpst.restore import _u_pair, collect_general_solutions, wer_full_from_solution
+from spinpst.restore import _u_pair, wer_full_from_solution
 
-from _oracles import expm_propagator, pauli_xx_hamiltonian, restrict_to_sector
+from _oracles import (expm_propagator, least_squares_lambda, pauli_xx_hamiltonian,
+                      restoring_columns, restrict_to_sector)
 
 TABLE_1A = {4: (12.493, 0.435), 5: (14.391, 0.597), 6: (14.132, 0.714)}
 ROOT_LISTS = {
@@ -114,18 +115,24 @@ def test_criterion_03_long_chains():
 
 
 def test_criterion_04_scale_factor_uniqueness(vhat_at):
-    min_root = scale.real_roots(scale.lambda_polynomial(scale.gram(vhat_at(5)).g))[0]
+    # 25 independently seeded least-squares searches over free rows per mode:
+    # every one lands on the smallest root, the closed form's sigma_min
+    v = vhat_at(5)
+    min_root = scale.real_roots(scale.lambda_polynomial(scale.gram(v).g))[0]
     details = []
     for mode in ("preserving-general", "nonpreserving-general"):
-        problem = RestoreProblem(v_hat=vhat_at(5), mode=mode, seed=1001,
-                                 restarts=8)
-        sols = collect_general_solutions(problem, 25, threads=2)
-        lams = np.array([s.lam_abs for s in sols])
+        problem = RestoreProblem(v_hat=v, mode=mode, seed=1001)
+        closed = solve_general(problem)
+        b = restoring_columns(v.v_hat, 5, 2, mode)
+        d, n = b.shape
+        lams = np.array([least_squares_lambda(b, n, d - n + 1, seed=1001 + 1000 * t)
+                         for t in range(1, 26)])
         spread = lams.max() - lams.min()
         dev = abs(lams.mean() - min_root)
         details.append(f"{mode}: spread={spread:.2e} dev={dev:.2e}")
         assert spread < 1e-8, (mode, spread)
         assert np.abs(lams - min_root).max() < 1e-6, (mode, dev)
+        assert np.abs(lams - closed.lam_abs).max() < 1e-8, mode
     _status("criterion 4: scale factor set by the transfer block alone", True,
             "; ".join(details))
 
@@ -159,7 +166,7 @@ def test_criterion_06_encoded_qubit_transfer(chain10, rng):
     tm = TransferMap(chain10, part, 2)
     sol = solve_general(RestoreProblem(v_hat=tm.v_hat(14.391),
                                        mode="preserving-general",
-                                       seed=2002, restarts=10))
+                                       seed=2002))
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi /= np.linalg.norm(psi)
     rep = protocol.run_arbitrary_pst(chain10, part, 2, psi, sol, 14.391)
@@ -193,7 +200,7 @@ def test_criterion_07_oracle_equivalence(rng):
     tm = TransferMap(c8, part8, 2)
     sol = solve_general(RestoreProblem(v_hat=tm.v_hat(9.0),
                                        mode="preserving-general",
-                                       seed=3003, restarts=10))
+                                       seed=3003))
     s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     s /= np.linalg.norm(s)
     rep = protocol.run_k_excitation_pst(c8, part8, 2, s, sol, 9.0)

@@ -140,6 +140,25 @@ class TestCommands:
         p.write_text(BASE_CFG.replace("partition.n_er = 3", "partition.n_er = 2"))
         assert main(["solve", "--config", str(p)]) == 3
 
+    @pytest.mark.parametrize("mode, n_extra, code", [
+        ("preserving-general", 1, 3),       # pinned to 3 - (2*2 - 1) = 0
+        ("nonpreserving-general", -1, 2),
+        ("nonpreserving-general", 20, 3),   # 2**3 - 3 = 5 at most
+    ], ids=["preserving-pinned", "negative", "above-dimension"])
+    def test_solve_bad_extra_rows(self, tmp_path, capsys, mode, n_extra, code):
+        p = tmp_path / "bad.cfg"
+        p.write_text(BASE_CFG.replace("solver.mode = preserving-general",
+                                      f"solver.mode = {mode}\n"
+                                      f"solver.n_extra_zero_rows = {n_extra}"))
+        assert main(["solve", "--config", str(p)]) == code
+        assert ("config error" if code == 2 else "infeasible") in capsys.readouterr().err
+
+    def test_solve_tolerance_below_rounding_exits_4(self, tmp_path, capsys):
+        p = tmp_path / "tight.cfg"
+        p.write_text(BASE_CFG + "solver.tol = 1e-30\n")
+        assert main(["solve", "--config", str(p)]) == 4
+        assert "no convergence" in capsys.readouterr().err
+
     def test_roots_command(self, cfg_file, capsys):
         rc = main(["roots", "--config", str(cfg_file), "--tau", "4.0"])
         assert rc == 0

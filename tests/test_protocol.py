@@ -38,7 +38,7 @@ def solution8(chain8, part8):
     tm = TransferMap(chain8, part8, 2)
     return solve_general(RestoreProblem(v_hat=tm.v_hat(9.0),
                                         mode="preserving-general",
-                                        seed=13, restarts=10))
+                                        seed=13))
 
 
 class TestPrepare:
@@ -237,7 +237,7 @@ def setup10(chain10):
     tm = TransferMap(chain10, part, 2)
     sol = solve_general(RestoreProblem(v_hat=tm.v_hat(14.391),
                                        mode="preserving-general",
-                                       seed=33, restarts=10))
+                                       seed=33))
     return part, sol
 
 

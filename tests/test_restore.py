@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from spinpst import (RestoreProblem, build_circuit_nonpreserving,
                      scale, solve_general)
 from spinpst.basis import full_basis, k_states
 from spinpst.dynamics import TransferBlock
-from spinpst.restore import (ConvergenceError, FeasibilityError,
-                             _general_jacobian, _general_residuals, _pack,
-                             _unpack, _u_pair, collect_general_solutions)
+from spinpst.restore import ConvergenceError, FeasibilityError, _u_pair
 
-from _oracles import finite_difference_jacobian, random_unitary
+from _oracles import (finite_difference_jacobian, least_squares_lambda, pack_rows,
+                      random_unitary, restoring_columns, restoring_jacobian,
+                      restoring_residuals, unpack_rows)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
@@ -21,6 +23,11 @@ def block(v, n_er=5, n_s=3, k=2, tau=14.391):
                          n_sites=10, n_s=n_s, n_er=n_er, k=k)
 
 
+def columns(problem):
+    v = problem.v_hat
+    return restoring_columns(v.v_hat, v.n_er, v.k, problem.mode)
+
+
 class TestGeneralSolver:
     def test_orthogonal_equal_norm_columns(self):
         # three orthogonal columns of norm mu: rows = normalized columns
@@ -29,49 +36,58 @@ class TestGeneralSolver:
         v = np.zeros((10, 3), dtype=complex)
         v[0, 0] = v[3, 1] = v[7, 2] = mu
         sol = solve_general(RestoreProblem(v_hat=block(v), mode="preserving-general",
-                                           seed=0, restarts=10))
+                                           seed=0))
         assert sol.lam_abs == pytest.approx(mu, abs=1e-9)
         assert sol.residual <= 1e-10
 
     def test_zero_block_gives_zero_lambda(self):
         v = np.zeros((10, 3), dtype=complex)
         sol = solve_general(RestoreProblem(v_hat=block(v), mode="preserving-general",
-                                           seed=1, restarts=3))
+                                           seed=1))
         assert sol.lam_abs < 1e-12
         assert sol.converged
 
     def test_table_value_preserving(self, vhat_at):
         sol = solve_general(RestoreProblem(v_hat=vhat_at(5),
-                                           mode="preserving-general",
-                                           seed=2, restarts=10))
+                                           mode="preserving-general", seed=2))
         assert sol.lam_abs == pytest.approx(0.597, abs=1e-3)
 
     def test_table_value_preserving_er6(self, vhat_at):
         sol = solve_general(RestoreProblem(v_hat=vhat_at(6),
-                                           mode="preserving-general",
-                                           seed=2, restarts=10))
+                                           mode="preserving-general", seed=2))
         assert sol.lam_abs == pytest.approx(0.714, abs=1e-3)
         assert sol.lam_abs ** 2 == pytest.approx(0.510, abs=1e-3)
 
     def test_nonpreserving_er4_matches_table(self, vhat_at):
         sol = solve_general(RestoreProblem(v_hat=vhat_at(4, tau=12.493),
-                                           mode="nonpreserving-general",
-                                           seed=3, restarts=5))
+                                           mode="nonpreserving-general", seed=3))
         assert sol.lam_abs == pytest.approx(0.435, abs=1e-3)
+
+    def test_nonpreserving_er6_matches_table(self, vhat_at):
+        # 64-dimensional register: 59 zeroing rows, which a least-squares
+        # search over every row entry could not reach cheaply
+        sol = solve_general(RestoreProblem(v_hat=vhat_at(6),
+                                           mode="nonpreserving-general", seed=3))
+        assert sol.lam_abs == pytest.approx(0.714, abs=1e-3)
+        assert sol.completed_unitary.shape == (64, 64)
 
     def test_modes_agree(self, solution5, solution5_nonpreserving):
         assert solution5.lam_abs == pytest.approx(solution5_nonpreserving.lam_abs,
                                                   abs=1e-8)
 
     def test_lambda_spread_and_min_root(self, vhat_at):
-        problem = RestoreProblem(v_hat=vhat_at(5), mode="preserving-general",
-                                 seed=5, restarts=5)
-        sols = collect_general_solutions(problem, 8)
-        lams = np.array([s.lam_abs for s in sols])
+        # the least-squares search over free rows lands on the same |lambda|
+        # from every start: the smallest root, which the closed form returns
+        problem = RestoreProblem(v_hat=vhat_at(5), mode="preserving-general", seed=5)
+        b = columns(problem)
+        d, n = b.shape
+        lams = np.array([least_squares_lambda(b, n, d - n + 1, seed=5 + 1000 * t)
+                         for t in range(1, 9)])
         assert lams.max() - lams.min() < 1e-8
         min_root = scale.real_roots(scale.lambda_polynomial(
             scale.gram(vhat_at(5)).g))[0]
         assert abs(lams.mean() - min_root) < 1e-6
+        assert np.abs(lams - solve_general(problem).lam_abs).max() < 1e-8
 
     def test_constraints_hold(self, solution5, vhat_at):
         a = solution5.constrained_rows
@@ -97,9 +113,22 @@ class TestGeneralSolver:
             solve_general(RestoreProblem(v_hat=vhat_at(5), mode="preserving-general",
                                          n_extra_zero_rows=2))
 
+    @pytest.mark.parametrize("n_extra", [-1, 28])
+    def test_nonpreserving_extra_rows_out_of_range(self, vhat_at, n_extra):
+        # 2**5 = 32 rows hold 3 receiver rows, 2 partners and at most 27 zero rows
+        with pytest.raises(FeasibilityError):
+            solve_general(RestoreProblem(v_hat=vhat_at(5), mode="nonpreserving-general",
+                                         n_extra_zero_rows=n_extra))
+
+    def test_residual_above_tolerance_raises(self, vhat_at):
+        with pytest.raises(ConvergenceError) as info:
+            solve_general(RestoreProblem(v_hat=vhat_at(5), mode="preserving-general",
+                                         tol=1e-30))
+        assert 0 < info.value.best_residual < 1e-12
+
     def test_deterministic_by_seed(self, vhat_at):
         p = RestoreProblem(v_hat=vhat_at(4, tau=12.493), mode="preserving-general",
-                           seed=9, restarts=4)
+                           seed=9)
         s1 = solve_general(p)
         s2 = solve_general(p)
         assert np.array_equal(s1.constrained_rows, s2.constrained_rows)
@@ -109,11 +138,78 @@ class TestGeneralSolver:
         m, d, n = 4, 6, 2
         b = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
         a = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-        p0 = _pack(a)
-        jac = _general_jacobian(a, b, n)
+        p0 = pack_rows(a)
+        jac = restoring_jacobian(a, b, n)
         fd = finite_difference_jacobian(
-            lambda p: _general_residuals(_unpack(p, m, d), b, n), p0)
+            lambda p: restoring_residuals(unpack_rows(p, m, d), b, n), p0)
         assert np.abs(jac - fd).max() < 1e-6
+
+
+def _random_v(rng, d, n, kind):
+    """A seeded d x n transfer block of the named kind."""
+    v = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2 * d)
+    if kind == "zero":
+        return np.zeros((d, n), dtype=complex)
+    if kind == "rank-deficient":
+        return v[:, :n - 1] @ (rng.standard_normal((n - 1, n)) + 0j)
+    if kind == "repeated":
+        sigma = np.array([0.8] + [0.4] * (n - 1))      # sigma_min repeated
+        return random_unitary(rng, d)[:, :n] * sigma @ random_unitary(rng, n)
+    return v
+
+
+# (mode, n_s, n_er, k, kind, n_extra): with k = 1 the block is n_er x n_s, so
+# the preserving cases walk d from the minimum 2n - 1 to 3n
+CLOSED_FORM_CASES = {
+    **{f"gauss-n{n}-d{d}": ("preserving-general", n, d, 1, "gauss", None)
+       for n in (2, 3, 4) for d in (2 * n - 1, 2 * n, 2 * n + 1, 3 * n)},
+    "zero": ("preserving-general", 3, 7, 1, "zero", None),
+    "zero-nonpreserving": ("nonpreserving-general", 3, 3, 1, "zero", None),
+    "rank-deficient": ("preserving-general", 3, 6, 1, "rank-deficient", None),
+    "rank-deficient-nonpreserving": ("nonpreserving-general", 3, 4, 2,
+                                     "rank-deficient", None),
+    "repeated": ("preserving-general", 4, 9, 1, "repeated", None),
+    "repeated-k2": ("preserving-general", 3, 5, 2, "repeated", None),
+    "n1": ("preserving-general", 1, 2, 1, "gauss", None),
+    "n1-nonpreserving": ("nonpreserving-general", 1, 1, 1, "gauss", None),
+    "nonpreserving": ("nonpreserving-general", 3, 4, 1, "gauss", None),
+    "nonpreserving-extra0": ("nonpreserving-general", 3, 4, 1, "gauss", 0),
+    "nonpreserving-extra4": ("nonpreserving-general", 3, 4, 2, "gauss", 4),
+}
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_properties(self, case):
+        mode, n_s, n_er, k, kind, n_extra = CLOSED_FORM_CASES[case]
+        d, n = len(k_states(n_er, k)), len(k_states(n_s, k))
+        v = _random_v(np.random.default_rng(sorted(CLOSED_FORM_CASES).index(case)),
+                      d, n, kind)
+        problem = RestoreProblem(v_hat=block(v, n_er=n_er, n_s=n_s, k=k), mode=mode,
+                                 n_extra_zero_rows=n_extra, seed=11)
+        sol = solve_general(problem)
+        b = columns(problem)
+        a = sol.constrained_rows
+        sigma_min = np.linalg.svd(v, compute_uv=False)[-1]
+        assert sol.converged
+        assert sol.residual <= 1e-12
+        assert np.abs(restoring_residuals(a, b, n)).max() <= 1e-12
+        assert abs(sol.lam.imag) <= 1e-12
+        assert abs(sol.lam.real - sigma_min) <= 1e-12
+        w = sol.completed_unitary
+        assert np.abs(w @ w.conj().T - np.eye(len(w))).max() <= 1e-12
+        assert np.array_equal(w[list(sol.row_positions)], a)
+        if n_extra is not None:
+            assert a.shape[0] == n + n_extra
+
+        again = solve_general(problem)
+        assert np.array_equal(again.constrained_rows, a)
+        assert np.array_equal(again.completed_unitary, w)
+        assert again.lam == sol.lam
+
+        other = solve_general(dataclasses.replace(problem, seed=12))
+        assert np.abs(other.constrained_rows - a).max() > 1e-6
+        assert abs(other.lam - sol.lam) <= 1e-12
 
 
 class TestCircuitBuilders:
