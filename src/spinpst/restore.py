@@ -7,8 +7,10 @@ orthonormal.  The general modes treat the row entries as free; their rows
 follow in closed form from the SVD of the transfer columns, with lambda =
 sigma_min.  The circuit modes parameterize W_ER by gate angles and minimize
 the stacked real/imaginary residuals with damped least squares from random
-restarts.  In every mode lambda is the derived quantity a_0 . b_0, never a
-free variable.
+restarts; each circuit is a list of two-level gates and permutations, and one
+forward and one backward sweep over it give the residuals and their exact
+Jacobian (adjoint differentiation).  In every mode lambda is the derived
+quantity a_0 . b_0, never a free variable.
 """
 
 from __future__ import annotations
@@ -16,14 +18,16 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .basis import full_basis, k_states
 from .dynamics import TransferBlock
-from .gates import HADAMARD, apply_cnot, apply_single, ry, rz
+from .gates import (HADAMARD, _bit_split, _cnot_perm, apply_cnot, apply_single,
+                    ry, rz)
 
 GENERAL_MODES = ("preserving-general", "nonpreserving-general")
 CIRCUIT_MODES = ("circuit-preserving", "circuit-nonpreserving")
@@ -179,22 +183,33 @@ def _full_er_positions(n_er: int, n_r: int, k: int) -> tuple[list[int], list[int
     return recv, rest
 
 
+def _register_columns(v: TransferBlock, n_er: int) -> np.ndarray:
+    """Transfer columns V placed at the k-sector rows of the 2**n_er register."""
+    b = np.zeros((2 ** n_er, v.columns), dtype=complex)
+    b[np.fromiter(k_states(n_er, v.k).states, dtype=np.int64), :] = v.v_hat
+    return b
+
+
 # ---------------------------------------------------------------------------
 # general modes: closed form from the SVD of the transfer columns
 # ---------------------------------------------------------------------------
 
-def _constraint_residuals(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of rows @ b - lambda * I, lambda = (rows @ b)_00."""
-    e = rows @ b
-    rc = (e - e[0, 0] * np.eye(*e.shape)).ravel()[1:]   # drop the slot defining lambda
-    return np.concatenate([rc.real, rc.imag])
+def _lambda_residuals(e: np.ndarray) -> np.ndarray:
+    """Restoring residuals of e = rows @ b: Re and Im of e - lambda * I, lambda = e_00.
+
+    Acts on the last two axes, so a stack of derivatives d e / d theta maps
+    to Jacobian columns (the residuals are real-linear in e).
+    """
+    rc = (e - e[..., :1, :1] * np.eye(*e.shape[-2:])).reshape(*e.shape[:-2], -1)
+    rc = rc[..., 1:]   # drop the slot defining lambda
+    return np.concatenate([rc.real, rc.imag], axis=-1)
 
 
 def _general_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stacked real residuals: restoring constraints then row orthonormality."""
     g = a @ a.conj().T
     iu = np.triu_indices(a.shape[0], k=1)
-    return np.concatenate([_constraint_residuals(a, b), g[iu].real, g[iu].imag,
+    return np.concatenate([_lambda_residuals(a @ b), g[iu].real, g[iu].imag,
                            g.diagonal().real - 1.0])
 
 
@@ -239,9 +254,7 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
         recv, rest = _er_k_positions(problem.n_er, n_r, k)
     else:
         d = 2 ** problem.n_er
-        b = np.zeros((d, n), dtype=complex)
-        er_states = np.fromiter(k_states(problem.n_er, k).states, dtype=np.int64)
-        b[er_states, :] = v.v_hat
+        b = _register_columns(v, problem.n_er)
         recv, _ = _full_er_positions(problem.n_er, n_r, k)
         # zero-row candidates in excitation-sorted order over the whole register
         rest = [m for m in full_basis(problem.n_er) if m not in set(recv)]
@@ -333,102 +346,207 @@ def build_circuit_nonpreserving(params: Sequence[float], q_layers: int,
     return w
 
 
-def _circuit_rows(problem: RestoreProblem, params: np.ndarray,
-                  a_qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(constrained rows, column matrix b, full W_ER) for a circuit parameter set."""
-    v = problem.v_hat
-    k, n_r = v.k, v.n_s
-    n_extra = problem.n_extra_zero_rows or 0
-    er_states = np.fromiter(k_states(problem.n_er, k).states, dtype=np.int64)
-    if problem.mode == "circuit-preserving":
-        w = build_circuit_preserving(params, problem.q_layers, problem.n_er)
-        wk = w[np.ix_(er_states, er_states)]
-        recv, rest = _er_k_positions(problem.n_er, n_r, k)
-        rows = wk[recv + rest[:n_extra], :]
-        b = v.v_hat
-    else:
-        w = build_circuit_nonpreserving(params, problem.q_layers,
-                                        problem.n_er, a_qubits)
-        recv, rest = _full_er_positions(problem.n_er, n_r, k)
-        rows = w[recv + rest[:n_extra], :]
-        b = np.zeros((2 ** problem.n_er, v.columns), dtype=complex)
-        b[er_states, :] = v.v_hat
-    return rows, b, w
-
-
 def _circuit_row_positions(problem: RestoreProblem) -> list[int]:
-    """Constrained row positions as full-register computational indices."""
+    """Constrained row positions as full-register computational indices.
+
+    Raises FeasibilityError unless 0 <= n_extra_zero_rows <= the number of
+    k-sector rows left after the receiver rows.
+    """
     v = problem.v_hat
     n_extra = problem.n_extra_zero_rows or 0
     recv, rest = _full_er_positions(problem.n_er, v.n_s, v.k)
+    if not 0 <= n_extra <= len(rest):
+        raise FeasibilityError(f"{n_extra} extra zero rows; the k-sector of "
+                               f"{problem.n_er} qubits admits 0..{len(rest)}")
     return recv + rest[:n_extra]
 
 
-def _circuit_rows_fast(problem: RestoreProblem, params: np.ndarray,
-                       a_qubits: tuple[int, ...], positions: list[int],
-                       cols: np.ndarray) -> np.ndarray:
-    """W_ER[positions][:, cols] without building the full matrix.
+# Each circuit is a list of entries in application order: a _TwoLevel acts
+# with the 2x2 block g on the register index pairs (pairs[0][i], pairs[1][i])
+# and as the identity elsewhere; a _Permutation maps a state r to r[perm].
+# The angles belong to the entries marked ``tuned``, gate after gate in
+# application order, which is the order of the flat parameter vector.
 
-    Propagates the requested basis columns through the adjoint circuit in
-    reverse application order; the preserving two-qubit block is Hermitian,
-    so it is its own adjoint.
+class _TwoLevel(NamedTuple):
+    pairs: np.ndarray   # (2, n_pairs) register indices
+    g: np.ndarray       # (2, 2) block
+    tuned: bool         # False for the fixed trailing Hadamards
+
+
+class _Permutation(NamedTuple):
+    perm: np.ndarray
+    inverse: np.ndarray
+
+
+_SZ = np.array([1.0, -1.0])   # diagonal of sigma_z
+
+
+@lru_cache(maxsize=None)
+def _rotation_pairs(n: int, qubit: int) -> np.ndarray:
+    return np.stack(_bit_split(n, qubit))
+
+
+@lru_cache(maxsize=None)
+def _exchange_pairs(n: int, i: int, j: int) -> np.ndarray:
+    """Index pairs (bit i = 0 and bit j = 1, bit i = 1 and bit j = 0)."""
+    idx = np.arange(2 ** n)
+    lo = idx[(((idx >> (i - 1)) & 1) == 0) & (((idx >> (j - 1)) & 1) == 1)]
+    return np.stack([lo, lo ^ (1 << (i - 1)) ^ (1 << (j - 1))])
+
+
+@lru_cache(maxsize=None)
+def _cnot_cascade(n: int) -> _Permutation:
+    """All CNOTs C_ij, i < j, of one nonpreserving layer as one permutation."""
+    perm = np.arange(2 ** n)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            perm = perm[_cnot_perm(n, i, j)]
+    return _Permutation(perm, np.argsort(perm))
+
+
+def _ry_blocks(angle: np.ndarray) -> np.ndarray:
+    """ry for an array of angles, shape (..., 2, 2); d ry/d angle = ry(angle + pi) / 2."""
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return np.stack([c, -s, s, c], axis=-1).reshape(*angle.shape, 2, 2)
+
+
+def _exchange_blocks(alpha: np.ndarray,
+                     beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of _u_pair on (|i=0, j=1>, |i=1, j=0>) and their d/d(alpha, beta).
+
+    The gate is R sigma_x R^dag with R = rz(beta) ry(alpha) rz(-beta) on that
+    pair and the identity on |00> and |11>; R_ab = z_a ry_ab conj(z_b) with
+    z the diagonal of rz(beta), so d R / d beta = -i/2 (s_a - s_b) R_ab for
+    s = (1, -1) the diagonal of sigma_z.
     """
-    n = problem.n_er
-    e = np.zeros((2 ** n, len(positions)), dtype=complex)
-    e[positions, np.arange(len(positions))] = 1.0
-    if problem.mode == "circuit-preserving":
-        p = np.asarray(params, dtype=float).reshape(problem.q_layers, n, 2)
-        for q in range(problem.q_layers - 1, -1, -1):
-            for j in range(n, 0, -1):
-                jj = j + 1 if j < n else 1
-                e = _u_pair(e, j, jj, p[q, j - 1, 0], p[q, j - 1, 1], n)
-    else:
-        p = np.asarray(params, dtype=float).reshape(problem.q_layers, n, 3)
-        for a in a_qubits:
-            e = apply_single(e, HADAMARD, a, n)
-        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        for q in range(problem.q_layers - 1, -1, -1):
-            for i, j in reversed(pairs):
-                e = apply_cnot(e, i, j, n)
-            for l in range(n, 0, -1):
-                al, be, ga = p[q, l - 1]
-                e = apply_single(e, (rz(al) @ ry(be) @ rz(ga)).conj().T, l, n)
-    return e[cols, :].conj().T
+    z = np.exp(-0.5j * beta[:, None] * _SZ)
+    phase = z[:, :, None] * z.conj()[:, None, :]
+    r = phase * _ry_blocks(alpha)
+    dr = np.stack([phase * _ry_blocks(alpha + np.pi) / 2.0,
+                   -0.5j * (_SZ[:, None] - _SZ[None, :]) * r], axis=1)
+    r_dag = r.conj().swapaxes(-1, -2)
+    k = dr[..., ::-1] @ r_dag[:, None]        # dR sigma_x R^dag
+    return r[..., ::-1] @ r_dag, k + k.conj().swapaxes(-1, -2)
+
+
+def _rotation_blocks(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rz(alpha) ry(beta) rz(gamma) for rows (alpha, beta, gamma), with d/d of each."""
+    za = np.exp(-0.5j * p[:, 0, None] * _SZ)
+    zg = np.exp(-0.5j * p[:, 2, None] * _SZ)
+    outer = za[:, :, None] * zg[:, None, :]
+    u = outer * _ry_blocks(p[:, 1])
+    du = np.stack([-0.5j * _SZ[:, None] * u,
+                   outer * _ry_blocks(p[:, 1] + np.pi) / 2.0,
+                   -0.5j * _SZ[None, :] * u], axis=1)
+    return u, du
+
+
+def _gate_list(mode: str, params: np.ndarray, q_layers: int, n: int,
+               a_qubits: tuple[int, ...]) -> tuple[list, np.ndarray]:
+    """The circuit of ``build_circuit_*`` as entries, and the derivative blocks.
+
+    The blocks have shape (tuned entries, angles per entry, 2, 2), so they
+    flatten to the parameter order.
+    """
+    if mode == "circuit-preserving":
+        p = params.reshape(-1, 2)
+        h, dh = _exchange_blocks(p[:, 0], p[:, 1])
+        pairs = [_exchange_pairs(n, j, j % n + 1) for j in range(1, n + 1)] * q_layers
+        return [_TwoLevel(pr, g, True) for pr, g in zip(pairs, h)], dh
+    u, du = _rotation_blocks(params.reshape(-1, 3))
+    gates = []
+    for q in range(q_layers):
+        gates += [_TwoLevel(_rotation_pairs(n, l), u[q * n + l - 1], True)
+                  for l in range(1, n + 1)]
+        gates.append(_cnot_cascade(n))
+    gates += [_TwoLevel(_rotation_pairs(n, a), HADAMARD, False) for a in a_qubits]
+    return gates, du
+
+
+def _apply_two_level(g: np.ndarray, pairs: np.ndarray,
+                     r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G r, r[pairs]) for the two-level gate G with block g on ``pairs``."""
+    sub = r[pairs]
+    out = r.copy()
+    out[pairs] = (g @ sub.reshape(2, -1)).reshape(sub.shape)
+    return out, sub
+
+
+def _circuit_sweep(problem: RestoreProblem, params: np.ndarray,
+                   a_qubits: tuple[int, ...], b_full: np.ndarray,
+                   positions: list[int]) -> tuple[complex, np.ndarray, np.ndarray]:
+    """(lambda, residuals, exact Jacobian) of a circuit at ``params``.
+
+    Adjoint differentiation: the forward sweep r_t = G_t r_(t-1) from
+    r_0 = b_full gives e = W[positions] @ b_full; the backward sweep carries
+    l_t = E G_L ... G_(t+1), E the identity rows at ``positions``, and each
+    angle of G_t contributes d e = l_t dG_t r_(t-1), which needs only the
+    rows of l_t^T and r_(t-1) at the gate's index pairs.
+    """
+    gates, dg = _gate_list(problem.mode, params, problem.q_layers,
+                           problem.n_er, a_qubits)
+    r, r_in = b_full, []
+    for gate in gates:
+        if isinstance(gate, _Permutation):
+            r = r[gate.perm]
+            continue
+        r, sub = _apply_two_level(gate.g, gate.pairs, r)
+        if gate.tuned:
+            r_in.append(sub)
+    e = r[positions]
+    ell, ell_out = np.eye(len(r), dtype=complex)[:, positions], []   # l_L^T
+    for gate in reversed(gates):
+        if isinstance(gate, _Permutation):
+            ell = ell[gate.inverse]
+            continue
+        ell, sub = _apply_two_level(gate.g.T, gate.pairs, ell)
+        if gate.tuned:
+            ell_out.append(sub)
+    m = np.einsum("gaim,gbin->gabmn", np.array(ell_out[::-1]), np.array(r_in))
+    de = np.einsum("gpab,gabmn->gpmn", dg, m).reshape(-1, *e.shape)
+    return complex(e[0, 0]), _lambda_residuals(e), _lambda_residuals(de).T
 
 
 def _fit_attempt(payload) -> tuple[int, np.ndarray, float, complex]:
     """One circuit-fit restart; module level so worker processes can run it."""
-    problem, a_qubits, positions, cols, seed, i, n_params = payload
-    b_small = problem.v_hat.v_hat
+    problem, a_qubits, b_full, positions, seed, i, n_params = payload
+    cache: dict[bytes, tuple] = {}
 
-    def fun(x):
-        rows = _circuit_rows_fast(problem, x, a_qubits, positions, cols)
-        return _constraint_residuals(rows, b_small)
+    def sweep(x):
+        # least_squares asks for fun(x) and then jac(x): one sweep serves both
+        key = x.tobytes()
+        if key not in cache:
+            cache.clear()
+            cache[key] = _circuit_sweep(problem, x, a_qubits, b_full, positions)
+        return cache[key]
 
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 2.0 * np.pi, n_params)
-    sol = least_squares(fun, x0, method="trf", xtol=1e-14, ftol=1e-14,
-                        gtol=1e-14, max_nfev=3000)
-    res = float(np.abs(fun(sol.x)).max())
-    rows = _circuit_rows_fast(problem, sol.x, a_qubits, positions, cols)
-    lam = complex((rows @ b_small)[0, 0])
-    return i, sol.x, res, lam
+    sol = least_squares(lambda x: sweep(x)[1], x0, jac=lambda x: sweep(x)[2],
+                        method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                        max_nfev=3000)
+    lam, res, _ = sweep(sol.x)
+    return i, sol.x, float(np.abs(res).max()), lam
 
 
 def fit_circuit(problem: RestoreProblem, threads: int = 1,
                 a_qubits: Sequence[int] | None = None) -> RestoreSolution:
     """Fit circuit parameters to the restoring constraints, best over restarts.
 
-    Every restart starts from uniform random angles; converged restarts keep
-    their own lambda (the circuit families do not pin it), and the returned
-    solution is the converged one with the largest |lambda|.  ``threads`` > 1
-    distributes restarts over worker processes.
+    Every restart starts from uniform random angles and runs damped least
+    squares with the exact Jacobian of ``_circuit_sweep``; converged restarts
+    keep their own lambda (the circuit families do not pin it), and the
+    returned solution is the converged one with the largest |lambda|.
+    ``threads`` > 1 distributes restarts over worker processes.  An
+    ``n_extra_zero_rows`` outside 0..(free k-sector rows) raises
+    FeasibilityError.
     """
     if problem.mode not in CIRCUIT_MODES:
         raise ValueError(f"fit_circuit does not handle mode {problem.mode!r}")
     v = problem.v_hat
     n = v.columns
-    n_extra = problem.n_extra_zero_rows or 0
+    positions = _circuit_row_positions(problem)
+    n_extra = len(positions) - n
     per_layer = 2 if problem.mode == "circuit-preserving" else 3
     n_params = per_layer * problem.q_layers * problem.n_er
     n_constraints = 2 * ((n + n_extra) * n - 1)
@@ -441,12 +559,9 @@ def fit_circuit(problem: RestoreProblem, threads: int = 1,
     else:
         a_qubits = tuple(a_qubits)
 
-    positions = _circuit_row_positions(problem)
-    cols = np.fromiter(k_states(problem.n_er, v.k).states, dtype=np.int64)
-    b_small = v.v_hat
-
+    b_full = _register_columns(v, problem.n_er)
     seeds = np.random.SeedSequence(problem.seed).spawn(problem.default_restarts())
-    payloads = [(problem, a_qubits, positions, cols, seeds[i], i, n_params)
+    payloads = [(problem, a_qubits, b_full, positions, seeds[i], i, n_params)
                 for i in range(len(seeds))]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -464,20 +579,23 @@ def fit_circuit(problem: RestoreProblem, threads: int = 1,
             best[2])
     best_i, best_x, best_res, best_lam = min(
         converged, key=lambda r: (-abs(r[3]), r[2], r[0]))
-    rows, b, w_full = _circuit_rows(problem, best_x, a_qubits)
-    k, n_r = v.k, v.n_s
-    er_states = np.fromiter(k_states(problem.n_er, k).states, dtype=np.int64)
     if problem.mode == "circuit-preserving":
-        recv, rest = _er_k_positions(problem.n_er, n_r, k)
+        er_states = np.fromiter(k_states(problem.n_er, v.k).states, dtype=np.int64)
+        w_full = build_circuit_preserving(best_x, problem.q_layers, problem.n_er)
+        recv, rest = _er_k_positions(problem.n_er, v.n_s, v.k)
+        row_positions = tuple(recv) + tuple(rest[:n_extra])
+        rows = w_full[np.ix_(positions, er_states)]
         completed = w_full[np.ix_(er_states, er_states)]
     else:
-        recv, rest = _full_er_positions(problem.n_er, n_r, k)
+        w_full = build_circuit_nonpreserving(best_x, problem.q_layers,
+                                             problem.n_er, a_qubits)
+        row_positions = tuple(positions)
+        rows = w_full[positions]
         completed = w_full
-    positions = tuple(recv) + tuple(rest[:n_extra])
     return RestoreSolution(mode=problem.mode, constrained_rows=rows,
-                           row_positions=positions, lam=best_lam,
+                           row_positions=row_positions, lam=best_lam,
                            residual=best_res, completed_unitary=completed,
-                           tau=v.tau, n_er=problem.n_er, k=k,
+                           tau=v.tau, n_er=problem.n_er, k=v.k,
                            seed=problem.seed, restart_records=records,
                            circuit_params=np.asarray(best_x), wer_full=w_full)
 

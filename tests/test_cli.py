@@ -144,7 +144,10 @@ class TestCommands:
         ("preserving-general", 1, 3),       # pinned to 3 - (2*2 - 1) = 0
         ("nonpreserving-general", -1, 2),
         ("nonpreserving-general", 20, 3),   # 2**3 - 3 = 5 at most
-    ], ids=["preserving-pinned", "negative", "above-dimension"])
+        ("circuit-preserving", 20, 3),      # 3 - 2 = 1 free k-sector row
+        ("circuit-nonpreserving", 2, 3),
+    ], ids=["preserving-pinned", "negative", "above-dimension",
+            "circuit-above-sector", "circuit-nonpreserving-above-sector"])
     def test_solve_bad_extra_rows(self, tmp_path, capsys, mode, n_extra, code):
         p = tmp_path / "bad.cfg"
         p.write_text(BASE_CFG.replace("solver.mode = preserving-general",

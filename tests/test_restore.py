@@ -8,7 +8,9 @@ from spinpst import (RestoreProblem, build_circuit_nonpreserving,
                      scale, solve_general)
 from spinpst.basis import full_basis, k_states
 from spinpst.dynamics import TransferBlock
-from spinpst.restore import ConvergenceError, FeasibilityError, _u_pair
+from spinpst.restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
+                             _circuit_row_positions, _circuit_sweep,
+                             _lambda_residuals, _register_columns, _u_pair)
 
 from _oracles import (finite_difference_jacobian, least_squares_lambda, pack_rows,
                       random_unitary, restoring_columns, restoring_jacobian,
@@ -307,6 +309,15 @@ class TestFitCircuit:
             except ConvergenceError:
                 pass
 
+    @pytest.mark.parametrize("mode", CIRCUIT_MODES)
+    @pytest.mark.parametrize("n_extra", [-1, 4, 20])
+    def test_extra_rows_out_of_range(self, vhat_at, mode, n_extra):
+        # N=10, n_er=4, k=2: 6 k-sector rows, 3 receiver rows, 3 free rows
+        problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493), mode=mode,
+                                 n_extra_zero_rows=n_extra, restarts=1)
+        with pytest.raises(FeasibilityError, match="admits 0..3"):
+            fit_circuit(problem)
+
     def test_rows_match_built_unitary(self, vhat_at):
         problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493),
                                  mode="circuit-preserving", q_layers=3,
@@ -315,6 +326,79 @@ class TestFitCircuit:
         er = np.fromiter(k_states(4, 2).states, dtype=np.int64)
         wk = sol.wer_full[np.ix_(er, er)]
         assert np.abs(wk - sol.completed_unitary).max() < 1e-12
+
+
+# (mode, q, n_er, n_extra, a_qubits): N=10, n_s=3, k=2, so n_er - 3 free
+# k-sector rows for zeroing; a_qubits only enter the nonpreserving family
+JACOBIAN_CASES = [
+    ("circuit-preserving", 1, 3, 0, ()),
+    ("circuit-preserving", 2, 4, 1, ()),
+    ("circuit-preserving", 3, 4, 0, ()),
+    ("circuit-preserving", 3, 5, 2, ()),
+    ("circuit-nonpreserving", 1, 3, 0, ()),
+    ("circuit-nonpreserving", 3, 3, 0, (2,)),
+    ("circuit-nonpreserving", 2, 4, 0, (1,)),
+    ("circuit-nonpreserving", 3, 4, 2, ()),
+    ("circuit-nonpreserving", 2, 5, 1, (1, 2)),
+]
+
+
+class TestCircuitJacobian:
+    @pytest.mark.parametrize("mode, q, n_er, n_extra, a_qubits", JACOBIAN_CASES)
+    def test_sweep(self, vhat_at, mode, q, n_er, n_extra, a_qubits):
+        v = vhat_at(n_er, tau=12.493)
+        problem = RestoreProblem(v_hat=v, mode=mode, q_layers=q,
+                                 n_extra_zero_rows=n_extra)
+        positions = _circuit_row_positions(problem)
+        assert len(positions) == v.columns + n_extra
+        er = np.fromiter(k_states(n_er, 2).states, dtype=np.int64)
+
+        def built(x):
+            """rows @ V from the matrix that build_circuit_* assembles."""
+            if mode == "circuit-preserving":
+                w = build_circuit_preserving(x, q, n_er)
+            else:
+                w = build_circuit_nonpreserving(x, q, n_er, a_qubits)
+            return w[np.ix_(positions, er)] @ v.v_hat
+
+        per_gate = 2 if mode == "circuit-preserving" else 3
+        x = np.random.default_rng(1000 * q + 10 * n_er + n_extra).uniform(
+            0, 2 * np.pi, per_gate * q * n_er)
+        lam, res, jac = _circuit_sweep(problem, x, a_qubits,
+                                       _register_columns(v, n_er), positions)
+        e = built(x)
+        assert np.abs(res - _lambda_residuals(e)).max() <= 1e-13
+        assert abs(lam - e[0, 0]) <= 1e-13
+
+        # the residuals are real-linear in e, so differences of e map to
+        # differences of the residuals through _lambda_residuals
+        eye = np.eye(x.size)
+        h = 1e-6
+        central = np.array([(built(x + h * d) - built(x - h * d)) / (2 * h)
+                            for d in eye])
+        assert np.abs(jac - _lambda_residuals(central).T).max() <= 1e-7
+        if mode == "circuit-nonpreserving":
+            # every angle enters once, as exp(-i theta P / 2) with P a Pauli,
+            # and e is linear in each gate: e(theta + s) - e(theta - s) =
+            # 4 sin(s / 2) e'(theta) for any shift s
+            s = np.pi / 2
+            shifted = np.array([(built(x + s * d) - built(x - s * d))
+                                / (4 * np.sin(s / 2)) for d in eye])
+            assert np.abs(jac - _lambda_residuals(shifted).T).max() <= 1e-12
+
+
+class TestCircuitFitDeterminism:
+    @pytest.mark.parametrize("mode, q", [("circuit-preserving", 3),
+                                         ("circuit-nonpreserving", 2)])
+    def test_threads_do_not_change_the_fit(self, vhat_at, mode, q):
+        problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493), mode=mode,
+                                 q_layers=q, n_extra_zero_rows=0, seed=5,
+                                 restarts=8)
+        serial = fit_circuit(problem, threads=1)
+        pooled = fit_circuit(problem, threads=2)
+        assert np.array_equal(serial.circuit_params, pooled.circuit_params)
+        assert serial.lam == pooled.lam
+        assert serial.restart_records == pooled.restart_records
 
 
 class TestCompleteUnitary:
