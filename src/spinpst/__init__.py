@@ -12,9 +12,8 @@ from .protocol import (CostEstimate, ProtocolReport, PureState,
                        prepare_k_state, run_arbitrary_pst, run_global_pst,
                        run_k_excitation_pst, run_nonpreserving_pst)
 from .restore import (ConvergenceError, FeasibilityError, RestoreProblem,
-                      RestoreSolution, build_circuit_nonpreserving,
-                      build_circuit_preserving, complete_unitary, fit_circuit,
-                      solve_general, wer_full_from_solution)
+                      RestoreSolution, complete_unitary, fit_circuit, solve_general,
+                      wer_full_from_solution)
 from .scale import (Feasibility, GramData, LambdaPolynomial, ScanResult,
                     feasibility, gram, lambda_polynomial, real_roots, roots_at,
                     scan)

@@ -218,17 +218,20 @@ def hamiltonian_block(couplings: CouplingMatrix, k: int,
     if basis.n != n or basis.k != k:
         raise ValueError(f"basis is for (n={basis.n}, k={basis.k}), "
                          f"expected (n={n}, k={k})")
-    dim = len(basis)
-    h = np.zeros((dim, dim))
-    d = couplings.d
-    for a, m in enumerate(basis.states):
-        occ = [q for q in range(n) if (m >> q) & 1]
-        for i in occ:
-            for j in range(n):
-                if (m >> j) & 1 or j == i:
-                    continue
-                b = basis.index_of((m ^ (1 << i)) | (1 << j))
-                h[b, a] += d[i, j] / 2.0
+    states = np.fromiter(basis.states, dtype=np.int64, count=len(basis))
+    bits = ((states[:, None] >> np.arange(n)) & 1).astype(bool)
+    # every state has k occupied and n - k empty sites, in increasing order
+    occ = np.nonzero(bits)[1].reshape(len(states), k)[:, :, None]
+    empty = np.nonzero(~bits)[1].reshape(len(states), n - k)[:, None, :]
+    target = (states[:, None, None] ^ (1 << occ)) | (1 << empty)
+    order = np.argsort(states)
+    found = np.minimum(np.searchsorted(states[order], target), len(states) - 1)
+    if not np.array_equal(states[order][found], target):
+        raise KeyError(f"the basis misses {k}-excitation states of {n} sites")
+    source = np.broadcast_to(np.arange(len(states))[:, None, None], target.shape)
+    # two states one hop apart fix the hop, so each entry is written once
+    h = np.zeros((len(states), len(states)))
+    h[order[found], source] = couplings.d[occ, empty] / 2.0
     return h
 
 

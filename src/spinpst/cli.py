@@ -129,7 +129,7 @@ def _solve_from_config(cfg: RunConfig, args):
     tau = _resolve_tau(cfg, args)
     problem = _build_problem(cfg, args, tau)
     if problem.mode in CIRCUIT_MODES:
-        return fit_circuit(problem, threads=max(getattr(args, "threads", 1), 1))
+        return fit_circuit(problem)
     return solve_general(problem)
 
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override solver.seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker count (0 = all cores)")
+                       help="worker count for tau scans (0 = all cores)")
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--format", choices=["csv", "json"], default=None)
 

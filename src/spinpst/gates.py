@@ -1,9 +1,8 @@
-"""Small dense gate primitives for register-local unitaries.
+"""Fixed gate data for register-local circuits.
 
 Qubits are 1-based; qubit q of an n-qubit register is bit q-1 of the basis
-index, so basis index m = sum over excited qubits of 2**(q-1).  Applications
-act on the leading axis of a matrix whose rows are register basis states;
-index plans are cached per register size since registers here stay small.
+index, so basis index m = sum over excited qubits of 2**(q-1).  Index plans
+are cached per register size since registers here stay small.
 """
 
 from __future__ import annotations
@@ -15,19 +14,9 @@ import numpy as np
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
-def rz(angle: float) -> np.ndarray:
-    """z-rotation exp(-i sigma_z angle / 2)."""
-    return np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]])
-
-
-def ry(angle: float) -> np.ndarray:
-    """y-rotation exp(-i sigma_y angle / 2)."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 @lru_cache(maxsize=None)
 def _bit_split(n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices with ``qubit`` in the ground state, and their partners with it excited."""
     idx = np.arange(2 ** n)
     bit = (idx >> (qubit - 1)) & 1
     return idx[bit == 0], idx[bit == 1]
@@ -35,21 +24,7 @@ def _bit_split(n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
+    """Row permutation of CNOT (flip ``target`` where ``control`` is excited)."""
     idx = np.arange(2 ** n)
     ctrl = (idx >> (control - 1)) & 1
     return np.where(ctrl == 1, idx ^ (1 << (target - 1)), idx)
-
-
-def apply_single(mat: np.ndarray, u2: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Left-multiply ``mat`` (2**n rows) by a one-qubit gate on ``qubit``."""
-    i0, i1 = _bit_split(n, qubit)
-    out = np.empty_like(mat, dtype=complex)
-    m0, m1 = mat[i0], mat[i1]
-    out[i0] = u2[0, 0] * m0 + u2[0, 1] * m1
-    out[i1] = u2[1, 0] * m0 + u2[1, 1] * m1
-    return out
-
-
-def apply_cnot(mat: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    """Left-multiply by CNOT (flip ``target`` where ``control`` is excited)."""
-    return mat[_cnot_perm(n, control, target)]

@@ -6,33 +6,35 @@ extra rows must annihilate every b_j, and the constrained rows must be
 orthonormal.  The general modes treat the row entries as free; their rows
 follow in closed form from the SVD of the transfer columns, with lambda =
 sigma_min.  The circuit modes parameterize W_ER by gate angles and minimize
-the stacked real/imaginary residuals with damped least squares from random
-restarts; each circuit is a list of two-level gates and permutations, and one
-forward and one backward sweep over it give the residuals and their exact
-Jacobian (adjoint differentiation).  In every mode lambda is the derived
-quantity a_0 . b_0, never a free variable.
+the stacked real/imaginary residuals from random restarts, all restarts in
+one Levenberg-Marquardt solve with the restarts on a leading array axis.
+Each circuit is a list of two-level gates and permutations; per iteration,
+one forward and one backward sweep over the stacked circuits give every
+restart's residuals and exact Jacobian (adjoint differentiation), and one
+batched solve gives every restart's damped step.  In every mode lambda is
+the derived quantity a_0 . b_0, never a free variable.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .basis import full_basis, k_states
 from .dynamics import TransferBlock
-from .gates import (HADAMARD, _bit_split, _cnot_perm, apply_cnot, apply_single,
-                    ry, rz)
+from .gates import HADAMARD, _bit_split, _cnot_perm
 
 GENERAL_MODES = ("preserving-general", "nonpreserving-general")
 CIRCUIT_MODES = ("circuit-preserving", "circuit-nonpreserving")
 DEFAULT_TOL = 1e-10
 DEFAULT_RESTARTS_CIRCUIT = 1000
+LM_MU0 = 1e-3              # initial damping relative to max diag J^T J
+LM_XTOL = 1e-14            # a restart stops when |step| <= LM_XTOL (|x| + LM_XTOL)
+LM_MAX_ITERATIONS = 500
 
 
 class FeasibilityError(ValueError):
@@ -291,61 +293,6 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
 # circuit families
 # ---------------------------------------------------------------------------
 
-def _u_pair(state: np.ndarray, i: int, j: int, alpha: float, beta: float,
-            n: int) -> np.ndarray:
-    """Excitation-preserving two-qubit block C_ij R_i C_ji R_i^dag C_ij."""
-    r = rz(beta) @ ry(alpha) @ rz(-beta)
-    out = apply_cnot(state, i, j, n)
-    out = apply_single(out, r.conj().T, i, n)
-    out = apply_cnot(out, j, i, n)
-    out = apply_single(out, r, i, n)
-    return apply_cnot(out, i, j, n)
-
-
-def build_circuit_preserving(params: Sequence[float], q_layers: int,
-                             n_er: int) -> np.ndarray:
-    """Layered ring of excitation-preserving two-qubit gates on 2**n_er.
-
-    Layer q applies U_{j, j+1 mod n_er}(alpha_qj, beta_qj) for j = 1..n_er,
-    j ascending acting first; layers stack in increasing q.
-    """
-    p = np.asarray(params, dtype=float)
-    if p.size != 2 * q_layers * n_er:
-        raise ValueError(f"expected {2 * q_layers * n_er} parameters, got {p.size}")
-    p = p.reshape(q_layers, n_er, 2)
-    w = np.eye(2 ** n_er, dtype=complex)
-    for q in range(q_layers):
-        for j in range(1, n_er + 1):
-            jj = j + 1 if j < n_er else 1
-            w = _u_pair(w, j, jj, p[q, j - 1, 0], p[q, j - 1, 1], n_er)
-    return w
-
-
-def build_circuit_nonpreserving(params: Sequence[float], q_layers: int,
-                                n_er: int, a_qubits: Sequence[int]) -> np.ndarray:
-    """Rotation layers with full CNOT cascades, then Hadamards on the A qubits.
-
-    Each layer applies R_z(alpha) R_y(beta) R_z(gamma) on every qubit, then
-    CNOTs C_ij over all pairs i < j (lexicographic, (1,2) acting first).
-    ``a_qubits`` are 1-based positions within the extended receiver.
-    """
-    p = np.asarray(params, dtype=float)
-    if p.size != 3 * q_layers * n_er:
-        raise ValueError(f"expected {3 * q_layers * n_er} parameters, got {p.size}")
-    p = p.reshape(q_layers, n_er, 3)
-    w = np.eye(2 ** n_er, dtype=complex)
-    for q in range(q_layers):
-        for l in range(1, n_er + 1):
-            al, be, ga = p[q, l - 1]
-            w = apply_single(w, rz(al) @ ry(be) @ rz(ga), l, n_er)
-        for i in range(1, n_er):
-            for j in range(i + 1, n_er + 1):
-                w = apply_cnot(w, i, j, n_er)
-    for a in a_qubits:
-        w = apply_single(w, HADAMARD, a, n_er)
-    return w
-
-
 def _circuit_row_positions(problem: RestoreProblem) -> list[int]:
     """Constrained row positions as full-register computational indices.
 
@@ -365,11 +312,13 @@ def _circuit_row_positions(problem: RestoreProblem) -> list[int]:
 # with the 2x2 block g on the register index pairs (pairs[0][i], pairs[1][i])
 # and as the identity elsewhere; a _Permutation maps a state r to r[perm].
 # The angles belong to the entries marked ``tuned``, gate after gate in
-# application order, which is the order of the flat parameter vector.
+# application order, which is the order of the flat parameter vector.  The
+# circuits act on stacks: r has shape (restarts, 2**n, columns), and a tuned
+# entry holds one block per restart, shape (restarts, 2, 2).
 
 class _TwoLevel(NamedTuple):
     pairs: np.ndarray   # (2, n_pairs) register indices
-    g: np.ndarray       # (2, 2) block
+    g: np.ndarray       # (restarts, 2, 2) blocks, or one fixed (2, 2) block
     tuned: bool         # False for the fixed trailing Hadamards
 
 
@@ -412,134 +361,178 @@ def _ry_blocks(angle: np.ndarray) -> np.ndarray:
 
 def _exchange_blocks(alpha: np.ndarray,
                      beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of _u_pair on (|i=0, j=1>, |i=1, j=0>) and their d/d(alpha, beta).
+    """Pair-gate blocks on (|i=0, j=1>, |i=1, j=0>) and their d/d(alpha, beta).
 
-    The gate is R sigma_x R^dag with R = rz(beta) ry(alpha) rz(-beta) on that
-    pair and the identity on |00> and |11>; R_ab = z_a ry_ab conj(z_b) with
-    z the diagonal of rz(beta), so d R / d beta = -i/2 (s_a - s_b) R_ab for
-    s = (1, -1) the diagonal of sigma_z.
+    The excitation-preserving gate C_ij R_i C_ji R_i^dag C_ij is R sigma_x
+    R^dag with R = rz(beta) ry(alpha) rz(-beta) on that pair and the identity
+    on |00> and |11>; R_ab = z_a ry_ab conj(z_b) with z the diagonal of
+    rz(beta), so d R / d beta = -i/2 (s_a - s_b) R_ab for s = (1, -1) the
+    diagonal of sigma_z.
     """
-    z = np.exp(-0.5j * beta[:, None] * _SZ)
-    phase = z[:, :, None] * z.conj()[:, None, :]
+    z = np.exp(-0.5j * beta[..., None] * _SZ)
+    phase = z[..., :, None] * z.conj()[..., None, :]
     r = phase * _ry_blocks(alpha)
     dr = np.stack([phase * _ry_blocks(alpha + np.pi) / 2.0,
-                   -0.5j * (_SZ[:, None] - _SZ[None, :]) * r], axis=1)
+                   -0.5j * (_SZ[:, None] - _SZ[None, :]) * r], axis=-3)
     r_dag = r.conj().swapaxes(-1, -2)
-    k = dr[..., ::-1] @ r_dag[:, None]        # dR sigma_x R^dag
+    k = dr[..., ::-1] @ r_dag[..., None, :, :]        # dR sigma_x R^dag
     return r[..., ::-1] @ r_dag, k + k.conj().swapaxes(-1, -2)
 
 
 def _rotation_blocks(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rz(alpha) ry(beta) rz(gamma) for rows (alpha, beta, gamma), with d/d of each."""
-    za = np.exp(-0.5j * p[:, 0, None] * _SZ)
-    zg = np.exp(-0.5j * p[:, 2, None] * _SZ)
-    outer = za[:, :, None] * zg[:, None, :]
-    u = outer * _ry_blocks(p[:, 1])
+    za = np.exp(-0.5j * p[..., 0, None] * _SZ)
+    zg = np.exp(-0.5j * p[..., 2, None] * _SZ)
+    outer = za[..., :, None] * zg[..., None, :]
+    u = outer * _ry_blocks(p[..., 1])
     du = np.stack([-0.5j * _SZ[:, None] * u,
-                   outer * _ry_blocks(p[:, 1] + np.pi) / 2.0,
-                   -0.5j * _SZ[None, :] * u], axis=1)
+                   outer * _ry_blocks(p[..., 1] + np.pi) / 2.0,
+                   -0.5j * _SZ[None, :] * u], axis=-3)
     return u, du
 
 
 def _gate_list(mode: str, params: np.ndarray, q_layers: int, n: int,
                a_qubits: tuple[int, ...]) -> tuple[list, np.ndarray]:
-    """The circuit of ``build_circuit_*`` as entries, and the derivative blocks.
+    """The circuits of the stacked ``params`` (restarts, n_params) as entries,
+    and their derivative blocks.
 
-    The blocks have shape (tuned entries, angles per entry, 2, 2), so they
-    flatten to the parameter order.
+    Preserving: layer q applies the pair gate U_{j, j+1 mod n} for j = 1..n,
+    j = 1 first.  Nonpreserving: layer q applies rz(alpha) ry(beta) rz(gamma)
+    on every qubit, then CNOTs C_ij over all pairs i < j ((1, 2) first); the
+    layers end with Hadamards on ``a_qubits``.  The derivative blocks have
+    shape (restarts, tuned entries, angles per entry, 2, 2), so they flatten
+    to the parameter order.
     """
     if mode == "circuit-preserving":
-        p = params.reshape(-1, 2)
-        h, dh = _exchange_blocks(p[:, 0], p[:, 1])
+        p = params.reshape(len(params), -1, 2)
+        h, dh = _exchange_blocks(p[..., 0], p[..., 1])
         pairs = [_exchange_pairs(n, j, j % n + 1) for j in range(1, n + 1)] * q_layers
-        return [_TwoLevel(pr, g, True) for pr, g in zip(pairs, h)], dh
-    u, du = _rotation_blocks(params.reshape(-1, 3))
+        return [_TwoLevel(pr, h[:, t], True) for t, pr in enumerate(pairs)], dh
+    u, du = _rotation_blocks(params.reshape(len(params), -1, 3))
     gates = []
     for q in range(q_layers):
-        gates += [_TwoLevel(_rotation_pairs(n, l), u[q * n + l - 1], True)
+        gates += [_TwoLevel(_rotation_pairs(n, l), u[:, q * n + l - 1], True)
                   for l in range(1, n + 1)]
         gates.append(_cnot_cascade(n))
     gates += [_TwoLevel(_rotation_pairs(n, a), HADAMARD, False) for a in a_qubits]
     return gates, du
 
 
-def _apply_two_level(g: np.ndarray, pairs: np.ndarray,
-                     r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G r, r[pairs]) for the two-level gate G with block g on ``pairs``."""
-    sub = r[pairs]
-    out = r.copy()
-    out[pairs] = (g @ sub.reshape(2, -1)).reshape(sub.shape)
-    return out, sub
+def _apply_gates(gates: list, r: np.ndarray,
+                 transpose: bool = False) -> tuple[np.ndarray, list]:
+    """G_L ... G_1 r for the stacked r (overwritten), or G_1^T ... G_L^T r.
+
+    Also returns, for each tuned entry in application order, the rows of its
+    input at its index pairs, shape (restarts, 2, n_pairs, columns).
+    """
+    taken = []
+    for gate in (reversed(gates) if transpose else gates):
+        if isinstance(gate, _Permutation):
+            r = r[:, gate.inverse if transpose else gate.perm]
+            continue
+        g = gate.g.swapaxes(-1, -2) if transpose else gate.g
+        sub = r[:, gate.pairs]
+        r[:, gate.pairs] = (g @ sub.reshape(len(r), 2, -1)).reshape(sub.shape)
+        if gate.tuned:
+            taken.append(sub)
+    return r, taken[::-1] if transpose else taken
 
 
 def _circuit_sweep(problem: RestoreProblem, params: np.ndarray,
                    a_qubits: tuple[int, ...], b_full: np.ndarray,
-                   positions: list[int]) -> tuple[complex, np.ndarray, np.ndarray]:
-    """(lambda, residuals, exact Jacobian) of a circuit at ``params``.
+                   positions: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, residuals, exact Jacobian) of the circuits at the stacked ``params``.
 
-    Adjoint differentiation: the forward sweep r_t = G_t r_(t-1) from
-    r_0 = b_full gives e = W[positions] @ b_full; the backward sweep carries
-    l_t = E G_L ... G_(t+1), E the identity rows at ``positions``, and each
-    angle of G_t contributes d e = l_t dG_t r_(t-1), which needs only the
-    rows of l_t^T and r_(t-1) at the gate's index pairs.
+    ``params`` has shape (restarts, n_params); the outputs have shapes
+    (restarts,), (restarts, n_residuals) and (restarts, n_residuals,
+    n_params).  Adjoint differentiation: the forward sweep r_t = G_t r_(t-1)
+    from r_0 = b_full gives e = W[positions] @ b_full; the backward sweep
+    carries l_t = E G_L ... G_(t+1), E the identity rows at ``positions``,
+    and each angle of G_t contributes d e = l_t dG_t r_(t-1), which needs
+    only the rows of l_t^T and r_(t-1) at the gate's index pairs.
     """
     gates, dg = _gate_list(problem.mode, params, problem.q_layers,
                            problem.n_er, a_qubits)
-    r, r_in = b_full, []
-    for gate in gates:
-        if isinstance(gate, _Permutation):
-            r = r[gate.perm]
-            continue
-        r, sub = _apply_two_level(gate.g, gate.pairs, r)
-        if gate.tuned:
-            r_in.append(sub)
-    e = r[positions]
-    ell, ell_out = np.eye(len(r), dtype=complex)[:, positions], []   # l_L^T
-    for gate in reversed(gates):
-        if isinstance(gate, _Permutation):
-            ell = ell[gate.inverse]
-            continue
-        ell, sub = _apply_two_level(gate.g.T, gate.pairs, ell)
-        if gate.tuned:
-            ell_out.append(sub)
-    m = np.einsum("gaim,gbin->gabmn", np.array(ell_out[::-1]), np.array(r_in))
-    de = np.einsum("gpab,gabmn->gpmn", dg, m).reshape(-1, *e.shape)
-    return complex(e[0, 0]), _lambda_residuals(e), _lambda_residuals(de).T
+    stack = len(params)
+    r, r_in = _apply_gates(gates, np.repeat(b_full[None], stack, axis=0))
+    e = r[:, positions]
+    ell = np.zeros((stack, len(b_full), len(positions)), dtype=complex)   # l_L^T
+    ell[:, positions, np.arange(len(positions))] = 1.0
+    _, ell_out = _apply_gates(gates, ell, transpose=True)
+    m = np.einsum("rgaim,rgbin->rgabmn", np.stack(ell_out, axis=1), np.stack(r_in, axis=1))
+    de = np.einsum("rgpab,rgabmn->rgpmn", dg, m).reshape(stack, -1, *e.shape[1:])
+    return e[:, 0, 0], _lambda_residuals(e), _lambda_residuals(de).swapaxes(-1, -2)
 
 
-def _fit_attempt(payload) -> tuple[int, np.ndarray, float, complex]:
-    """One circuit-fit restart; module level so worker processes can run it."""
-    problem, a_qubits, b_full, positions, seed, i, n_params = payload
-    cache: dict[bytes, tuple] = {}
-
-    def sweep(x):
-        # least_squares asks for fun(x) and then jac(x): one sweep serves both
-        key = x.tobytes()
-        if key not in cache:
-            cache.clear()
-            cache[key] = _circuit_sweep(problem, x, a_qubits, b_full, positions)
-        return cache[key]
-
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(0.0, 2.0 * np.pi, n_params)
-    sol = least_squares(lambda x: sweep(x)[1], x0, jac=lambda x: sweep(x)[2],
-                        method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                        max_nfev=3000)
-    lam, res, _ = sweep(sol.x)
-    return i, sol.x, float(np.abs(res).max()), lam
+def _circuit_unitary(mode: str, params: np.ndarray, q_layers: int, n: int,
+                     a_qubits: tuple[int, ...]) -> np.ndarray:
+    """W_ER of one circuit: the identity swept through its gate list."""
+    gates, _ = _gate_list(mode, params[None], q_layers, n, a_qubits)
+    return _apply_gates(gates, np.eye(2 ** n, dtype=complex)[None])[0][0]
 
 
-def fit_circuit(problem: RestoreProblem, threads: int = 1,
+def _levenberg_marquardt(sweep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                         np.ndarray]:
+    """Minimize |f(x)|^2 for every row of x at once; returns (x, lambda, f).
+
+    ``sweep(x)`` gives (lambda, f, J) for the stacked rows of x.  Each row
+    takes damped Gauss-Newton steps (J^T J + mu I) h = -J^T f with its own
+    mu (Levenberg damping, mu_0 = LM_MU0 * max diag J^T J) and nu, updated
+    from the gain ratio rho of actual to predicted cost reduction (Nielsen
+    1999): an accepted step (rho > 0) scales mu by max(1/3, 1 - (2 rho - 1)^3),
+    a rejected one by nu, which then doubles.  A row stops when its step is
+    below LM_XTOL relative to |x|, or after LM_MAX_ITERATIONS; the damped
+    normal equations of all running rows go to one batched solve.
+    """
+    x = x.copy()
+    lam, f, jac = sweep(x)
+    cost = 0.5 * (f * f).sum(axis=1)
+    mu = LM_MU0 * (jac * jac).sum(axis=1).max(axis=1)
+    nu = np.full(len(x), 2.0)
+    active = np.arange(len(x))
+    eye = np.eye(x.shape[1])
+    for _ in range(LM_MAX_ITERATIONS):
+        if not active.size:
+            break
+        jt = jac[active].swapaxes(1, 2)
+        grad = (jt @ f[active, :, None])[..., 0]
+        step = -np.linalg.solve(jt @ jac[active] + mu[active, None, None] * eye,
+                                grad[..., None])[..., 0]
+        trial = x[active] + step
+        lam_t, f_t, jac_t = sweep(trial)
+        cost_t = 0.5 * (f_t * f_t).sum(axis=1)
+        predicted = 0.5 * (step * (mu[active, None] * step - grad)).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = (cost[active] - cost_t) / predicted
+        ok = rho > 0
+        acc, rej = active[ok], active[~ok]
+        x[acc], lam[acc], f[acc], jac[acc], cost[acc] = (
+            trial[ok], lam_t[ok], f_t[ok], jac_t[ok], cost_t[ok])
+        mu[acc] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho[ok] - 1.0) ** 3)
+        nu[acc] = 2.0
+        mu[rej] *= nu[rej]
+        nu[rej] *= 2.0
+        size = np.linalg.norm(x[active], axis=1)
+        active = active[np.linalg.norm(step, axis=1) > LM_XTOL * (size + LM_XTOL)]
+    return x, lam, f
+
+
+def fit_circuit(problem: RestoreProblem,
                 a_qubits: Sequence[int] | None = None) -> RestoreSolution:
     """Fit circuit parameters to the restoring constraints, best over restarts.
 
-    Every restart starts from uniform random angles and runs damped least
-    squares with the exact Jacobian of ``_circuit_sweep``; converged restarts
-    keep their own lambda (the circuit families do not pin it), and the
-    returned solution is the converged one with the largest |lambda|.
-    ``threads`` > 1 distributes restarts over worker processes.  An
-    ``n_extra_zero_rows`` outside 0..(free k-sector rows) raises
-    FeasibilityError.
+    Restart i starts from uniform random angles drawn from child i of
+    ``SeedSequence(problem.seed)``.  All restarts run together as one
+    stacked Levenberg-Marquardt solve (``_levenberg_marquardt``), each with
+    its own damping and stopping test; every iteration is one stacked
+    forward and backward sweep (``_circuit_sweep``) for the residuals and
+    their exact Jacobian, and one batched solve of the damped normal
+    equations.  A restart converges when its largest residual is within
+    ``problem.tol``; converged restarts keep their own lambda (the circuit
+    families do not pin it), and the returned solution is the converged one
+    with the largest |lambda|, its W_ER built by sweeping the identity
+    through the same gates.  An ``n_extra_zero_rows`` outside 0..(free
+    k-sector rows) raises FeasibilityError.
     """
     if problem.mode not in CIRCUIT_MODES:
         raise ValueError(f"fit_circuit does not handle mode {problem.mode!r}")
@@ -561,43 +554,38 @@ def fit_circuit(problem: RestoreProblem, threads: int = 1,
 
     b_full = _register_columns(v, problem.n_er)
     seeds = np.random.SeedSequence(problem.seed).spawn(problem.default_restarts())
-    payloads = [(problem, a_qubits, b_full, positions, seeds[i], i, n_params)
-                for i in range(len(seeds))]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_fit_attempt, payloads, chunksize=8))
-    else:
-        results = [_fit_attempt(p) for p in payloads]
-
-    records = tuple(RestartRecord(i, res <= problem.tol, res, abs(lam))
-                    for i, _, res, lam in results)
-    converged = [(i, x, res, lam) for i, x, res, lam in results if res <= problem.tol]
+    x0 = np.array([np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, n_params)
+                   for s in seeds])
+    x, lam, f = _levenberg_marquardt(
+        lambda p: _circuit_sweep(problem, p, a_qubits, b_full, positions), x0)
+    res = np.abs(f).max(axis=1)
+    records = tuple(RestartRecord(i, bool(res[i] <= problem.tol), float(res[i]),
+                                  float(abs(lam[i]))) for i in range(len(x)))
+    converged = [r for r in records if r.converged]
     if not converged:
-        best = min(results, key=lambda r: r[2])
         raise ConvergenceError(
-            f"no circuit restart of {len(results)} reached tol={problem.tol}",
-            best[2])
-    best_i, best_x, best_res, best_lam = min(
-        converged, key=lambda r: (-abs(r[3]), r[2], r[0]))
+            f"no circuit restart of {len(records)} reached tol={problem.tol}",
+            float(res.min()))
+    best = min(converged, key=lambda r: (-r.lam_abs, r.residual, r.index)).index
+
+    w_full = _circuit_unitary(problem.mode, x[best], problem.q_layers,
+                              problem.n_er, a_qubits)
     if problem.mode == "circuit-preserving":
         er_states = np.fromiter(k_states(problem.n_er, v.k).states, dtype=np.int64)
-        w_full = build_circuit_preserving(best_x, problem.q_layers, problem.n_er)
         recv, rest = _er_k_positions(problem.n_er, v.n_s, v.k)
         row_positions = tuple(recv) + tuple(rest[:n_extra])
         rows = w_full[np.ix_(positions, er_states)]
         completed = w_full[np.ix_(er_states, er_states)]
     else:
-        w_full = build_circuit_nonpreserving(best_x, problem.q_layers,
-                                             problem.n_er, a_qubits)
         row_positions = tuple(positions)
         rows = w_full[positions]
         completed = w_full
     return RestoreSolution(mode=problem.mode, constrained_rows=rows,
-                           row_positions=row_positions, lam=best_lam,
-                           residual=best_res, completed_unitary=completed,
+                           row_positions=row_positions, lam=complex(lam[best]),
+                           residual=float(res[best]), completed_unitary=completed,
                            tau=v.tau, n_er=problem.n_er, k=v.k,
                            seed=problem.seed, restart_records=records,
-                           circuit_params=np.asarray(best_x), wer_full=w_full)
+                           circuit_params=x[best], wer_full=w_full)
 
 
 # ---------------------------------------------------------------------------

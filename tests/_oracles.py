@@ -2,8 +2,8 @@
 
 Everything here is built from first principles (Pauli matrices, Kronecker
 products, dense matrix exponentials, hand-expanded determinants, a damped
-least-squares search over restoring rows) and never calls the code paths it
-checks.
+least-squares search over restoring rows, loop-built sector Hamiltonians,
+gate-by-gate circuit unitaries) and never calls the code paths it checks.
 """
 
 from __future__ import annotations
@@ -50,6 +50,26 @@ def restrict_to_sector(h_full: np.ndarray, masks) -> np.ndarray:
 
 def expm_propagator(h: np.ndarray, tau: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * h * tau)
+
+
+def hamiltonian_block_loop(d: np.ndarray, k: int) -> np.ndarray:
+    """k-excitation XX block, one hop i -> j at a time (lexicographic k-states).
+
+    Every state, occupied site i and empty site j adds D_ij / 2 at (target,
+    source), in this order, as a pure-Python loop.
+    """
+    n = d.shape[0]
+    states = [sum(1 << q for q in c) for c in itertools.combinations(range(n), k)]
+    index = {m: a for a, m in enumerate(states)}
+    h = np.zeros((len(states), len(states)))
+    for a, m in enumerate(states):
+        occ = [q for q in range(n) if (m >> q) & 1]
+        for i in occ:
+            for j in range(n):
+                if (m >> j) & 1 or j == i:
+                    continue
+                h[index[(m ^ (1 << i)) | (1 << j)], a] += d[i, j] / 2.0
+    return h
 
 
 def cubic_from_gram(g: np.ndarray) -> np.ndarray:
@@ -211,3 +231,94 @@ def least_squares_lambda(b: np.ndarray, n: int, m: int, seed: int,
         best = min(best, res)
     raise AssertionError(f"no least-squares restart of {restarts} reached "
                          f"tol={tol} (best {best:.2e})")
+
+
+# ---------------------------------------------------------------------------
+# circuit unitaries gate by gate (the circuit families' reference form)
+# ---------------------------------------------------------------------------
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+
+
+def rz(angle: float) -> np.ndarray:
+    """z-rotation exp(-i sigma_z angle / 2)."""
+    return np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]])
+
+
+def ry(angle: float) -> np.ndarray:
+    """y-rotation exp(-i sigma_y angle / 2)."""
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def apply_single(mat: np.ndarray, u2: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """Left-multiply ``mat`` (2**n rows) by a one-qubit gate; qubit q is bit q-1."""
+    idx = np.arange(2 ** n)
+    i0 = idx[((idx >> (qubit - 1)) & 1) == 0]
+    i1 = i0 | (1 << (qubit - 1))
+    out = np.empty_like(mat, dtype=complex)
+    m0, m1 = mat[i0], mat[i1]
+    out[i0] = u2[0, 0] * m0 + u2[0, 1] * m1
+    out[i1] = u2[1, 0] * m0 + u2[1, 1] * m1
+    return out
+
+
+def apply_cnot(mat: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
+    """Left-multiply by CNOT (flip ``target`` where ``control`` is excited)."""
+    idx = np.arange(2 ** n)
+    ctrl = (idx >> (control - 1)) & 1
+    return mat[np.where(ctrl == 1, idx ^ (1 << (target - 1)), idx)]
+
+
+def u_pair(state: np.ndarray, i: int, j: int, alpha: float, beta: float,
+           n: int) -> np.ndarray:
+    """Excitation-preserving two-qubit block C_ij R_i C_ji R_i^dag C_ij."""
+    r = rz(beta) @ ry(alpha) @ rz(-beta)
+    out = apply_cnot(state, i, j, n)
+    out = apply_single(out, r.conj().T, i, n)
+    out = apply_cnot(out, j, i, n)
+    out = apply_single(out, r, i, n)
+    return apply_cnot(out, i, j, n)
+
+
+def build_circuit_preserving(params, q_layers: int, n_er: int) -> np.ndarray:
+    """Layered ring of excitation-preserving two-qubit gates on 2**n_er.
+
+    Layer q applies U_{j, j+1 mod n_er}(alpha_qj, beta_qj) for j = 1..n_er,
+    j ascending acting first; layers stack in increasing q.
+    """
+    p = np.asarray(params, dtype=float)
+    if p.size != 2 * q_layers * n_er:
+        raise ValueError(f"expected {2 * q_layers * n_er} parameters, got {p.size}")
+    p = p.reshape(q_layers, n_er, 2)
+    w = np.eye(2 ** n_er, dtype=complex)
+    for q in range(q_layers):
+        for j in range(1, n_er + 1):
+            jj = j + 1 if j < n_er else 1
+            w = u_pair(w, j, jj, p[q, j - 1, 0], p[q, j - 1, 1], n_er)
+    return w
+
+
+def build_circuit_nonpreserving(params, q_layers: int, n_er: int,
+                                a_qubits) -> np.ndarray:
+    """Rotation layers with full CNOT cascades, then Hadamards on the A qubits.
+
+    Each layer applies R_z(alpha) R_y(beta) R_z(gamma) on every qubit, then
+    CNOTs C_ij over all pairs i < j (lexicographic, (1,2) acting first).
+    ``a_qubits`` are 1-based positions within the extended receiver.
+    """
+    p = np.asarray(params, dtype=float)
+    if p.size != 3 * q_layers * n_er:
+        raise ValueError(f"expected {3 * q_layers * n_er} parameters, got {p.size}")
+    p = p.reshape(q_layers, n_er, 3)
+    w = np.eye(2 ** n_er, dtype=complex)
+    for q in range(q_layers):
+        for l in range(1, n_er + 1):
+            al, be, ga = p[q, l - 1]
+            w = apply_single(w, rz(al) @ ry(be) @ rz(ga), l, n_er)
+        for i in range(1, n_er):
+            for j in range(i + 1, n_er + 1):
+                w = apply_cnot(w, i, j, n_er)
+    for a in a_qubits:
+        w = apply_single(w, HADAMARD, a, n_er)
+    return w

@@ -16,10 +16,10 @@ from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
                      build_couplings, direct_override_matrix, fit_circuit,
                      protocol, scale, solve_general)
 from spinpst.basis import k_states
-from spinpst.restore import _u_pair, wer_full_from_solution
+from spinpst.restore import wer_full_from_solution
 
 from _oracles import (expm_propagator, least_squares_lambda, pauli_xx_hamiltonian,
-                      restoring_columns, restrict_to_sector)
+                      restoring_columns, restrict_to_sector, u_pair)
 
 TABLE_1A = {4: (12.493, 0.435), 5: (14.391, 0.597), 6: (14.132, 0.714)}
 ROOT_LISTS = {
@@ -220,13 +220,13 @@ def test_criterion_07_oracle_equivalence(rng):
 
 
 def test_criterion_08_gate_algebra(rng):
-    u0 = _u_pair(np.eye(4, dtype=complex), 1, 2, 0.0, 0.0, 2)
+    u0 = u_pair(np.eye(4, dtype=complex), 1, 2, 0.0, 0.0, 2)
     swap_err = np.abs(u0 - SWAP).max()
     num = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
     worst_comm = 0.0
     for _ in range(100):
         a, b = rng.uniform(0, 2 * np.pi, 2)
-        u = _u_pair(np.eye(4, dtype=complex), 1, 2, a, b, 2)
+        u = u_pair(np.eye(4, dtype=complex), 1, 2, a, b, 2)
         worst_comm = max(worst_comm, np.abs(u @ num - num @ u).max())
     _status("criterion 8: gate algebra", swap_err < 1e-12 and worst_comm < 1e-12,
             f"swap err={swap_err:.1e} comm err={worst_comm:.1e}")
@@ -240,11 +240,11 @@ def test_criterion_09_stochastic_circuit_fits(vhat_at):
     prob_p = RestoreProblem(v_hat=vhat_at(4, tau=12.493),
                             mode="circuit-preserving", q_layers=3,
                             n_extra_zero_rows=0, seed=seed, restarts=1000)
-    sol_p = fit_circuit(prob_p, threads=2)
+    sol_p = fit_circuit(prob_p)
     prob_n = RestoreProblem(v_hat=vhat_at(4, tau=12.493),
                             mode="circuit-nonpreserving", q_layers=2,
                             n_extra_zero_rows=0, seed=seed, restarts=1000)
-    sol_n = fit_circuit(prob_n, threads=2)
+    sol_n = fit_circuit(prob_n)
     elapsed = time.time() - t0
     ok = sol_p.lam_abs >= 0.42 and 0.22 <= sol_n.lam_abs <= 0.27
     _status("criterion 9: stochastic circuit fits", ok,

@@ -3,7 +3,7 @@ import pytest
 
 from spinpst import basis, chain
 
-from _oracles import pauli_xx_hamiltonian, restrict_to_sector
+from _oracles import hamiltonian_block_loop, pauli_xx_hamiltonian, restrict_to_sector
 
 
 class TestBuildCouplings:
@@ -92,6 +92,29 @@ class TestHamiltonianBlock:
         c = chain.build_couplings(chain.ChainSpec(n_sites=4))
         with pytest.raises(ValueError):
             chain.hamiltonian_block(c, 2, basis.k_states(5, 2))
+
+    def test_incomplete_basis(self):
+        c = chain.build_couplings(chain.ChainSpec(n_sites=4))
+        partial = basis.SectorBasis(n=4, k=2, states=basis.k_states(4, 2).states[:-1])
+        with pytest.raises(KeyError):
+            chain.hamiltonian_block(c, 2, partial)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_same_bytes_as_the_loop(self, n):
+        rng = np.random.default_rng(n)
+        m = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        for c in (chain.build_couplings(chain.ChainSpec(n_sites=n)),
+                  chain.build_couplings(chain.ChainSpec(n_sites=n, coupling_model="explicit",
+                                                        matrix=m + m.T))):
+            for k in range(n + 1):
+                assert np.array_equal(chain.hamiltonian_block(c, k),
+                                      hamiltonian_block_loop(c.d, k))
+
+    def test_same_bytes_as_the_loop_n42(self):
+        spec = chain.ChainSpec(n_sites=42, nn_overrides={1: 0.3005, 2: 0.5311,
+                                                         40: 0.5311, 41: 0.3005})
+        c = chain.build_couplings(spec)
+        assert np.array_equal(chain.hamiltonian_block(c, 2), hamiltonian_block_loop(c.d, 2))
 
 
 class TestHamiltonianFull:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinpst
 from spinpst.cli import CSV_BATCH_ROWS, _scan_csv, main
 from spinpst.config import ConfigError, RunConfig, parse_config_text
 from spinpst.scale import ScanResult
@@ -28,6 +33,17 @@ def cfg_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(BASE_CFG)
     return p
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(spinpst.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, spinpst.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60, env=env).stdout
+    assert out.strip() == "[]"
 
 
 class TestConfig:
@@ -155,6 +171,18 @@ class TestCommands:
                                       f"solver.n_extra_zero_rows = {n_extra}"))
         assert main(["solve", "--config", str(p)]) == code
         assert ("config error" if code == 2 else "infeasible") in capsys.readouterr().err
+
+    def test_over_constrained_circuit_exits_4(self, tmp_path, capsys):
+        # q=1 and all 3 free rows: 34 real constraints on 8 angles
+        p = tmp_path / "over.cfg"
+        p.write_text("chain.n = 10\npartition.n_s = 3\npartition.n_r = 3\n"
+                     "partition.n_er = 4\nexcitation.k = 2\n"
+                     "solver.mode = circuit-preserving\nsolver.q = 1\n"
+                     "solver.n_extra_zero_rows = 3\nsolver.restarts = 4\n"
+                     "solver.tau = 12.493\n")
+        with pytest.warns(UserWarning, match="constraints exceed"):
+            assert main(["fit-circuit", "--config", str(p)]) == 4
+        assert "no convergence" in capsys.readouterr().err
 
     def test_solve_tolerance_below_rounding_exits_4(self, tmp_path, capsys):
         p = tmp_path / "tight.cfg"

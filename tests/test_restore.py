@@ -3,18 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spinpst import (RestoreProblem, build_circuit_nonpreserving,
-                     build_circuit_preserving, complete_unitary, fit_circuit,
-                     scale, solve_general)
+from spinpst import RestoreProblem, complete_unitary, fit_circuit, scale, solve_general
 from spinpst.basis import full_basis, k_states
 from spinpst.dynamics import TransferBlock
 from spinpst.restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
-                             _circuit_row_positions, _circuit_sweep,
-                             _lambda_residuals, _register_columns, _u_pair)
+                             _circuit_row_positions, _circuit_sweep, _circuit_unitary,
+                             _lambda_residuals, _register_columns)
 
-from _oracles import (finite_difference_jacobian, least_squares_lambda, pack_rows,
+from _oracles import (build_circuit_nonpreserving, build_circuit_preserving,
+                      finite_difference_jacobian, least_squares_lambda, pack_rows,
                       random_unitary, restoring_columns, restoring_jacobian,
-                      restoring_residuals, unpack_rows)
+                      restoring_residuals, u_pair, unpack_rows)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
@@ -216,14 +215,14 @@ class TestClosedForm:
 
 class TestCircuitBuilders:
     def test_pair_gate_is_swap_at_zero(self):
-        u = _u_pair(np.eye(4, dtype=complex), 1, 2, 0.0, 0.0, 2)
+        u = u_pair(np.eye(4, dtype=complex), 1, 2, 0.0, 0.0, 2)
         assert np.abs(u - SWAP).max() < 1e-12
 
     def test_pair_gate_excitation_preserving(self, rng):
         num = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
         for _ in range(100):
             a, b = rng.uniform(0, 2 * np.pi, 2)
-            u = _u_pair(np.eye(4, dtype=complex), 1, 2, a, b, 2)
+            u = u_pair(np.eye(4, dtype=complex), 1, 2, a, b, 2)
             assert np.abs(u @ num - num @ u).max() < 1e-12
 
     def test_preserving_block_diagonal(self, rng):
@@ -364,8 +363,9 @@ class TestCircuitJacobian:
         per_gate = 2 if mode == "circuit-preserving" else 3
         x = np.random.default_rng(1000 * q + 10 * n_er + n_extra).uniform(
             0, 2 * np.pi, per_gate * q * n_er)
-        lam, res, jac = _circuit_sweep(problem, x, a_qubits,
+        lam, res, jac = _circuit_sweep(problem, x[None], a_qubits,
                                        _register_columns(v, n_er), positions)
+        lam, res, jac = lam[0], res[0], jac[0]
         e = built(x)
         assert np.abs(res - _lambda_residuals(e)).max() <= 1e-13
         assert abs(lam - e[0, 0]) <= 1e-13
@@ -387,18 +387,79 @@ class TestCircuitJacobian:
             assert np.abs(jac - _lambda_residuals(shifted).T).max() <= 1e-12
 
 
+BENCH_FITS = [("circuit-preserving", 3), ("circuit-nonpreserving", 2)]
+
+
 class TestCircuitFitDeterminism:
-    @pytest.mark.parametrize("mode, q", [("circuit-preserving", 3),
-                                         ("circuit-nonpreserving", 2)])
-    def test_threads_do_not_change_the_fit(self, vhat_at, mode, q):
+    @pytest.mark.parametrize("mode, q", BENCH_FITS)
+    def test_same_seed_gives_same_fit(self, vhat_at, mode, q):
         problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493), mode=mode,
                                  q_layers=q, n_extra_zero_rows=0, seed=5,
                                  restarts=8)
-        serial = fit_circuit(problem, threads=1)
-        pooled = fit_circuit(problem, threads=2)
-        assert np.array_equal(serial.circuit_params, pooled.circuit_params)
-        assert serial.lam == pooled.lam
-        assert serial.restart_records == pooled.restart_records
+        first, again = fit_circuit(problem), fit_circuit(problem)
+        assert np.array_equal(first.circuit_params, again.circuit_params)
+        assert first.lam == again.lam
+        assert first.restart_records == again.restart_records
+
+    @pytest.mark.parametrize("mode, q", BENCH_FITS)
+    def test_restarts_run_independently(self, vhat_at, mode, q):
+        # restart i keeps its start and its trajectory whatever else is stacked
+        problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493), mode=mode,
+                                 q_layers=q, n_extra_zero_rows=0, seed=5,
+                                 restarts=8)
+        eight = fit_circuit(problem).restart_records
+        four = fit_circuit(dataclasses.replace(problem, restarts=4)).restart_records
+        assert eight[:4] == four
+
+
+class TestStackedSolver:
+    @pytest.mark.parametrize("mode, q", BENCH_FITS)
+    def test_benchmark_fits_converge_on_every_restart(self, vhat_at, mode, q):
+        # the benchmark's circuit-fit configs: n_er=4, tau=12.493, seed 0
+        problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493), mode=mode,
+                                 q_layers=q, n_extra_zero_rows=0, seed=0,
+                                 restarts=8)
+        records = fit_circuit(problem).restart_records
+        assert [r.index for r in records] == list(range(8))
+        assert all(r.converged and r.residual <= 1e-13 for r in records)
+
+    def test_over_constrained_fit_stops_and_raises(self, vhat_at):
+        # q=1 and all 3 free rows: 34 real constraints on 8 angles
+        problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493),
+                                 mode="circuit-preserving", q_layers=1,
+                                 n_extra_zero_rows=3, seed=0, restarts=4)
+        with pytest.warns(UserWarning, match="34 real constraints exceed 8"):
+            with pytest.raises(ConvergenceError) as info:
+                fit_circuit(problem)
+        assert 1e-3 < info.value.best_residual < 1.0
+
+    @pytest.mark.parametrize("mode", CIRCUIT_MODES)
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("n_er", [3, 4, 5])
+    def test_wer_full_matches_gate_by_gate_unitary(self, mode, q, n_er):
+        rng = np.random.default_rng(100 * q + n_er)
+        if mode == "circuit-preserving":
+            x = rng.uniform(0, 2 * np.pi, 2 * q * n_er)
+            w = _circuit_unitary(mode, x, q, n_er, ())
+            assert np.abs(w - build_circuit_preserving(x, q, n_er)).max() <= 1e-14
+            pop = np.array([bin(m).count("1") for m in range(2 ** n_er)])
+            assert not w[pop[:, None] != pop[None, :]].any()
+            return
+        x = rng.uniform(0, 2 * np.pi, 3 * q * n_er)
+        for a_qubits in [(), tuple(range(1, n_er - 2))]:   # none, or every A qubit
+            w = _circuit_unitary(mode, x, q, n_er, a_qubits)
+            want = build_circuit_nonpreserving(x, q, n_er, a_qubits)
+            assert np.abs(w - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("mode, q", BENCH_FITS)
+    def test_solution_carries_the_winner_unitary(self, vhat_at, mode, q):
+        problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493), mode=mode,
+                                 q_layers=q, n_extra_zero_rows=0, seed=0,
+                                 restarts=2)
+        sol = fit_circuit(problem)
+        a_qubits = (1,)    # the default: the one site of ER outside R
+        assert np.array_equal(sol.wer_full, _circuit_unitary(
+            mode, sol.circuit_params, q, 4, a_qubits))
 
 
 class TestCompleteUnitary:
