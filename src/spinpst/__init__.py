@@ -2,11 +2,9 @@
 
 from .basis import EmbeddingMap, SectorBasis, binom, embed_subsystem, full_basis, k_states
 from .chain import (ChainSpec, CouplingMatrix, InvalidSpecError, Partition,
-                    build_couplings, direct_override_matrix, hamiltonian_block,
-                    hamiltonian_full)
+                    build_couplings, direct_override_matrix, hamiltonian_block)
 from .dynamics import (SectorEigensystem, TransferBlock, TransferMap,
-                       eigendecompose, propagator, sector_eigensystem,
-                       transfer_block)
+                       eigendecompose, propagator, sector_eigensystem)
 from .protocol import (CostEstimate, ProtocolReport, PureState,
                        amplification_runs, cost_estimate, measure_ancilla,
                        prepare_k_state, run_arbitrary_pst, run_global_pst,
@@ -14,9 +12,7 @@ from .protocol import (CostEstimate, ProtocolReport, PureState,
 from .restore import (ConvergenceError, FeasibilityError, RestoreProblem,
                       RestoreSolution, complete_unitary, fit_circuit, solve_general,
                       wer_full_from_solution)
-from .scale import (Feasibility, GramData, LambdaPolynomial, ScanResult,
-                    feasibility, gram, lambda_polynomial, real_roots, roots_at,
-                    scan)
+from .scale import ScanResult, roots_at, scan
 
 __version__ = "0.1.0"
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, full_basis, k_states
-
-FULL_SPACE_GUARD = 14
+from .basis import SectorBasis, k_states
 
 
 class InvalidSpecError(ValueError):
@@ -233,25 +231,3 @@ def hamiltonian_block(couplings: CouplingMatrix, k: int,
     h = np.zeros((len(states), len(states)))
     h[order[found], source] = couplings.d[occ, empty] / 2.0
     return h
-
-
-def hamiltonian_full(couplings: CouplingMatrix) -> np.ndarray:
-    """Direct sum of all sector blocks in the excitation-sorted full basis."""
-    n = couplings.n_sites
-    if n > FULL_SPACE_GUARD:
-        raise ValueError(f"dense full-space assembly guarded to n <= {FULL_SPACE_GUARD}")
-    dim = 2 ** n
-    h = np.zeros((dim, dim), dtype=complex)
-    off = 0
-    for k in range(n + 1):
-        blk = hamiltonian_block(couplings, k)
-        sz = blk.shape[0]
-        h[off:off + sz, off:off + sz] = blk
-        off += sz
-    assert off == dim
-    return h
-
-
-def excitation_sort_permutation(n: int) -> np.ndarray:
-    """Permutation p with p[j] = computational-basis index of excitation-sorted state j."""
-    return np.fromiter(full_basis(n), dtype=np.int64)

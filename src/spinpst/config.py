@@ -210,7 +210,10 @@ class RunConfig:
         return self._float("solver.tol", 1e-10)
 
     def solver_restarts(self) -> int | None:
-        return self._int("solver.restarts")
+        restarts = self._int("solver.restarts")
+        if restarts is not None and restarts < 1:
+            raise ConfigError(f"solver.restarts must be >= 1, got {restarts}")
+        return restarts
 
     def solver_q(self) -> int:
         return self._int("solver.q", 2)

@@ -5,6 +5,13 @@ time: V(tau) = U exp(-i Lambda tau) U^dag.  The chain's sector blocks are
 real symmetric, so U is real.  The transfer block collects the propagator
 elements between "all excitations in the sender" and "all excitations in the
 extended receiver" states, both in sector-basis order.
+
+A scan evaluates the block on a uniform tau grid, a block of grid points at
+a time.  Within a block the phases exp(-i lambda j delta) are an entire
+function of the offset j delta whose band limit is max|lambda|, so a few
+Chebyshev nodes carry them: the block is the transfer block at the nodes,
+spread over the grid by a real Lagrange matrix, with an interpolation error
+below the unit roundoff.
 """
 
 from __future__ import annotations
@@ -13,14 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, embed_subsystem, k_states
+from .basis import embed_subsystem
 from .chain import CouplingMatrix, Partition, hamiltonian_block
 
 HERMITICITY_TOL = 1e-10
-# Grid points per phase-table GEMM in TransferMap.gram_batch.  Scans at
-# N=30 and N=42 (k=2, one BLAS thread) took within 10 % of each other for 64,
-# 128 and 256; 128 had the fastest gram_batch at N=42, and 512 was 30 % slower.
-GRAM_BLOCK = 128
+# Grid points per interpolated block in TransferMap.gram_batch; a divisor of
+# the scan's 2,048-point chunk.  Full Table 1a/2 grids at step 0.001 (k=2,
+# n_er=5, one BLAS thread, median of 9) took, for 128 / 256 / 512 / 1024:
+# N=10 13 / 11 / 11 / 15 ms, N=30 51 / 37 / 37 / 30 ms, N=42 106 / 73 / 64 /
+# 57 ms, with 10-17 nodes per block.
+GRAM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -82,28 +91,6 @@ def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
     return eigendecompose(hamiltonian_block(couplings, k))
 
 
-def transfer_block(v_k: np.ndarray, partition: Partition, k: int,
-                   tau: float = float("nan"),
-                   basis: SectorBasis | None = None) -> TransferBlock:
-    """Extract the S -> ER block from a full k-sector propagator matrix.
-
-    Rows are indexed by ER-local k-states (all excitations inside the extended
-    receiver, rest of the chain ground), columns by sender-local k-states,
-    both in sector-basis order.
-    """
-    n = partition.n_sites
-    if basis is None:
-        basis = k_states(n, k)
-    if v_k.shape != (len(basis), len(basis)):
-        raise ValueError(f"propagator shape {v_k.shape} does not match "
-                         f"sector dimension {len(basis)}")
-    s_map = embed_subsystem(partition.sender_sites, n, k)
-    er_map = embed_subsystem(partition.er_sites, n, k)
-    v_hat = v_k[np.ix_(er_map.chain_ordinals, s_map.chain_ordinals)]
-    return TransferBlock(v_hat=v_hat, tau=tau, n_sites=n,
-                         n_s=partition.n_s, n_er=partition.n_er, k=k)
-
-
 class TransferMap:
     """Cached evaluator of the transfer block over many registration times.
 
@@ -139,10 +126,17 @@ class TransferMap:
 
         The grid is cut into blocks of GRAM_BLOCK points.  Since
         exp(-i lambda (tau_lo + j delta)) = exp(-i lambda tau_lo)
-        exp(-i lambda j delta), one table of step phases serves every block,
-        and each block is one GEMM of that table against K scaled by the
-        block's base phases.  A grid that is not uniform to rounding raises
-        ValueError.
+        exp(-i lambda j delta), the block is the step table
+        exp(-i lambda j delta) times K scaled by the block's exact base
+        phases.  The step table is factored as ``interp @ node_phases``
+        (see ``_step_nodes``), so a block costs one GEMM with a row per
+        node, ``node_phases @ (base * K)``, and one real GEMM that spreads
+        the node blocks over the grid.  The rows of U are unit vectors, so
+        V inherits the phases' absolute error, below the unit roundoff.
+        Where the bound asks for as many nodes as grid points, the nodes
+        are the offsets and ``interp`` the identity: the block is then the
+        exact step-table product.  A grid that is not uniform to rounding
+        raises ValueError.
         """
         taus = np.asarray(taus, dtype=float)
         n_t, r, s = len(taus), self.n_er_k, self.n_s_k
@@ -152,11 +146,46 @@ class TransferMap:
         if np.abs(taus - ideal).max(initial=0.0) > 16 * np.finfo(float).eps * scale:
             raise ValueError("gram_batch needs a uniform tau grid")
         lam = self.eig.eigenvalues
-        steps = np.exp(-1j * np.outer(delta * np.arange(min(GRAM_BLOCK, n_t)), lam))
+        offsets, interp = _step_nodes(min(GRAM_BLOCK, n_t), delta,
+                                      float(np.abs(lam).max(initial=0.0)))
+        node_phases = np.exp(-1j * np.outer(offsets, lam))
         grams = np.empty((n_t, s, s), dtype=complex)
         for lo in range(0, n_t, GRAM_BLOCK):
             m = min(GRAM_BLOCK, n_t - lo)
             base = np.exp(-1j * lam * taus[lo])
-            v = (steps[:m] @ (base[:, None] * self._khatri_rao)).reshape(m, r, s)
+            nodes = node_phases @ (base[:, None] * self._khatri_rao)
+            # interp is real: one real GEMM on the interleaved (re, im) pairs
+            v = (interp[:m] @ nodes.view(float)).view(complex).reshape(m, r, s)
             grams[lo:lo + m] = v.conj().transpose(0, 2, 1) @ v
         return grams
+
+
+def _step_nodes(b: int, delta: float, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the phase nodes of a b-point block and the b x P Lagrange matrix.
+
+    On the block's offset interval [0, (b-1) delta] = c + h [-1, 1], the
+    Chebyshev series of exp(-i lambda (c + h x)) has coefficients of size
+    2 |J_n(lambda h)| <= 2 (omega/2)^n / n!, omega = lam_max h, and
+    interpolation at the P Chebyshev points of the first kind errs by at most
+    twice the dropped tail, 4 sum_{n>=P} (omega/2)^n / n!.  Once P + 1 >=
+    omega the terms at least halve, so the tail is below 8 (omega/2)^P / P!,
+    and P is the least value that puts this under the unit roundoff.  If that
+    needs P >= b, the nodes are the grid offsets and the matrix the identity.
+    The matrix holds the barycentric Lagrange weights from the nodes to the
+    offsets j delta.
+    """
+    omega = lam_max * delta * (b - 1) / 2
+    p, term = 1, omega / 2                  # term = (omega/2)^p / p!
+    while p < b and (p + 1 < omega or 8 * term > np.finfo(float).eps / 2):
+        p += 1
+        term *= omega / (2 * p)
+    if p >= b:
+        return delta * np.arange(b), np.eye(b)
+    theta = (2 * np.arange(p) + 1) * np.pi / (2 * p)
+    x_nodes = np.cos(theta)
+    weights = (-1.0) ** np.arange(p) * np.sin(theta)
+    # no offset equals a node in floating point for any b <= 1024 and P < b
+    # (checked exhaustively), so no row of the formula divides by zero
+    terms = weights / ((2 * np.arange(b) / (b - 1) - 1)[:, None] - x_nodes)
+    interp = terms / terms.sum(axis=1, keepdims=True)
+    return delta * (b - 1) / 2 * (1 + x_nodes), interp

@@ -76,6 +76,8 @@ class RestoreProblem:
             raise ValueError("tolerance must be positive")
         if self.mode in CIRCUIT_MODES and self.q_layers < 1:
             raise ValueError("circuit modes need at least one layer")
+        if self.restarts is not None and self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
     @property
     def n_s_k(self) -> int:

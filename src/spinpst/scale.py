@@ -1,11 +1,13 @@
-"""Scale-factor analysis: the real-coefficient polynomial for |lambda|^2,
-its roots, the registration-time scan, and dimensionality feasibility.
+"""Scale-factor analysis: the |lambda| roots and the registration-time scan.
 
-With b_j the columns of the transfer block, the achievable common scale
-factor satisfies a degree-N^(S)_k polynomial equation in x = |lambda|^2,
-x * det(G' - x I) - det(G - x diag(1,..,1,0)) = 0, where G is the Gram
-matrix of the b_j and G' its leading principal block.  All coefficients
-are real because both determinants are taken of Hermitian matrices.
+With b_j the columns of the transfer block V_hat, the achievable common
+scale factors are the roots of a degree-N^(S)_k polynomial in x = |lambda|^2,
+x * det(G' - x I) - det(G - x diag(1,..,1,0)) = 0, where G = V_hat^dag V_hat
+is the Gram matrix and G' its leading principal block.  Expanding the
+second determinant along its last row shows that the polynomial is
+-det(G - x I), so the roots are the eigenvalues of G and |lambda| runs over
+the singular values of V_hat.  Both the one-tau roots and the scan take
+them from the Gram spectrum.
 """
 
 from __future__ import annotations
@@ -15,36 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import binom
 from .chain import CouplingMatrix, Partition
-from .dynamics import TransferBlock, TransferMap
-
-IMAG_RESIDUE_TOL = 1e-10
-ROOT_IMAG_TOL = 1e-9
-ROOT_CLUSTER_TOL = 1e-4
-ROOT_RANGE_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class GramData:
-    """Hermitian PSD matrix of transfer-column inner products b_i^dag b_j."""
-
-    g: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.g.shape[0]
-
-
-@dataclass(frozen=True)
-class LambdaPolynomial:
-    """Monic real polynomial in x = |lambda|^2, coefficients descending."""
-
-    coeffs: np.ndarray   # length degree+1, coeffs[0] == 1
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+from .dynamics import TransferMap
 
 
 @dataclass(frozen=True)
@@ -66,86 +40,16 @@ class ScanResult:
     k: int
 
 
-def gram(v_hat: TransferBlock | np.ndarray) -> GramData:
-    """Gram matrix of the transfer-block columns."""
-    v = v_hat.v_hat if isinstance(v_hat, TransferBlock) else np.asarray(v_hat)
-    return GramData(g=v.conj().T @ v)
-
-
-def lambda_polynomial(g: GramData | np.ndarray) -> LambdaPolynomial:
-    """Build the monic polynomial for x = |lambda|^2 from a Gram matrix.
-
-    Coefficients are recovered by evaluating x*det(G'-xI) - det(G-xE) at
-    Chebyshev nodes (E = diag(1,..,1,0)) and solving the Vandermonde system;
-    determinants use pivoted LU.  Imaginary residue beyond tolerance, or a
-    non-Hermitian input, is an error.
-    """
-    gm = g.g if isinstance(g, GramData) else np.asarray(g, dtype=complex)
-    if gm.ndim != 2 or gm.shape[0] != gm.shape[1]:
-        raise ValueError("Gram matrix must be square")
-    herm = np.abs(gm - gm.conj().T).max() if gm.size else 0.0
-    if herm > 1e-10:
-        raise ValueError(f"Gram matrix is not Hermitian (residual {herm:.2e})")
-    n = gm.shape[0]
-    lead = gm[: n - 1, : n - 1]
-    e_last = np.ones(n)
-    e_last[-1] = 0.0
-    # n+1 Chebyshev nodes on [0, 1+trace] cover the root range with margin
-    span = 1.0 + float(np.real(np.trace(gm)))
-    j = np.arange(n + 1)
-    nodes = 0.5 * span * (1.0 + np.cos((2 * j + 1) * np.pi / (2 * (n + 1))))
-
-    def p(x: float) -> complex:
-        d1 = np.linalg.det(lead - x * np.eye(n - 1)) if n > 1 else 1.0
-        d2 = np.linalg.det(gm - x * np.diag(e_last))
-        return x * d1 - d2
-
-    vals = np.array([p(x) for x in nodes])
-    imag = np.abs(vals.imag).max()
-    if imag > IMAG_RESIDUE_TOL * max(1.0, np.abs(vals).max()):
-        raise ValueError(f"polynomial evaluations not real (residue {imag:.2e})")
-    vander = np.vander(nodes, n + 1)          # columns x^n .. x^0
-    coeffs = np.linalg.solve(vander, vals.real)
-    coeffs = coeffs / coeffs[0]               # leading coefficient is +-1 exactly
-    return LambdaPolynomial(coeffs=coeffs)
-
-
-def real_roots(poly: LambdaPolynomial | np.ndarray) -> np.ndarray:
-    """Real roots x of the polynomial in [0, 1], mapped to |lambda| = sqrt(x).
-
-    Roots are located as companion-matrix eigenvalues.  A repeated real root
-    splits numerically into a near-real conjugate cluster (radius eps**(1/m)
-    for multiplicity m), so conjugate pairs closer than a cluster tolerance
-    to the real axis are realified with their multiplicity kept; isolated
-    roots farther from the axis than the strict tolerance are dropped.
-    """
-    coeffs = poly.coeffs if isinstance(poly, LambdaPolynomial) else np.asarray(poly)
-    rts = np.roots(coeffs)
-    keep: list[float] = []
-    used = np.zeros(len(rts), dtype=bool)
-    for i, r in enumerate(rts):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(r.imag) < ROOT_IMAG_TOL:
-            keep.append(r.real)
-            continue
-        if abs(r.imag) < ROOT_CLUSTER_TOL:
-            for j in range(i + 1, len(rts)):
-                if not used[j] and abs(rts[j] - r.conjugate()) < 2 * ROOT_CLUSTER_TOL:
-                    used[j] = True
-                    keep.extend([r.real, rts[j].real])
-                    break
-    x = np.asarray(keep)
-    x = x[(x > -ROOT_RANGE_SLACK) & (x < 1.0 + ROOT_RANGE_SLACK)]
-    return np.sort(np.sqrt(np.clip(x, 0.0, 1.0)))
+def _singular_values(grams: np.ndarray) -> np.ndarray:
+    """Ascending square roots of Gram spectra, rounding negatives clipped to 0."""
+    return np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None))
 
 
 def roots_at(couplings: CouplingMatrix, partition: Partition, k: int,
              tau: float) -> np.ndarray:
-    """All |lambda| roots of the transfer polynomial at one registration time."""
-    tm = TransferMap(couplings, partition, k)
-    return real_roots(lambda_polynomial(gram(tm.v_hat(tau))))
+    """All |lambda| roots at one registration time, ascending."""
+    v = TransferMap(couplings, partition, k).v_hat(tau).v_hat
+    return _singular_values(v.conj().T @ v)
 
 
 def _grid(tau_min: float, tau_max: float, step: float) -> np.ndarray:
@@ -163,10 +67,9 @@ def scan(couplings: CouplingMatrix, partition: Partition, k: int,
          chunk: int = 2048, threads: int = 1) -> ScanResult:
     """Scan the tau grid for the registration time maximizing the minimal root.
 
-    At every grid point the sorted |lambda| roots are computed from the Gram
-    spectrum (numerically equivalent to the polynomial construction, which is
-    its characteristic polynomial up to sign).  Exact ties in the maximum are
-    broken toward smaller tau.  Grid chunks are independent; ``threads`` > 1
+    At every grid point the sorted |lambda| roots come from the Gram
+    spectrum, as in ``roots_at``.  Exact ties in the maximum are broken
+    toward smaller tau.  Grid chunks are independent; ``threads`` > 1
     evaluates them concurrently with order-preserving assembly.
     """
     taus = _grid(tau_min, tau_max, step)
@@ -176,8 +79,7 @@ def scan(couplings: CouplingMatrix, partition: Partition, k: int,
 
     def fill(lo: int) -> None:
         gs = tm.gram_batch(taus[lo:lo + chunk])
-        w = np.linalg.eigvalsh(gs)
-        roots[lo:lo + len(gs)] = np.sqrt(np.clip(w, 0.0, None))
+        roots[lo:lo + len(gs)] = _singular_values(gs)
 
     starts = range(0, len(taus), chunk)
     if threads > 1:
@@ -193,23 +95,3 @@ def scan(couplings: CouplingMatrix, partition: Partition, k: int,
                       tau0=float(taus[i_det]), tau_argmax=float(taus[i_max]),
                       lambda_min=float(mins[i_max]),
                       n_er=partition.n_er, k=k)
-
-
-@dataclass(frozen=True)
-class Feasibility:
-    """Dimensionality check for the restoring system."""
-
-    feasible: bool
-    n_er_k: int
-    required_min: int          # 2*N^(S)_k - 1
-    counting_bound: float      # weaker variable-count bound
-
-
-def feasibility(n_er: int, n_s: int, k: int) -> Feasibility:
-    """Check N^(ER)_k >= 2*N^(S)_k - 1 and report the counting bound too."""
-    n_er_k = binom(n_er, k) if k <= n_er else 0
-    n_s_k = binom(n_s, k)
-    required = 2 * n_s_k - 1
-    counting = 1.5 * n_s_k - 1.0 / n_s_k
-    return Feasibility(feasible=n_er_k >= required, n_er_k=n_er_k,
-                       required_min=required, counting_bound=counting)

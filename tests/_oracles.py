@@ -4,20 +4,35 @@ Everything here is built from first principles (Pauli matrices, Kronecker
 products, dense matrix exponentials, hand-expanded determinants, a damped
 least-squares search over restoring rows, loop-built sector Hamiltonians,
 gate-by-gate circuit unitaries) and never calls the code paths it checks.
+The paper's forms that the package replaced live here too: the |lambda|^2
+polynomial from determinants with its companion-matrix roots (the package
+takes the Gram spectrum), the dimensionality feasibility test, transfer
+blocks cut from a full sector propagator, and the full-space Hamiltonian as
+the direct sum of the package's sector blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import least_squares
 
+from spinpst.basis import FULL_SPACE_GUARD, binom, embed_subsystem, full_basis, k_states
+from spinpst.chain import CouplingMatrix, Partition, hamiltonian_block
+from spinpst.dynamics import TransferBlock
+
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+IMAG_RESIDUE_TOL = 1e-10
+ROOT_IMAG_TOL = 1e-9
+ROOT_CLUSTER_TOL = 1e-4
+ROOT_RANGE_SLACK = 1e-9
 
 
 def site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
@@ -87,6 +102,162 @@ def cubic_from_gram(g: np.ndarray) -> np.ndarray:
     c1 = g00 * g11 + g00 * g22 + g11 * g22 - a01 - a02 - a12
     c0 = a02 * g11 + a12 * g00 + a01 * g22 - g00 * g11 * g22 - 2.0 * cyc
     return np.array([1.0, c2, c1, c0])
+
+
+@dataclass(frozen=True)
+class GramData:
+    """Hermitian PSD matrix of transfer-column inner products b_i^dag b_j."""
+
+    g: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.g.shape[0]
+
+
+@dataclass(frozen=True)
+class LambdaPolynomial:
+    """Monic real polynomial in x = |lambda|^2, coefficients descending."""
+
+    coeffs: np.ndarray   # length degree+1, coeffs[0] == 1
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+
+def gram(v_hat: TransferBlock | np.ndarray) -> GramData:
+    """Gram matrix of the transfer-block columns."""
+    v = v_hat.v_hat if isinstance(v_hat, TransferBlock) else np.asarray(v_hat)
+    return GramData(g=v.conj().T @ v)
+
+
+def lambda_polynomial(g: GramData | np.ndarray) -> LambdaPolynomial:
+    """The paper's monic polynomial for x = |lambda|^2 from a Gram matrix.
+
+    Coefficients are recovered by evaluating x*det(G'-xI) - det(G-xE) at
+    Chebyshev nodes (E = diag(1,..,1,0)) and solving the Vandermonde system;
+    determinants use pivoted LU.  Imaginary residue beyond tolerance, or a
+    non-Hermitian input, is an error.
+    """
+    gm = g.g if isinstance(g, GramData) else np.asarray(g, dtype=complex)
+    if gm.ndim != 2 or gm.shape[0] != gm.shape[1]:
+        raise ValueError("Gram matrix must be square")
+    herm = np.abs(gm - gm.conj().T).max() if gm.size else 0.0
+    if herm > 1e-10:
+        raise ValueError(f"Gram matrix is not Hermitian (residual {herm:.2e})")
+    n = gm.shape[0]
+    lead = gm[: n - 1, : n - 1]
+    e_last = np.ones(n)
+    e_last[-1] = 0.0
+    # n+1 Chebyshev nodes on [0, 1+trace] cover the root range with margin
+    span = 1.0 + float(np.real(np.trace(gm)))
+    j = np.arange(n + 1)
+    nodes = 0.5 * span * (1.0 + np.cos((2 * j + 1) * np.pi / (2 * (n + 1))))
+
+    def p(x: float) -> complex:
+        d1 = np.linalg.det(lead - x * np.eye(n - 1)) if n > 1 else 1.0
+        d2 = np.linalg.det(gm - x * np.diag(e_last))
+        return x * d1 - d2
+
+    vals = np.array([p(x) for x in nodes])
+    imag = np.abs(vals.imag).max()
+    if imag > IMAG_RESIDUE_TOL * max(1.0, np.abs(vals).max()):
+        raise ValueError(f"polynomial evaluations not real (residue {imag:.2e})")
+    vander = np.vander(nodes, n + 1)          # columns x^n .. x^0
+    coeffs = np.linalg.solve(vander, vals.real)
+    coeffs = coeffs / coeffs[0]               # leading coefficient is +-1 exactly
+    return LambdaPolynomial(coeffs=coeffs)
+
+
+def real_roots(poly: LambdaPolynomial | np.ndarray) -> np.ndarray:
+    """Real roots x of the polynomial in [0, 1], mapped to |lambda| = sqrt(x).
+
+    Roots are located as companion-matrix eigenvalues.  A repeated real root
+    splits numerically into a near-real conjugate cluster (radius eps**(1/m)
+    for multiplicity m), so conjugate pairs closer than a cluster tolerance
+    to the real axis are realified with their multiplicity kept; isolated
+    roots farther from the axis than the strict tolerance are dropped.
+    """
+    coeffs = poly.coeffs if isinstance(poly, LambdaPolynomial) else np.asarray(poly)
+    rts = np.roots(coeffs)
+    keep: list[float] = []
+    used = np.zeros(len(rts), dtype=bool)
+    for i, r in enumerate(rts):
+        if used[i]:
+            continue
+        used[i] = True
+        if abs(r.imag) < ROOT_IMAG_TOL:
+            keep.append(r.real)
+            continue
+        if abs(r.imag) < ROOT_CLUSTER_TOL:
+            for j in range(i + 1, len(rts)):
+                if not used[j] and abs(rts[j] - r.conjugate()) < 2 * ROOT_CLUSTER_TOL:
+                    used[j] = True
+                    keep.extend([r.real, rts[j].real])
+                    break
+    x = np.asarray(keep)
+    x = x[(x > -ROOT_RANGE_SLACK) & (x < 1.0 + ROOT_RANGE_SLACK)]
+    return np.sort(np.sqrt(np.clip(x, 0.0, 1.0)))
+
+
+@dataclass(frozen=True)
+class Feasibility:
+    """Dimensionality check for the restoring system."""
+
+    feasible: bool
+    n_er_k: int
+    required_min: int          # 2*N^(S)_k - 1
+    counting_bound: float      # weaker variable-count bound
+
+
+def feasibility(n_er: int, n_s: int, k: int) -> Feasibility:
+    """Check N^(ER)_k >= 2*N^(S)_k - 1 and report the counting bound too."""
+    n_er_k = binom(n_er, k) if k <= n_er else 0
+    n_s_k = binom(n_s, k)
+    required = 2 * n_s_k - 1
+    counting = 1.5 * n_s_k - 1.0 / n_s_k
+    return Feasibility(feasible=n_er_k >= required, n_er_k=n_er_k,
+                       required_min=required, counting_bound=counting)
+
+
+def transfer_block(v_k: np.ndarray, partition: Partition, k: int,
+                   tau: float = float("nan")) -> TransferBlock:
+    """Extract the S -> ER block from a full k-sector propagator matrix.
+
+    Rows are indexed by ER-local k-states (all excitations inside the extended
+    receiver, rest of the chain ground), columns by sender-local k-states,
+    both in sector-basis order.
+    """
+    n = partition.n_sites
+    dim = len(k_states(n, k))
+    if v_k.shape != (dim, dim):
+        raise ValueError(f"propagator shape {v_k.shape} does not match "
+                         f"sector dimension {dim}")
+    s_map = embed_subsystem(partition.sender_sites, n, k)
+    er_map = embed_subsystem(partition.er_sites, n, k)
+    v_hat = v_k[np.ix_(er_map.chain_ordinals, s_map.chain_ordinals)]
+    return TransferBlock(v_hat=v_hat, tau=tau, n_sites=n,
+                         n_s=partition.n_s, n_er=partition.n_er, k=k)
+
+
+def hamiltonian_full(couplings: CouplingMatrix) -> np.ndarray:
+    """Direct sum of all sector blocks in the excitation-sorted full basis."""
+    n = couplings.n_sites
+    if n > FULL_SPACE_GUARD:
+        raise ValueError(f"dense full-space assembly guarded to n <= {FULL_SPACE_GUARD}")
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    off = 0
+    for k in range(n + 1):
+        blk = hamiltonian_block(couplings, k)
+        h[off:off + len(blk), off:off + len(blk)] = blk
+        off += len(blk)
+    return h
+
+
+def excitation_sort_permutation(n: int) -> np.ndarray:
+    """Permutation p with p[j] = computational-basis index of excitation-sorted state j."""
+    return np.fromiter(full_basis(n), dtype=np.int64)
 
 
 def finite_difference_jacobian(fun, x0: np.ndarray, eps: float = 1e-7) -> np.ndarray:

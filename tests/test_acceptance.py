@@ -18,8 +18,9 @@ from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
 from spinpst.basis import k_states
 from spinpst.restore import wer_full_from_solution
 
-from _oracles import (expm_propagator, least_squares_lambda, pauli_xx_hamiltonian,
-                      restoring_columns, restrict_to_sector, u_pair)
+from _oracles import (expm_propagator, gram, lambda_polynomial, least_squares_lambda,
+                      pauli_xx_hamiltonian, real_roots, restoring_columns,
+                      restrict_to_sector, u_pair)
 
 TABLE_1A = {4: (12.493, 0.435), 5: (14.391, 0.597), 6: (14.132, 0.714)}
 ROOT_LISTS = {
@@ -118,7 +119,7 @@ def test_criterion_04_scale_factor_uniqueness(vhat_at):
     # 25 independently seeded least-squares searches over free rows per mode:
     # every one lands on the smallest root, the closed form's sigma_min
     v = vhat_at(5)
-    min_root = scale.real_roots(scale.lambda_polynomial(scale.gram(v).g))[0]
+    min_root = real_roots(lambda_polynomial(gram(v).g))[0]
     details = []
     for mode in ("preserving-general", "nonpreserving-general"):
         problem = RestoreProblem(v_hat=v, mode=mode, seed=1001)

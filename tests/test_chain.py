@@ -3,7 +3,8 @@ import pytest
 
 from spinpst import basis, chain
 
-from _oracles import hamiltonian_block_loop, pauli_xx_hamiltonian, restrict_to_sector
+from _oracles import (excitation_sort_permutation, hamiltonian_block_loop, hamiltonian_full,
+                      pauli_xx_hamiltonian, restrict_to_sector)
 
 
 class TestBuildCouplings:
@@ -120,7 +121,7 @@ class TestHamiltonianBlock:
 class TestHamiltonianFull:
     def test_n2_block_diagonal(self):
         c = chain.build_couplings(chain.ChainSpec(n_sites=2))
-        h = chain.hamiltonian_full(c)
+        h = hamiltonian_full(c)
         want = np.zeros((4, 4), dtype=complex)
         want[1:3, 1:3] = [[0, 0.5], [0.5, 0]]
         assert np.array_equal(h, want)
@@ -129,13 +130,13 @@ class TestHamiltonianFull:
         gaps = rng.uniform(0.8, 1.3, 7)
         pos = np.concatenate([[0.0], np.cumsum(gaps)])
         c = chain.build_couplings(chain.ChainSpec(n_sites=8, positions=tuple(pos)))
-        perm = chain.excitation_sort_permutation(8)
+        perm = excitation_sort_permutation(8)
         full = pauli_xx_hamiltonian(c.d)[np.ix_(perm, perm)]
-        assert np.abs(chain.hamiltonian_full(c) - full).max() < 1e-12
+        assert np.abs(hamiltonian_full(c) - full).max() < 1e-12
 
     def test_commutes_with_total_excitation(self):
         c = chain.build_couplings(chain.ChainSpec(n_sites=4))
-        h = chain.hamiltonian_full(c)
+        h = hamiltonian_full(c)
         counts = np.array([bin(m).count("1") for m in basis.full_basis(4)], dtype=float)
         nz = np.diag(counts)
         assert np.abs(h @ nz - nz @ h).max() == 0.0
@@ -143,7 +144,7 @@ class TestHamiltonianFull:
     def test_guard(self):
         c = chain.CouplingMatrix(d=np.zeros((15, 15)))
         with pytest.raises(ValueError):
-            chain.hamiltonian_full(c)
+            hamiltonian_full(c)
 
 
 class TestPartition:

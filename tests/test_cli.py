@@ -184,6 +184,15 @@ class TestCommands:
             assert main(["fit-circuit", "--config", str(p)]) == 4
         assert "no convergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_fit_circuit_non_positive_restarts_exits_2(self, tmp_path, capsys, restarts):
+        p = tmp_path / "fit.cfg"
+        p.write_text(BASE_CFG.replace("solver.mode = preserving-general",
+                                      "solver.mode = circuit-preserving")
+                     .replace("solver.restarts = 8", f"solver.restarts = {restarts}"))
+        assert main(["fit-circuit", "--config", str(p)]) == 2
+        assert "solver.restarts must be >= 1" in capsys.readouterr().err
+
     def test_solve_tolerance_below_rounding_exits_4(self, tmp_path, capsys):
         p = tmp_path / "tight.cfg"
         p.write_text(BASE_CFG + "solver.tol = 1e-30\n")

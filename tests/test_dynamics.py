@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpst import (ChainSpec, Partition, TransferMap, basis, build_couplings,
-                     chain, dynamics)
+                     chain, dynamics, scale)
 
-from _oracles import expm_propagator, pauli_xx_hamiltonian, restrict_to_sector
+from _oracles import expm_propagator, pauli_xx_hamiltonian, restrict_to_sector, transfer_block
 
 
 class TestEigendecompose:
@@ -72,7 +74,7 @@ class TestTransferBlock:
     def test_zero_at_tau0(self, chain10, part10):
         eig = dynamics.sector_eigensystem(chain10, 2)
         v0 = dynamics.propagator(eig, 0.0)
-        tb = dynamics.transfer_block(v0, part10(5), 2, tau=0.0)
+        tb = transfer_block(v0, part10(5), 2, tau=0.0)
         assert np.abs(tb.v_hat).max() < 1e-14
         assert tb.v_hat.shape == (10, 3)
 
@@ -80,7 +82,7 @@ class TestTransferBlock:
         part = part10(5)
         eig = dynamics.sector_eigensystem(chain10, 2)
         v = dynamics.propagator(eig, 14.391)
-        tb = dynamics.transfer_block(v, part, 2, tau=14.391)
+        tb = transfer_block(v, part, 2, tau=14.391)
         er_map = basis.embed_subsystem(part.er_sites, 10, 2)
         s_map = basis.embed_subsystem(part.sender_sites, 10, 2)
         for col, s_ord in enumerate(s_map.chain_ordinals):
@@ -103,7 +105,7 @@ class TestTransferBlock:
         part = part10(4)
         eig = dynamics.sector_eigensystem(chain10, 2)
         v = dynamics.propagator(eig, 7.7)
-        direct = dynamics.transfer_block(v, part, 2, tau=7.7).v_hat
+        direct = transfer_block(v, part, 2, tau=7.7).v_hat
         cached = TransferMap(chain10, part, 2).v_hat(7.7).v_hat
         assert np.abs(direct - cached).max() < 1e-13
 
@@ -143,4 +145,78 @@ class TestTransferBlock:
         eig = dynamics.sector_eigensystem(chain10, 2)
         v = dynamics.propagator(eig, 1.0)
         with pytest.raises(ValueError):
-            dynamics.transfer_block(v, Partition(n_sites=12, n_s=3, n_r=3, n_er=5), 2)
+            transfer_block(v, Partition(n_sites=12, n_s=3, n_r=3, n_er=5), 2)
+
+
+def single_tau_grams(tm, taus):
+    vs = [tm.v_hat(t).v_hat for t in taus]
+    return np.array([v.conj().T @ v for v in vs])
+
+
+def explicit_chain(n, scale_by, seed):
+    rng = np.random.default_rng(seed)
+    m = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+    return build_couplings(ChainSpec(n_sites=n, coupling_model="explicit",
+                                     matrix=scale_by * (m + m.T)))
+
+
+class TestInterpolatedBlocks:
+    B = dynamics.GRAM_BLOCK
+
+    @pytest.mark.parametrize("n_t", [1, 2, B - 1, B, B + 1, 2 * B + 37])
+    def test_gram_batch_matches_single_tau(self, tmap10, n_t):
+        # every offset of the first block, its neighbour and the partial last block
+        tm = tmap10(5)
+        taus = 13.7 + 0.001 * np.arange(n_t)
+        grams = tm.gram_batch(taus)
+        assert np.abs(grams - single_tau_grams(tm, taus)).max() < 1e-13
+
+    def test_fewer_nodes_than_grid_points_at_the_published_grid(self, tmap10):
+        lam_max = np.abs(tmap10(5).eig.eigenvalues).max()
+        offsets, interp = dynamics._step_nodes(self.B, 0.001, lam_max)
+        assert interp.shape == (self.B, len(offsets)) and len(offsets) < 20
+        # the Lagrange rows reproduce constants and the offsets themselves
+        assert np.abs(interp.sum(axis=1) - 1).max() < 1e-13
+        assert np.abs(interp @ offsets - 0.001 * np.arange(self.B)).max() < 1e-15
+
+    @pytest.mark.parametrize("lam_max", [2.4, 24.0, 240.0])
+    def test_lagrange_rows_are_finite_for_every_block_length(self, lam_max):
+        for b in range(2, self.B + 1):
+            offsets, interp = dynamics._step_nodes(b, 0.001, lam_max)
+            assert np.isfinite(interp).all()
+            assert np.abs(interp.sum(axis=1) - 1).max() < 1e-12
+
+    def test_fallback_is_the_exact_step_table_product(self):
+        # couplings x100 on a 0.01 grid: omega ~ 500 asks for more nodes than points
+        c = explicit_chain(8, 100.0, seed=3)
+        tm = TransferMap(c, Partition(n_sites=8, n_s=2, n_r=2, n_er=3), 2)
+        lam = tm.eig.eigenvalues
+        taus = 0.4 + 0.01 * np.arange(self.B + 100)
+        offsets, interp = dynamics._step_nodes(self.B, 0.01, np.abs(lam).max())
+        assert np.array_equal(interp, np.eye(self.B))
+        steps = np.exp(-1j * np.outer(0.01 * np.arange(self.B), lam))
+        want = []
+        for lo in range(0, len(taus), self.B):
+            m = min(self.B, len(taus) - lo)
+            base = np.exp(-1j * lam * taus[lo])
+            v = (steps[:m] @ (base[:, None] * tm._khatri_rao)).reshape(m, tm.n_er_k, tm.n_s_k)
+            want.append(v.conj().transpose(0, 2, 1) @ v)
+        assert np.array_equal(tm.gram_batch(taus), np.concatenate(want))
+
+    @given(n=st.integers(6, 7), k=st.integers(1, 2), n_s=st.integers(2, 3),
+           step=st.sampled_from([0.001, 0.01, 0.07]), tau_lo=st.floats(0.0, 30.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_scan_rows_match_expm_oracle(self, n, k, n_s, step, tau_lo, seed):
+        n_er = n - n_s
+        c = explicit_chain(n, 1.5, seed)
+        part = Partition(n_sites=n, n_s=n_s, n_r=n_s, n_er=n_er)
+        res = scale.scan(c, part, k, tau_lo, tau_lo + step * (self.B + 20), step)
+        h_full = pauli_xx_hamiltonian(c.d)
+        sector = [m for m in range(2 ** n) if bin(m).count("1") == k]
+        s_masks = [m for m in sector if m >> n_s == 0]
+        er_masks = [m for m in sector if m & ((1 << (n - n_er)) - 1) == 0]
+        for i in (0, self.B - 1, self.B, len(res.taus) - 1):
+            v = expm_propagator(h_full, res.taus[i])[np.ix_(er_masks, s_masks)]
+            want = np.sort(np.linalg.svd(v, compute_uv=False))
+            assert np.abs(res.roots[i] - want).max() < 1e-12

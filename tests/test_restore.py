@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spinpst import RestoreProblem, complete_unitary, fit_circuit, scale, solve_general
+from spinpst import RestoreProblem, complete_unitary, fit_circuit, solve_general
 from spinpst.basis import full_basis, k_states
 from spinpst.dynamics import TransferBlock
 from spinpst.restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
@@ -11,9 +11,10 @@ from spinpst.restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
                              _lambda_residuals, _register_columns)
 
 from _oracles import (build_circuit_nonpreserving, build_circuit_preserving,
-                      finite_difference_jacobian, least_squares_lambda, pack_rows,
-                      random_unitary, restoring_columns, restoring_jacobian,
-                      restoring_residuals, u_pair, unpack_rows)
+                      finite_difference_jacobian, gram, lambda_polynomial,
+                      least_squares_lambda, pack_rows, random_unitary, real_roots,
+                      restoring_columns, restoring_jacobian, restoring_residuals,
+                      u_pair, unpack_rows)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
@@ -85,8 +86,7 @@ class TestGeneralSolver:
         lams = np.array([least_squares_lambda(b, n, d - n + 1, seed=5 + 1000 * t)
                          for t in range(1, 9)])
         assert lams.max() - lams.min() < 1e-8
-        min_root = scale.real_roots(scale.lambda_polynomial(
-            scale.gram(vhat_at(5)).g))[0]
+        min_root = real_roots(lambda_polynomial(gram(vhat_at(5)).g))[0]
         assert abs(lams.mean() - min_root) < 1e-6
         assert np.abs(lams - solve_general(problem).lam_abs).max() < 1e-8
 
@@ -316,6 +316,12 @@ class TestFitCircuit:
                                  n_extra_zero_rows=n_extra, restarts=1)
         with pytest.raises(FeasibilityError, match="admits 0..3"):
             fit_circuit(problem)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_non_positive_restarts_rejected(self, vhat_at, restarts):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            RestoreProblem(v_hat=vhat_at(4, tau=12.493), mode="circuit-preserving",
+                           restarts=restarts)
 
     def test_rows_match_built_unitary(self, vhat_at):
         problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493),

@@ -4,7 +4,8 @@ import pytest
 from spinpst import ChainSpec, Partition, build_couplings, scale
 from spinpst.dynamics import GRAM_BLOCK
 
-from _oracles import cubic_from_gram, expm_propagator, pauli_xx_hamiltonian, random_unitary
+from _oracles import (cubic_from_gram, expm_propagator, feasibility, gram, lambda_polynomial,
+                      pauli_xx_hamiltonian, random_unitary, real_roots)
 
 TABLE_1A = {4: (12.493, 0.435), 5: (14.391, 0.597), 6: (14.132, 0.714)}
 ROOT_LISTS = {
@@ -21,39 +22,39 @@ def random_psd(rng, n):
 
 class TestGram:
     def test_zero_block(self):
-        g = scale.gram(np.zeros((7, 3), dtype=complex))
+        g = gram(np.zeros((7, 3), dtype=complex))
         assert np.abs(g.g).max() == 0
 
     def test_orthonormal_columns(self, rng):
         q = np.linalg.qr(rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))[0]
-        g = scale.gram(q)
+        g = gram(q)
         assert np.abs(g.g - np.eye(3)).max() < 1e-12
 
     def test_psd(self, rng):
         for _ in range(20):
             v = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-            g = scale.gram(v)
+            g = gram(v)
             assert np.linalg.eigvalsh(g.g).min() > -1e-12
 
 
 class TestLambdaPolynomial:
     def test_degree_one(self):
         g = np.array([[0.37 + 0j]])
-        poly = scale.lambda_polynomial(g)
+        poly = lambda_polynomial(g)
         assert np.allclose(poly.coeffs, [1.0, -0.37])
-        assert scale.real_roots(poly)[0] == pytest.approx(np.sqrt(0.37), abs=1e-12)
+        assert real_roots(poly)[0] == pytest.approx(np.sqrt(0.37), abs=1e-12)
 
     def test_scalar_matrix_triple_root(self):
         mu2 = 0.49
-        poly = scale.lambda_polynomial(mu2 * np.eye(3, dtype=complex))
-        roots = scale.real_roots(poly)
+        poly = lambda_polynomial(mu2 * np.eye(3, dtype=complex))
+        roots = real_roots(poly)
         assert len(roots) == 3
         assert np.allclose(roots, np.sqrt(mu2), atol=1e-4)
 
     def test_matches_cubic_oracle(self, rng):
         for _ in range(50):
             g = random_psd(rng, 3)
-            poly = scale.lambda_polynomial(g)
+            poly = lambda_polynomial(g)
             assert np.allclose(poly.coeffs, cubic_from_gram(g), atol=1e-10)
 
     def test_coefficients_real_many_grams(self, rng):
@@ -61,18 +62,25 @@ class TestLambdaPolynomial:
         for _ in range(1000):
             n = rng.integers(2, 5)
             g = random_psd(rng, int(n))
-            poly = scale.lambda_polynomial(g)
+            poly = lambda_polynomial(g)
             worst = max(worst, np.abs(np.imag(poly.coeffs)).max())
         assert worst == 0.0  # coefficients are stored real; reality enforced inside
 
+    def test_is_the_gram_characteristic_polynomial(self, rng):
+        # x det(G' - xI) - det(G - xE) = -det(G - xI): the roots are G's spectrum
+        for _ in range(50):
+            g = random_psd(rng, int(rng.integers(1, 6)))
+            want = np.poly(np.linalg.eigvalsh(g))
+            assert np.abs(lambda_polynomial(g).coeffs - want).max() < 1e-10
+
     def test_monic(self, rng):
-        poly = scale.lambda_polynomial(random_psd(rng, 4))
+        poly = lambda_polynomial(random_psd(rng, 4))
         assert poly.coeffs[0] == 1.0
         assert poly.degree == 4
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            scale.lambda_polynomial(np.array([[1.0, 0.5], [0.1, 1.0]], dtype=complex))
+            lambda_polynomial(np.array([[1.0, 0.5], [0.1, 1.0]], dtype=complex))
 
 
 class TestRealRoots:
@@ -84,19 +92,26 @@ class TestRealRoots:
         for got, want in zip(roots, ROOT_LISTS[n_er]):
             assert got == pytest.approx(want, abs=5e-4)
 
+    @pytest.mark.parametrize("n_er", [4, 5, 6])
+    def test_roots_at_match_polynomial_oracle(self, chain10, part10, tmap10, n_er):
+        tau0 = TABLE_1A[n_er][0]
+        poly = real_roots(lambda_polynomial(gram(tmap10(n_er).v_hat(tau0)).g))
+        roots = scale.roots_at(chain10, part10(n_er), 2, tau0)
+        assert len(poly) == 3 and np.abs(roots - poly).max() < 1e-9
+
     def test_unitary_submatrix_roots_in_range(self, rng):
         for _ in range(25):
             u = random_unitary(rng, 9)
             v = u[:5, :2]
-            roots = scale.real_roots(scale.lambda_polynomial(scale.gram(v).g))
+            roots = real_roots(lambda_polynomial(gram(v).g))
             assert np.all(roots >= 0) and np.all(roots <= 1 + 1e-9)
 
     def test_column_permutation_invariance(self, vhat_at, rng):
         v = vhat_at(5).v_hat
-        base = scale.real_roots(scale.lambda_polynomial(scale.gram(v).g))[0]
+        base = real_roots(lambda_polynomial(gram(v).g))[0]
         for _ in range(5):
             perm = rng.permutation(3)
-            r = scale.real_roots(scale.lambda_polynomial(scale.gram(v[:, perm]).g))[0]
+            r = real_roots(lambda_polynomial(gram(v[:, perm]).g))[0]
             assert abs(r - base) < 1e-8
 
 
@@ -132,7 +147,7 @@ class TestScan:
         chunk, b = 2048, GRAM_BLOCK
         res = scale.scan(chain10, part10(5), 2, 10.0, 13.0, 0.001, chunk=chunk)
         for i in (0, b - 1, b, chunk - 1, chunk, len(res.taus) - 1):
-            g = scale.gram(tmap10(5).v_hat(res.taus[i])).g
+            g = gram(tmap10(5).v_hat(res.taus[i])).g
             want = np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None))
             assert np.abs(res.roots[i] - want).max() < 1e-13
 
@@ -161,22 +176,27 @@ class TestScan:
         # dual route: batched Gram spectra vs determinant polynomial + companion
         res = scale.scan(chain10, part10(5), 2, 14.0, 14.5, 0.1)
         for tau, row in zip(res.taus, res.roots):
-            direct = scale.roots_at(chain10, part10(5), 2, tau)
+            direct = real_roots(lambda_polynomial(gram(tmap10(5).v_hat(tau)).g))
             assert np.allclose(row, direct, atol=1e-9)
+
+    def test_roots_at_is_the_scan_route(self, chain10, part10):
+        res = scale.scan(chain10, part10(5), 2, 14.0, 14.5, 0.1)
+        for tau, row in zip(res.taus, res.roots):
+            assert np.abs(scale.roots_at(chain10, part10(5), 2, tau) - row).max() < 1e-13
 
 
 class TestFeasibility:
     def test_minimum_er_dimension(self):
-        f = scale.feasibility(n_er=4, n_s=3, k=2)
+        f = feasibility(n_er=4, n_s=3, k=2)
         assert f.required_min == 5
         assert f.feasible and f.n_er_k == 6
 
     def test_infeasible(self):
-        f = scale.feasibility(n_er=3, n_s=3, k=2)
+        f = feasibility(n_er=3, n_s=3, k=2)
         assert not f.feasible and f.n_er_k == 3
 
     def test_counting_bound_weaker(self):
         for n_s in (2, 3, 4):
             for k in (1, 2):
-                f = scale.feasibility(6, n_s, k)
+                f = feasibility(6, n_s, k)
                 assert f.required_min > f.counting_bound
