@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from . import protocol, scale
 from .chain import ChainSpec, Partition, build_couplings, direct_override_matrix
 from .config import ConfigError, RunConfig
 from .dynamics import TransferMap
+from .paper import (N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A, PAPER_TABLE_2,
+                    PAPER_TABLE_2_N42, TABLE_2_WINDOWS)
 from .restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
                       RestoreProblem, fit_circuit, solve_general)
 
@@ -26,17 +29,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 
-PAPER_TABLE_1A = {4: (12.493, 0.435), 5: (14.391, 0.597), 6: (14.132, 0.714)}
-PAPER_ROOTS = {
-    4: (0.435, 0.660, 0.828),
-    5: (0.597, 0.794, 0.866),
-    6: (0.714, 0.888, 0.931),
-}
-PAPER_TABLE_2 = {20: (26.506, 0.265), 30: (37.393, 0.136), 40: (52.846, 0.079)}
-PAPER_TABLE_2_N42 = (57.267, 0.467)
-N42_OVERRIDES = {1: 0.3005, 2: 0.5311, 40: 0.5311, 41: 0.3005}
-TABLE_2_WINDOWS = {20: 30.0, 30: 45.0, 40: 60.0, 42: 65.0}
-CSV_BATCH_ROWS = 4096
+CSV_BATCH_ROWS = 1024
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -52,13 +45,16 @@ def _json_dump(obj) -> str:
 
 def _scan_csv(result: scale.ScanResult) -> str:
     m = result.roots.shape[1]
-    header = "tau," + ",".join(f"root_{i + 1}" for i in range(m)) + ",min_root\n"
-    row_fmt = ",".join(["%.9g"] * (m + 2)) + "\n"
-    table = np.column_stack([result.taus, result.roots, result.roots[:, 0]])
-    # rows become Python floats a batch at a time, which bounds the peak memory
-    return header + "".join(
-        "".join(row_fmt % tuple(row) for row in table[lo:lo + CSV_BATCH_ROWS].tolist())
-        for lo in range(0, len(table), CSV_BATCH_ROWS))
+    parts = ["tau," + ",".join(f"root_{i + 1}" for i in range(m)) + ",min_root\n"]
+    table = np.column_stack([result.taus, result.roots])
+    # a batch of rows at a time, which bounds the peak memory: each column is
+    # one %-format of its values, and min_root repeats the root_1 cells
+    for lo in range(0, len(table), CSV_BATCH_ROWS):
+        cols = [("%.9g\n" * len(col) % tuple(col)).split("\n")[:-1]
+                for col in table[lo:lo + CSV_BATCH_ROWS].T.tolist()]
+        cols.append(cols[1])
+        parts.append("\n".join(map(",".join, zip(*cols))) + "\n")
+    return "".join(parts)
 
 
 def cmd_scan(args) -> int:
@@ -66,8 +62,8 @@ def cmd_scan(args) -> int:
     couplings = cfg.couplings()
     part = cfg.partition()
     lo, hi, step = cfg.scan_range()
-    result = scale.scan(couplings, part, cfg.k(), lo, hi, step,
-                        threads=max(args.threads, 1))
+    fmt = args.format or cfg.output_format()
+    result = scale.scan(couplings, part, cfg.k(), lo, hi, step, threads=args.threads)
     summary = {
         "tau0": result.tau0,
         "lambda_min": result.lambda_min,
@@ -77,7 +73,6 @@ def cmd_scan(args) -> int:
         "config_hash": cfg.config_hash(),
         "seed": args.seed,
     }
-    fmt = args.format or cfg.raw.get("output.format", "csv")
     if fmt == "csv":
         out = args.out or cfg.raw.get("output.path", "scan_output.csv")
         Path(out).write_text(_scan_csv(result))
@@ -109,7 +104,7 @@ def _resolve_tau(cfg: RunConfig, args) -> float:
         couplings = cfg.couplings()
         lo, hi, step = cfg.scan_range()
         res = scale.scan(couplings, cfg.partition(), cfg.k(), lo, hi, step,
-                         threads=max(getattr(args, "threads", 1), 1))
+                         threads=args.threads)
         tau = res.tau0
     return tau
 
@@ -207,7 +202,6 @@ def _table_row(cells) -> str:
 
 
 def cmd_reproduce(args) -> int:
-    threads = max(args.threads, 1)
     lines: list[str] = []
     ok = True
     if args.table == "1a":
@@ -215,7 +209,7 @@ def cmd_reproduce(args) -> int:
         lines.append(_table_row(["n_er", "tau0", "want", "lam_min", "want", "status"]))
         for n_er, (tau_ref, lam_ref) in PAPER_TABLE_1A.items():
             part = Partition(n_sites=10, n_s=3, n_r=3, n_er=n_er)
-            res = scale.scan(couplings, part, 2, 0.0, 20.0, 0.001, threads=threads)
+            res = scale.scan(couplings, part, 2, 0.0, 20.0, 0.001, threads=args.threads)
             good = (abs(res.tau0 - tau_ref) < 1e-9) and (abs(res.lambda_min - lam_ref) <= 5e-4)
             ok &= good
             lines.append(_table_row([n_er, f"{res.tau0:.3f}", f"{tau_ref:.3f}",
@@ -238,7 +232,7 @@ def cmd_reproduce(args) -> int:
             couplings = build_couplings(ChainSpec(n_sites=n))
             part = Partition(n_sites=n, n_s=3, n_r=3, n_er=5)
             res = scale.scan(couplings, part, 2, 0.0, TABLE_2_WINDOWS[n], 0.001,
-                             threads=threads)
+                             threads=args.threads)
             good = (abs(res.tau0 - tau_ref) < 1e-9) and (abs(res.lambda_min - lam_ref) <= 5e-4)
             ok &= good
             lines.append(_table_row([n, "homog", f"{res.tau0:.3f}", f"{tau_ref:.3f}",
@@ -254,7 +248,7 @@ def cmd_reproduce(args) -> int:
             couplings = build_couplings(spec)
             part = Partition(n_sites=42, n_s=3, n_r=3, n_er=5)
             res = scale.scan(couplings, part, 2, 0.0, TABLE_2_WINDOWS[42], 0.001,
-                             threads=threads)
+                             threads=args.threads)
             good = (abs(res.tau0 - tau_ref) <= 0.05) and (abs(res.lambda_min - lam_ref) <= 5e-3)
             n42_pass |= good
             lines.append(_table_row([42, label, f"{res.tau0:.3f}", f"{tau_ref:.3f}",
@@ -321,10 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) == 0:
-        import os
-        args.threads = os.cpu_count() or 1
     try:
+        if args.threads < 0:
+            raise ConfigError(f"--threads must be >= 0, got {args.threads}")
+        if args.threads == 0:
+            args.threads = os.cpu_count() or 1
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

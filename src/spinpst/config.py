@@ -227,6 +227,12 @@ class RunConfig:
     def solver_tau(self) -> float | None:
         return self._float("solver.tau")
 
+    def output_format(self) -> str:
+        fmt = self._get("output.format", "csv")
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
+        return fmt
+
     def config_hash(self) -> str:
         canon = "\n".join(f"{k}={self.raw[k]}" for k in sorted(self.raw))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]

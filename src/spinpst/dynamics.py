@@ -11,7 +11,10 @@ a time.  Within a block the phases exp(-i lambda j delta) are an entire
 function of the offset j delta whose band limit is max|lambda|, so a few
 Chebyshev nodes carry them: the block is the transfer block at the nodes,
 spread over the grid by a real Lagrange matrix, with an interpolation error
-below the unit roundoff.
+below the unit roundoff.  The scan takes the block's Gram matrices V^dag V;
+their spectra come from ``scale.gram_eigenvalues``, a cyclic Jacobi kernel
+run on a whole stack of Grams at once that rotates a pair only where
+|g_pq| > eps sqrt(g_pp g_qq).
 """
 
 from __future__ import annotations

@@ -8,6 +8,13 @@ second determinant along its last row shows that the polynomial is
 -det(G - x I), so the roots are the eigenvalues of G and |lambda| runs over
 the singular values of V_hat.  Both the one-tau roots and the scan take
 them from the Gram spectrum.
+
+The spectra come from one batched cyclic Jacobi kernel, ``gram_eigenvalues``:
+every Gram entry is an array over the batch, and each rotation updates the
+whole batch at once.  A pair (p, q) is rotated only where
+|g_pq| > eps sqrt(g_pp g_qq), the Demmel-Veselic test, under which Jacobi on
+a positive semidefinite matrix keeps the small eigenvalues at least as
+accurate as the QR algorithm does.
 """
 
 from __future__ import annotations
@@ -40,16 +47,87 @@ class ScanResult:
     k: int
 
 
+_EPS2 = np.finfo(float).eps ** 2
+_TINY = np.finfo(float).tiny
+JACOBI_MAX_SWEEPS = 30
+
+
+def gram_eigenvalues(grams: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (B, s, s) stack of positive semidefinite Grams.
+
+    Cyclic Jacobi over the pairs p < q, run on all B matrices together.  Each
+    matrix is first scaled by the power of two that brings its largest
+    diagonal entry into [1/2, 1), which is exact, so entries near the
+    underflow threshold keep their precision.  A pair is rotated where
+    |g_pq|^2 > eps^2 |g_pp g_qq| + tiny: the Demmel-Veselic test, with tiny,
+    the smallest normal number, as a floor.  Below it |g_pq| < sqrt(tiny) is
+    counted as zero, which moves no scaled eigenvalue by more than that, and
+    the rotation angles stay finite.  A matrix whose every pair passes is
+    left as it is, so a row's result does not depend on the rest of its
+    batch, and the sweeps end once no pair of any matrix is rotated; the
+    all-zero Gram needs none.  The complex rotation
+    J = [[c, s u], [-s conj(u), c]] with u = g_pq / |g_pq| and
+    t = s / c = sign(d) 2|g_pq| / (|d| + sqrt(d^2 + 4 |g_pq|^2)),
+    d = g_qq - g_pp, zeroes g_pq and moves t |g_pq| from g_pp to g_qq.
+    """
+    grams = np.asarray(grams)
+    s = grams.shape[-1]
+    diag = [grams[:, i, i].real for i in range(s)]
+    exp = np.clip(np.frexp(np.maximum.reduce(diag))[1], -1021, 1021)
+    scale = np.ldexp(1.0, -exp)
+    diag = [d * scale for d in diag]
+    off = {(i, j): grams[:, i, j] * scale for i in range(s) for j in range(i + 1, s)}
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p, q in off:
+            a, c, g = diag[p], diag[q], off[p, q]
+            mag = np.abs(g)
+            mag2 = mag * mag
+            rotate = mag2 > _EPS2 * np.abs(a * c) + _TINY
+            if not rotate.any():
+                continue
+            rotated = True
+            d = c - a
+            # t / |g_pq|, zero where the pair is not rotated
+            kappa = np.divide(np.copysign(2.0, d), np.abs(d) + np.sqrt(d * d + 4 * mag2),
+                              out=np.zeros_like(d), where=rotate)
+            t = kappa * mag
+            cos = 1 / np.sqrt(1 + t * t)
+            su = (cos * kappa) * g            # s u; the column update needs s conj(u)
+            su_conj = su.conj()
+            shift = t * mag
+            diag[p], diag[q] = a - shift, c + shift
+            off[p, q] = np.where(rotate, 0, g)
+            # G[r, p] and G[r, q] for every other r; off holds the upper
+            # triangle only, so an entry below the diagonal is its conjugate
+            for r in range(s):
+                if r < p:
+                    x, y = off[r, p], off[r, q]
+                    off[r, p], off[r, q] = cos * x - su_conj * y, su * x + cos * y
+                elif r > q:
+                    x, y = off[p, r], off[q, r]
+                    off[p, r], off[q, r] = cos * x - su * y, su_conj * x + cos * y
+                elif p < r < q:
+                    x, y = off[p, r], off[r, q]
+                    off[p, r], off[r, q] = (cos * x - su * y.conj(),
+                                            su * x.conj() + cos * y)
+        if not rotated:
+            break
+    else:
+        raise np.linalg.LinAlgError("Jacobi sweeps did not converge")
+    return np.ldexp(np.sort(np.stack(diag, axis=-1), axis=-1), exp[:, None])
+
+
 def _singular_values(grams: np.ndarray) -> np.ndarray:
     """Ascending square roots of Gram spectra, rounding negatives clipped to 0."""
-    return np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None))
+    return np.sqrt(np.clip(gram_eigenvalues(grams), 0.0, None))
 
 
 def roots_at(couplings: CouplingMatrix, partition: Partition, k: int,
              tau: float) -> np.ndarray:
     """All |lambda| roots at one registration time, ascending."""
     v = TransferMap(couplings, partition, k).v_hat(tau).v_hat
-    return _singular_values(v.conj().T @ v)
+    return _singular_values((v.conj().T @ v)[None])[0]
 
 
 def _grid(tau_min: float, tau_max: float, step: float) -> np.ndarray:

@@ -6,9 +6,10 @@ least-squares search over restoring rows, loop-built sector Hamiltonians,
 gate-by-gate circuit unitaries) and never calls the code paths it checks.
 The paper's forms that the package replaced live here too: the |lambda|^2
 polynomial from determinants with its companion-matrix roots (the package
-takes the Gram spectrum), the dimensionality feasibility test, transfer
-blocks cut from a full sector propagator, and the full-space Hamiltonian as
-the direct sum of the package's sector blocks.
+takes the Gram spectrum), the Gram spectrum from LAPACK's Hermitian
+eigensolver (the package runs its own Jacobi kernel), the dimensionality
+feasibility test, transfer blocks cut from a full sector propagator, and the
+full-space Hamiltonian as the direct sum of the package's sector blocks.
 """
 
 from __future__ import annotations
@@ -130,6 +131,11 @@ def gram(v_hat: TransferBlock | np.ndarray) -> GramData:
     """Gram matrix of the transfer-block columns."""
     v = v_hat.v_hat if isinstance(v_hat, TransferBlock) else np.asarray(v_hat)
     return GramData(g=v.conj().T @ v)
+
+
+def lapack_singular_values(grams: np.ndarray) -> np.ndarray:
+    """Ascending singular values behind a stack of Grams: sqrt(eigvalsh(G)), negatives clipped."""
+    return np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None))
 
 
 def lambda_polynomial(g: GramData | np.ndarray) -> LambdaPolynomial:

@@ -3,8 +3,9 @@ import pytest
 
 from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
                      build_couplings, solve_general)
+from spinpst.paper import PAPER_TABLE_1A
 
-TAU0 = {4: 12.493, 5: 14.391, 6: 14.132}
+TAU0 = {n_er: tau0 for n_er, (tau0, _) in PAPER_TABLE_1A.items()}
 
 
 @pytest.fixture(scope="session")

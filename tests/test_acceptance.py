@@ -16,22 +16,13 @@ from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
                      build_couplings, direct_override_matrix, fit_circuit,
                      protocol, scale, solve_general)
 from spinpst.basis import k_states
+from spinpst.paper import (N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A, PAPER_TABLE_2,
+                           PAPER_TABLE_2_N42, TABLE_2_WINDOWS)
 from spinpst.restore import wer_full_from_solution
 
 from _oracles import (expm_propagator, gram, lambda_polynomial, least_squares_lambda,
                       pauli_xx_hamiltonian, real_roots, restoring_columns,
                       restrict_to_sector, u_pair)
-
-TABLE_1A = {4: (12.493, 0.435), 5: (14.391, 0.597), 6: (14.132, 0.714)}
-ROOT_LISTS = {
-    4: (0.435, 0.660, 0.828),
-    5: (0.597, 0.794, 0.866),
-    6: (0.714, 0.888, 0.931),
-}
-TABLE_2 = {20: (26.506, 0.265, 30.0), 30: (37.393, 0.136, 45.0),
-           40: (52.846, 0.079, 60.0)}
-N42 = (57.267, 0.467)
-N42_OVERRIDES = {1: 0.3005, 2: 0.5311, 40: 0.5311, 41: 0.3005}
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
@@ -49,7 +40,7 @@ def test_criterion_01_table_1a_scan(chain10, part10):
         results[n_er] = res
     elapsed = time.time() - t0
     ok = True
-    for n_er, (tau_ref, lam_ref) in TABLE_1A.items():
+    for n_er, (tau_ref, lam_ref) in PAPER_TABLE_1A.items():
         res = results[n_er]
         ok &= abs(res.tau0 - tau_ref) < 1e-9
         ok &= abs(res.lambda_min - lam_ref) <= 5e-4
@@ -58,7 +49,7 @@ def test_criterion_01_table_1a_scan(chain10, part10):
             " ".join(f"n_er={n}: tau0={results[n].tau0:.3f} "
                      f"lam={results[n].lambda_min:.4f}" for n in (4, 5, 6))
             + f" ({elapsed:.1f}s)")
-    for n_er, (tau_ref, lam_ref) in TABLE_1A.items():
+    for n_er, (tau_ref, lam_ref) in PAPER_TABLE_1A.items():
         assert results[n_er].tau0 == pytest.approx(tau_ref, abs=1e-9)
         assert results[n_er].lambda_min == pytest.approx(lam_ref, abs=5e-4)
     assert elapsed < 120
@@ -67,8 +58,8 @@ def test_criterion_01_table_1a_scan(chain10, part10):
 def test_criterion_02_root_lists(chain10, part10):
     ok = True
     details = []
-    for n_er, wants in ROOT_LISTS.items():
-        tau0 = TABLE_1A[n_er][0]
+    for n_er, wants in PAPER_ROOTS.items():
+        tau0 = PAPER_TABLE_1A[n_er][0]
         roots = scale.roots_at(chain10, part10(n_er), 2, tau0)
         good = len(roots) == 3 and all(abs(r - w) <= 5e-4
                                        for r, w in zip(roots, wants))
@@ -82,10 +73,10 @@ def test_criterion_03_long_chains():
     t0 = time.time()
     ok = True
     details = []
-    for n, (tau_ref, lam_ref, window) in TABLE_2.items():
+    for n, (tau_ref, lam_ref) in PAPER_TABLE_2.items():
         couplings = build_couplings(ChainSpec(n_sites=n))
         part = Partition(n_sites=n, n_s=3, n_r=3, n_er=5)
-        res = scale.scan(couplings, part, 2, 0.0, window, 0.001, threads=2)
+        res = scale.scan(couplings, part, 2, 0.0, TABLE_2_WINDOWS[n], 0.001, threads=2)
         good = (abs(res.tau0 - tau_ref) < 1e-9 and
                 abs(res.lambda_min - lam_ref) <= 5e-4)
         ok &= good
@@ -93,7 +84,7 @@ def test_criterion_03_long_chains():
         assert good, (n, res.tau0, res.lambda_min)
 
     # adjusted 42-site chain under both coupling interpretations
-    tau_ref, lam_ref = N42
+    tau_ref, lam_ref = PAPER_TABLE_2_N42
     part = Partition(n_sites=42, n_s=3, n_r=3, n_er=5)
     hits = {}
     for label, spec in (
@@ -101,7 +92,7 @@ def test_criterion_03_long_chains():
         ("direct", ChainSpec(n_sites=42, coupling_model="explicit",
                              matrix=direct_override_matrix(42, N42_OVERRIDES))),
     ):
-        res = scale.scan(build_couplings(spec), part, 2, 0.0, 65.0, 0.001,
+        res = scale.scan(build_couplings(spec), part, 2, 0.0, TABLE_2_WINDOWS[42], 0.001,
                          threads=2)
         hits[label] = (res.tau0, res.lambda_min,
                        abs(res.tau0 - tau_ref) <= 0.05 and

@@ -28,6 +28,21 @@ solver.seed = 7
 """
 
 
+# standard output of `reproduce 1a` and `reproduce roots`, byte for byte
+REPRODUCE_1A = (
+    'n_er          tau0          want          lam_min       want          status      \n'
+    '4             12.493        12.493        0.4347        0.435         PASS        \n'
+    '5             14.391        14.391        0.5966        0.597         PASS        \n'
+    '6             14.132        14.132        0.7145        0.714         PASS        \n'
+)
+REPRODUCE_ROOTS = (
+    'n_er          roots         want          status      \n'
+    '4             [0.4347 0.6599 0.8276]  (0.435, 0.66, 0.828)  PASS        \n'
+    '5             [0.5966 0.7936 0.8663]  (0.597, 0.794, 0.866)  PASS        \n'
+    '6             [0.7145 0.8876 0.9312]  (0.714, 0.888, 0.931)  PASS        \n'
+)
+
+
 @pytest.fixture()
 def cfg_file(tmp_path):
     p = tmp_path / "run.cfg"
@@ -141,6 +156,21 @@ class TestCommands:
     def test_missing_config_file_exits_2(self):
         assert main(["scan", "--config", "/nonexistent.cfg"]) == 2
 
+    def test_unknown_output_format_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        out = tmp_path / "scan.csv"
+        p.write_text(BASE_CFG + f"output.format = xml\noutput.path = {out}\n")
+        assert main(["scan", "--config", str(p)]) == 2
+        assert "output.format" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_threads_exits_2(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", str(cfg_file), "--threads", "-1",
+                     "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solve_deterministic_json(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
         assert main(["solve", "--config", str(cfg_file), "--out", str(out1)]) == 0
@@ -242,11 +272,8 @@ class TestCommands:
 
     def test_reproduce_roots(self, capsys):
         assert main(["reproduce", "roots"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 3 and "FAIL" not in out
+        assert capsys.readouterr().out == REPRODUCE_ROOTS
 
     def test_reproduce_1a(self, capsys):
         assert main(["reproduce", "1a", "--threads", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 3 and "FAIL" not in out
-        assert "12.493" in out and "14.391" in out and "14.132" in out
+        assert capsys.readouterr().out == REPRODUCE_1A

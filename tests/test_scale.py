@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinpst import ChainSpec, Partition, build_couplings, scale
+from spinpst import ChainSpec, Partition, TransferMap, build_couplings, scale
 from spinpst.dynamics import GRAM_BLOCK
+from spinpst.paper import PAPER_ROOTS, PAPER_TABLE_1A
 
 from _oracles import (cubic_from_gram, expm_propagator, feasibility, gram, lambda_polynomial,
-                      pauli_xx_hamiltonian, random_unitary, real_roots)
+                      lapack_singular_values, pauli_xx_hamiltonian, random_unitary, real_roots)
 
-TABLE_1A = {4: (12.493, 0.435), 5: (14.391, 0.597), 6: (14.132, 0.714)}
-ROOT_LISTS = {
-    4: (0.435, 0.660, 0.828),
-    5: (0.597, 0.794, 0.866),
-    6: (0.714, 0.888, 0.931),
-}
+EPS = np.finfo(float).eps
 
 
 def random_psd(rng, n):
@@ -86,15 +84,15 @@ class TestLambdaPolynomial:
 class TestRealRoots:
     @pytest.mark.parametrize("n_er", [4, 5, 6])
     def test_published_root_lists(self, chain10, part10, n_er):
-        tau0 = TABLE_1A[n_er][0]
+        tau0 = PAPER_TABLE_1A[n_er][0]
         roots = scale.roots_at(chain10, part10(n_er), 2, tau0)
         assert len(roots) == 3
-        for got, want in zip(roots, ROOT_LISTS[n_er]):
+        for got, want in zip(roots, PAPER_ROOTS[n_er]):
             assert got == pytest.approx(want, abs=5e-4)
 
     @pytest.mark.parametrize("n_er", [4, 5, 6])
     def test_roots_at_match_polynomial_oracle(self, chain10, part10, tmap10, n_er):
-        tau0 = TABLE_1A[n_er][0]
+        tau0 = PAPER_TABLE_1A[n_er][0]
         poly = real_roots(lambda_polynomial(gram(tmap10(n_er).v_hat(tau0)).g))
         roots = scale.roots_at(chain10, part10(n_er), 2, tau0)
         assert len(poly) == 3 and np.abs(roots - poly).max() < 1e-9
@@ -115,11 +113,104 @@ class TestRealRoots:
             assert abs(r - base) < 1e-8
 
 
+def spectral_gram(rng, eigenvalues):
+    """Q diag(eigenvalues) Q^dag for a random unitary Q."""
+    q = random_unitary(rng, len(eigenvalues))
+    return (q * np.asarray(eigenvalues, dtype=float)) @ q.conj().T
+
+
+def assert_matches_lapack(grams, factor=8):
+    """Kernel eigenvalues ascending and within factor * s * eps * ||G||_2 of LAPACK's."""
+    grams = np.asarray(grams)
+    got = scale.gram_eigenvalues(grams)
+    assert np.all(np.diff(got, axis=-1) >= 0)
+    tol = factor * grams.shape[-1] * EPS * np.linalg.norm(grams, 2, axis=(1, 2))
+    want = lapack_singular_values(grams) ** 2
+    assert np.all(np.abs(np.clip(got, 0.0, None) - want).max(axis=-1) <= tol)
+    return got
+
+
+class TestGramEigenvalues:
+    @given(s=st.sampled_from([1, 2, 3, 6]), rank=st.integers(0, 6),
+           repeated=st.booleans(), magnitude=st.sampled_from([1.0, 1e-300, 1e-150, 1e150]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lapack_oracle(self, s, rank, repeated, magnitude, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.random(s))
+        x[:max(s - rank, 0)] = 0.0                # rank-deficient below s
+        if repeated and s > 1:
+            x[1] = x[0]                           # repeated sigma_min
+        v = rng.standard_normal((s + 2, s)) + 1j * rng.standard_normal((s + 2, s))
+        grams = np.stack([spectral_gram(rng, x), v.conj().T @ v / (s + 2)]) * magnitude
+        got = assert_matches_lapack(grams)
+        # each row is computed as if alone
+        for i in range(len(grams)):
+            assert np.array_equal(scale.gram_eigenvalues(grams[i:i + 1])[0], got[i])
+
+    def test_zero_gram(self):
+        assert np.array_equal(scale.gram_eigenvalues(np.zeros((4, 3, 3), dtype=complex)),
+                              np.zeros((4, 3)))
+
+    def test_scalar_gram_triple_root(self):
+        got = scale.gram_eigenvalues(0.49 * np.eye(3, dtype=complex)[None])
+        assert np.array_equal(got, np.full((1, 3), 0.49))
+
+    def test_rank_deficient(self, rng):
+        v = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        v = np.column_stack([v, v @ np.array([0.3 - 0.2j, 1.1])])     # third = combination
+        got = assert_matches_lapack((v.conj().T @ v)[None])
+        assert abs(got[0, 0]) <= 8 * 3 * EPS * np.linalg.norm(v, 2) ** 2
+
+    def test_repeated_sigma_min(self, rng):
+        got = assert_matches_lapack(spectral_gram(rng, [0.2, 0.2, 0.9])[None])
+        assert np.abs(got[0] - [0.2, 0.2, 0.9]).max() < 1e-15
+
+    def test_entries_near_underflow(self, rng):
+        g = spectral_gram(rng, [0.25, 0.5, 1.0])
+        got = assert_matches_lapack(np.stack([g, g * 1e-300]))
+        assert np.abs(got[1] / 1e-300 - got[0]).max() < 8 * 3 * EPS
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        g = spectral_gram(rng, [0.1, 0.3, 0.8])
+        got = scale.gram_eigenvalues(np.stack([g, g * 2.0 ** -900]))
+        assert np.array_equal(got[1] * 2.0 ** 900, got[0])
+
+    def test_sweep_cap_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(scale, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            scale.gram_eigenvalues(spectral_gram(rng, [0.1, 0.3, 0.8])[None])
+
+
+def oracle_scan_rows(tm, taus, chunk=2048):
+    """LAPACK roots of the Gram stacks a scan forms, chunk by chunk."""
+    return np.concatenate([lapack_singular_values(tm.gram_batch(taus[lo:lo + chunk]))
+                           for lo in range(0, len(taus), chunk)])
+
+
 class TestScan:
+    @pytest.mark.parametrize("n_er", [4, 5, 6])
+    def test_table_1a_grid_matches_lapack_oracle(self, chain10, part10, tmap10, n_er):
+        res = scale.scan(chain10, part10(n_er), 2, 0.0, 20.0, 0.001,
+                         transfer_map=tmap10(n_er))
+        assert np.abs(res.roots - oracle_scan_rows(tmap10(n_er), res.taus)).max() < 1e-14
+
+    @pytest.mark.parametrize("n_s, k", [(4, 2), (3, 3)], ids=["s6", "s1"])
+    def test_rows_match_lapack_oracle_other_sector_sizes(self, chain10, n_s, k):
+        part = Partition(n_sites=10, n_s=n_s, n_r=n_s, n_er=5)
+        tm = TransferMap(chain10, part, k)
+        res = scale.scan(chain10, part, k, 0.0, 5.0, 0.001, transfer_map=tm)
+        n_roots = res.roots.shape[1]
+        assert n_roots == {2: 6, 3: 1}[k]
+        # V_hat is a block of a unitary, so ||G||_2 <= 1; at s=6 a small root
+        # magnifies the eigenvalue error 1 / (2 sigma), so compare eigenvalues
+        want = oracle_scan_rows(tm, res.taus)
+        assert np.abs(res.roots ** 2 - want ** 2).max() <= 8 * n_roots * EPS
+
     @pytest.mark.parametrize("n_er", [4, 5, 6])
     def test_table_1a(self, chain10, part10, n_er):
         res = scale.scan(chain10, part10(n_er), 2, 0.0, 20.0, 0.001)
-        tau_ref, lam_ref = TABLE_1A[n_er]
+        tau_ref, lam_ref = PAPER_TABLE_1A[n_er]
         assert res.tau0 == pytest.approx(tau_ref, abs=1e-9)
         assert res.lambda_min == pytest.approx(lam_ref, abs=5e-4)
         assert res.tau0 == pytest.approx(res.tau_argmax + 0.001, abs=1e-9)
@@ -147,8 +238,7 @@ class TestScan:
         chunk, b = 2048, GRAM_BLOCK
         res = scale.scan(chain10, part10(5), 2, 10.0, 13.0, 0.001, chunk=chunk)
         for i in (0, b - 1, b, chunk - 1, chunk, len(res.taus) - 1):
-            g = gram(tmap10(5).v_hat(res.taus[i])).g
-            want = np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None))
+            want = lapack_singular_values(gram(tmap10(5).v_hat(res.taus[i])).g)
             assert np.abs(res.roots[i] - want).max() < 1e-13
 
     def test_rows_match_expm_oracle(self):
