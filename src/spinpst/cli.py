@@ -98,31 +98,18 @@ def cmd_roots(args) -> int:
     return EXIT_OK
 
 
-def _resolve_tau(cfg: RunConfig, args) -> float:
+def _solve_from_config(cfg: RunConfig, args, couplings, tm: TransferMap):
+    """Restoring solution at the configured or scanned tau, from tm's eigensystem."""
     tau = cfg.solver_tau()
     if tau is None:
-        couplings = cfg.couplings()
-        lo, hi, step = cfg.scan_range()
-        res = scale.scan(couplings, cfg.partition(), cfg.k(), lo, hi, step,
-                         threads=args.threads)
-        tau = res.tau0
-    return tau
-
-
-def _build_problem(cfg: RunConfig, args, tau: float) -> RestoreProblem:
-    couplings = cfg.couplings()
-    tm = TransferMap(couplings, cfg.partition(), cfg.k())
+        tau = scale.scan(couplings, tm.partition, tm.k, *cfg.scan_range(),
+                         transfer_map=tm, threads=args.threads).tau0
     seed = args.seed if args.seed is not None else cfg.solver_seed()
-    return RestoreProblem(v_hat=tm.v_hat(tau), mode=cfg.solver_mode(),
-                          n_extra_zero_rows=cfg.solver_extra_rows(),
-                          q_layers=cfg.solver_q(),
-                          restarts=cfg.solver_restarts(),
-                          tol=cfg.solver_tol(), seed=seed)
-
-
-def _solve_from_config(cfg: RunConfig, args):
-    tau = _resolve_tau(cfg, args)
-    problem = _build_problem(cfg, args, tau)
+    problem = RestoreProblem(v_hat=tm.v_hat(tau), mode=cfg.solver_mode(),
+                             n_extra_zero_rows=cfg.solver_extra_rows(),
+                             q_layers=cfg.solver_q(),
+                             restarts=cfg.solver_restarts(),
+                             tol=cfg.solver_tol(), seed=seed)
     if problem.mode in CIRCUIT_MODES:
         return fit_circuit(problem)
     return solve_general(problem)
@@ -130,7 +117,9 @@ def _solve_from_config(cfg: RunConfig, args):
 
 def cmd_solve(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    solution = _solve_from_config(cfg, args)
+    couplings = cfg.couplings()
+    solution = _solve_from_config(cfg, args, couplings,
+                                  TransferMap(couplings, cfg.partition(), cfg.k()))
     payload = solution.to_dict()
     payload["chain_id"] = cfg.chain_id()
     payload["config_hash"] = cfg.config_hash()
@@ -151,46 +140,35 @@ def cmd_simulate(args) -> int:
     couplings = cfg.couplings()
     part = cfg.partition()
     k = cfg.k()
-    solution = _solve_from_config(cfg, args)
-    tau = solution.tau
     variant = cfg.raw.get("simulate.variant", "k_excitation")
     seed = args.seed if args.seed is not None else cfg.solver_seed()
-    rng = np.random.default_rng(seed)
-
+    # every input the protocol checks is checked before the solve runs
+    try:
+        dim = protocol.input_dimension(variant, part, k, cfg.solver_mode())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.state:
-        s = np.array([complex(re, im) for re, im in json.loads(Path(args.state).read_text())])
-    elif variant == "arbitrary":
-        dim = 2 ** len(part.s0_sites)
-        s = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        try:
+            s = np.array([complex(re, im) for re, im in json.loads(Path(args.state).read_text())])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"--state must hold [[re, im], ...] pairs: {exc}") from exc
+        if s.shape != (dim,):
+            raise ConfigError(f"--state has {len(s)} amplitudes; the {variant} "
+                              f"protocol takes {dim}")
     else:
-        from .basis import binom
-        dim = binom(part.n_s, k)
+        rng = np.random.default_rng(seed)
         s = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     s = s / np.linalg.norm(s)
 
-    if variant == "k_excitation":
-        report = protocol.run_k_excitation_pst(couplings, part, k, s, solution, tau)
-    elif variant == "nonpreserving":
-        report = protocol.run_nonpreserving_pst(couplings, part, k, s, solution, tau)
-    elif variant == "arbitrary":
-        report = protocol.run_arbitrary_pst(couplings, part, k, s, solution, tau)
-    elif variant == "global":
-        report = protocol.run_global_pst(couplings, part, _sector_to_full(s, part, k),
-                                         solution, tau)
-    else:
-        raise ConfigError(f"unknown simulate.variant {variant!r}")
+    tm = TransferMap(couplings, part, k)
+    solution = _solve_from_config(cfg, args, couplings, tm)
+    tau = solution.tau
+    run = getattr(protocol, f"run_{variant}_pst")
+    report = run(couplings, part, k, s, solution, tau, transfer_map=tm)
     payload = report.to_dict(chain_id=cfg.chain_id(), k=k, tau0=tau, seed=seed)
     payload["config_hash"] = cfg.config_hash()
     _write_or_print(_json_dump(payload), args.out or cfg.raw.get("output.path"))
     return EXIT_OK
-
-
-def _sector_to_full(s: np.ndarray, part: Partition, k: int) -> np.ndarray:
-    from .basis import k_states
-    full = np.zeros(2 ** part.n_s, dtype=complex)
-    for i, m in enumerate(k_states(part.n_s, k).states):
-        full[m] = s[i]
-    return full
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("roots", help="polynomial roots at a fixed tau")
+    p = sub.add_parser("roots", help="|λ| roots (singular values of V̂) at a fixed tau")
     common(p)
     p.add_argument("--tau", type=float, default=None)
     p.set_defaults(func=cmd_roots)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainSpec, CouplingMatrix, Partition, build_couplings, direct_override_matrix
+from .restore import CIRCUIT_MODES, GENERAL_MODES
 
 
 class ConfigError(ValueError):
@@ -201,7 +202,11 @@ class RunConfig:
         return lo, hi, step
 
     def solver_mode(self) -> str:
-        return self._get("solver.mode", "preserving-general")
+        mode = self._get("solver.mode", "preserving-general")
+        if mode not in GENERAL_MODES + CIRCUIT_MODES:
+            raise ConfigError(f"solver.mode must be one of "
+                              f"{', '.join(GENERAL_MODES + CIRCUIT_MODES)}, got {mode!r}")
+        return mode
 
     def solver_seed(self) -> int:
         return self._int("solver.seed", 0)

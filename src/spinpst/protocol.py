@@ -1,11 +1,28 @@
 """End-to-end state-transfer protocols with ancilla labeling and post-selection.
 
-The fixed-excitation protocol runs in the chain k-sector tensored with the
-flag ancilla B; the encoded (arbitrary-state) and non-preserving variants run
-over the full 2**n computational space with explicit guards.  Controlled
-operators are applied as exact basis maps: a multi-controlled flip toggles an
-ancilla (or register pattern) on every basis state whose control pattern is
-fully excited, with parity semantics so the map stays unitary off-sector.
+All four variants run in the chain k-sector, at any chain length.  The flag
+ancilla B marks the receiver k-patterns and post-selection keeps only the
+branch where all k excitations sit there, so the report needs only the
+amplitudes that reach those patterns.  For a restoring solution they are
+W_ER applied to V_hat(tau0) s placed in the 2**n_er extended-receiver
+register:
+
+- ``k_excitation``: a preserving W_ER never maps an ER component with
+  fewer than k excitations (the rest outside ER) onto a receiver k-pattern;
+- ``nonpreserving``: the marker ancilla D is set on exactly the components
+  with all k excitations in ER, and B needs D = 1, so the kept branch is
+  W_ER times V_hat s in the register, the rest of the chain ground;
+- ``arbitrary``: the encode cascade maps S0 value j to sender pattern j and
+  the decode maps receiver pattern j to R0 value j, so both only relabel;
+  the flag covers the first 2**n_s0 receiver patterns;
+- ``global``: in the k-sector the flag on the ground S+TL subspace is the
+  flag on the receiver patterns; a whole-line unitary acts through its
+  k-sector block, which must be unitary, since a unitary diagonal block of
+  a unitary is exactly the condition that nothing leaks out of the sector.
+
+The variants differ only in the solution family they accept, the flagged
+patterns and the cost entry.  The gate-level composition over the 2**N
+space is kept in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -16,24 +33,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import binom, k_states
+from .basis import binom, embed_subsystem
 from .chain import CouplingMatrix, Partition
-from .dynamics import SectorEigensystem, propagator, sector_eigensystem
-from .restore import RestoreSolution, wer_full_from_solution
+from .dynamics import TransferMap
+from .restore import (RestoreSolution, _full_er_positions, _register_columns,
+                      wer_full_from_solution)
 
-FULL_GUARD = 14
+VARIANTS = ("k_excitation", "arbitrary", "nonpreserving", "global")
+PRESERVING_MODES = ("preserving-general", "circuit-preserving")
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class BasisDescriptor:
-    kind: str                      # "sector" | "full"
+    kind: str                      # "sector": the chain k-sector
     n: int
-    k: int | None
+    k: int
     ancillas: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.kind != "sector":
+            raise ValueError(f"unknown basis kind {self.kind!r}")
 
     @property
     def chain_dim(self) -> int:
-        return binom(self.n, self.k) if self.kind == "sector" else 2 ** self.n
+        return binom(self.n, self.k)
 
 
 @dataclass(frozen=True)
@@ -101,38 +125,6 @@ class ProtocolReport:
 
 
 # ---------------------------------------------------------------------------
-# bit bookkeeping (site q <-> bit q-1 of the computational index)
-# ---------------------------------------------------------------------------
-
-def _sites_mask(sites) -> int:
-    m = 0
-    for q in sites:
-        m |= 1 << (q - 1)
-    return m
-
-
-def _value_mask(value: int, sites) -> int:
-    """Computational mask of register value ``value`` laid out on ``sites``."""
-    m = 0
-    for b, q in enumerate(sites):
-        if (value >> b) & 1:
-            m |= 1 << (q - 1)
-    return m
-
-
-def _pattern_masks(sub_sites, n_local: int, k: int) -> list[int]:
-    """Chain masks of the subsystem k-patterns, in subsystem k-basis order."""
-    out = []
-    for m in k_states(n_local, k).states:
-        cm = 0
-        for b in range(n_local):
-            if (m >> b) & 1:
-                cm |= 1 << (sub_sites[b] - 1)
-        out.append(cm)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # state preparation and measurement
 # ---------------------------------------------------------------------------
 
@@ -146,10 +138,9 @@ def prepare_k_state(s, partition: Partition, k: int) -> PureState:
     if abs(norm - 1.0) > 1e-10:
         warnings.warn(f"input norm {norm:.6g} != 1; renormalizing", stacklevel=2)
         s = s / norm
-    cb = k_states(partition.n_sites, k)
-    vec = np.zeros(len(cb), dtype=complex)
-    for j, mask in enumerate(_pattern_masks(partition.sender_sites, partition.n_s, k)):
-        vec[cb.index_of(mask)] = s[j]
+    vec = np.zeros(binom(partition.n_sites, k), dtype=complex)
+    sender = embed_subsystem(partition.sender_sites, partition.n_sites, k)
+    vec[np.asarray(sender.chain_ordinals)] = s
     return PureState(amplitudes=vec,
                      basis=BasisDescriptor("sector", partition.n_sites, k))
 
@@ -168,140 +159,6 @@ def measure_ancilla(state: PureState, ancilla: str, outcome: int):
     if prob == 0.0:
         return 0.0, None
     return prob, PureState(amplitudes=branch / math.sqrt(prob), basis=new_basis)
-
-
-# ---------------------------------------------------------------------------
-# operator applications
-# ---------------------------------------------------------------------------
-
-def _evolve_full(amps: np.ndarray, couplings: CouplingMatrix, tau: float,
-                 eigs: dict[int, SectorEigensystem] | None = None) -> np.ndarray:
-    """Apply the block-diagonal propagator to a computational-order full vector."""
-    n = couplings.n_sites
-    flat = amps.reshape(2 ** n, -1)
-    out = flat.copy()
-    for k in range(n + 1):
-        idx = np.fromiter(k_states(n, k).states, dtype=np.int64)
-        sub = flat[idx]
-        if np.linalg.norm(sub) < 1e-15:
-            continue
-        eig = (eigs or {}).get(k) or sector_eigensystem(couplings, k)
-        out[idx] = propagator(eig, tau) @ sub
-    return out.reshape(amps.shape)
-
-
-def _apply_wer_full_space(amps: np.ndarray, w_er: np.ndarray, n_sites: int,
-                          n_er: int) -> np.ndarray:
-    """Apply a 2**n_er unitary to the extended receiver (the top qubits)."""
-    dim_er = 2 ** n_er
-    rest = amps.size // (2 ** n_sites)
-    mat = amps.reshape(dim_er, (2 ** (n_sites - n_er)) * rest)
-    return (w_er @ mat).reshape(amps.shape)
-
-
-def _apply_wer_sector(vec: np.ndarray, w_er: np.ndarray, partition: Partition,
-                      k: int) -> np.ndarray:
-    """Apply I (x) W_ER within the chain k-sector.
-
-    Chain k-states split by their outside-ER occupation; each group carries an
-    ER j-excitation register transformed by the corresponding block of W_ER.
-    """
-    n = partition.n_sites
-    n_er = partition.n_er
-    n_low = n - n_er
-    cb = k_states(n, k)
-    out = vec.copy()
-    for j in range(k + 1):
-        if j > n_er or k - j > n_low:
-            continue
-        er_j = np.fromiter(k_states(n_er, j).states, dtype=np.int64)
-        block = w_er[np.ix_(er_j, er_j)]
-        if np.abs(block - np.eye(len(er_j))).max() < 1e-15:
-            continue
-        for o in k_states(n_low, k - j).states:
-            idx = np.fromiter((cb.index_of(o | (int(p) << n_low)) for p in er_j),
-                              dtype=np.int64)
-            out[idx] = block @ out[idx]
-    return out
-
-
-def _parity_flip_matches(masks, indices_or_n) -> np.ndarray:
-    """Boolean array: odd number of control patterns fully excited per index.
-
-    Equivalent to the product of one multi-controlled flip per pattern; inside
-    a k-sector at most one k-qubit pattern can match, recovering plain
-    projector semantics.
-    """
-    if isinstance(indices_or_n, int):
-        idx = np.arange(2 ** indices_or_n, dtype=np.int64)
-    else:
-        idx = np.asarray(indices_or_n, dtype=np.int64)
-    flips = np.zeros(idx.shape, dtype=bool)
-    for m in masks:
-        flips ^= (idx & m) == m
-    return flips
-
-
-def value_controlled_pattern_flips(n: int, value_sites, pattern_masks) -> np.ndarray:
-    """Permutation of the cascade "if register == j, flip pattern_masks[j]".
-
-    One controlled operator per register value, all commuting; with a pattern
-    for every value the composite reduces to a single XOR per basis state.
-    Returns ``perm`` with ``new[perm[m]] = old[m]``.
-    """
-    value_sites = tuple(value_sites)
-    if len(pattern_masks) != 2 ** len(value_sites):
-        raise ValueError("need one pattern per register value")
-    idx = np.arange(2 ** n, dtype=np.int64)
-    vals = np.zeros(2 ** n, dtype=np.int64)
-    for b, q in enumerate(value_sites):
-        vals |= ((idx >> (q - 1)) & 1) << b
-    return idx ^ np.asarray(pattern_masks, dtype=np.int64)[vals]
-
-
-def pattern_controlled_value_flips(n: int, pattern_masks, value_sites) -> np.ndarray:
-    """Permutation of the cascade "if pattern j fully excited, XOR j into register".
-
-    The per-pattern operators commute (diagonal controls, targets off the
-    control sites); they are composed sequentially so states matching several
-    patterns (possible off-sector) accumulate every XOR.
-    """
-    value_sites = tuple(value_sites)
-    perm = np.arange(2 ** n, dtype=np.int64)
-    for j, pat in enumerate(pattern_masks):
-        matched = (perm & pat) == pat
-        perm = np.where(matched, perm ^ _value_mask(j, value_sites), perm)
-    return perm
-
-
-def exact_value_controlled_pattern_flips(n: int, value_sites,
-                                         pattern_masks) -> np.ndarray:
-    """Permutation of the cascade "if register == j exactly, flip pattern j".
-
-    Like :func:`value_controlled_pattern_flips` but defined for fewer
-    patterns than register values (unmatched values pass through).
-    """
-    value_sites = tuple(value_sites)
-    all_mask = _sites_mask(value_sites)
-    perm = np.arange(2 ** n, dtype=np.int64)
-    for j, pat in enumerate(pattern_masks):
-        matched = (perm & all_mask) == _value_mask(j, value_sites)
-        perm = np.where(matched, perm ^ pat, perm)
-    return perm
-
-
-def _apply_perm(amps: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.empty_like(amps)
-    out[perm] = amps
-    return out
-
-
-def _swap_flag(amps: np.ndarray, matched: np.ndarray, axis: int) -> np.ndarray:
-    """Flip the two values of one trailing qubit axis on matched chain rows."""
-    out = amps.copy()
-    moved = np.moveaxis(out, axis, 1)
-    moved[matched] = moved[matched][:, ::-1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +224,37 @@ def _q_layers_of(solution: RestoreSolution) -> int | None:
     return len(solution.circuit_params) // (per * solution.n_er)
 
 
+def input_dimension(variant: str, partition: Partition, k: int,
+                    mode: str | None = None) -> int:
+    """Number of input amplitudes of a variant; checks what a run needs.
+
+    ``mode``, if given, is the restoring solution family, which must be
+    non-preserving for the ``nonpreserving`` variant and preserving for the
+    others.  Raises ValueError for an unknown variant, a wrong family, or
+    S0/R0 registers the encoded variant cannot use.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown protocol variant {variant!r}; "
+                         f"expected one of {', '.join(VARIANTS)}")
+    if mode is not None and (variant == "nonpreserving") == (mode in PRESERVING_MODES):
+        want = "non-preserving" if variant == "nonpreserving" else "preserving"
+        raise ValueError(f"the {variant} protocol needs a {want} solution, got {mode}")
+    n_s_k = binom(partition.n_s, k)
+    if variant != "arbitrary":
+        return n_s_k
+    s0, r0 = partition.s0_sites, partition.r0_sites
+    if not s0 or not r0:
+        raise ValueError("partition must define S0 and R0 for the encoded protocol")
+    if len(r0) != len(s0):
+        raise ValueError("S0 and R0 must have equal size")
+    if 2 ** len(s0) > n_s_k:
+        raise ValueError(f"2**{len(s0)} input states exceed the {n_s_k} "
+                         f"available sender k-patterns")
+    return 2 ** len(s0)
+
+
 def _check_solution(solution: RestoreSolution, tau0: float, k: int,
-                    partition: Partition, preserving: bool) -> None:
+                    partition: Partition, variant: str) -> None:
     if not solution.converged:
         raise ValueError("restoring solution did not converge")
     if abs(solution.tau - tau0) > 1e-9:
@@ -376,246 +262,115 @@ def _check_solution(solution: RestoreSolution, tau0: float, k: int,
                          f"protocol runs at tau={tau0}")
     if solution.k != k or solution.n_er != partition.n_er:
         raise ValueError("solution provenance does not match the partition")
-    is_pres = solution.mode in ("preserving-general", "circuit-preserving")
-    if preserving != is_pres:
-        want = "preserving" if preserving else "non-preserving"
-        raise ValueError(f"protocol needs a {want} solution, got {solution.mode}")
+    input_dimension(variant, partition, k, solution.mode)
+
+
+def _sector_block(w, n: int, k: int) -> np.ndarray:
+    """A whole-line unitary's k-sector block, rejected unless it is unitary."""
+    w = np.asarray(w, dtype=complex)
+    dim = binom(n, k)
+    if w.shape != (dim, dim):
+        raise ValueError(f"a whole-line unitary is given as its {dim} x {dim} "
+                         f"k-sector block, got shape {w.shape}")
+    dev = np.abs(w @ w.conj().T - np.eye(dim)).max()
+    if dev > UNITARY_TOL:
+        raise ValueError(f"k-sector block is not unitary (deviation {dev:.2e}): "
+                         "the whole-line unitary leaks out of the sector")
+    return w
+
+
+def _run(variant: str, couplings: CouplingMatrix, partition: Partition, k: int,
+         s, w, tau0: float, transfer_map: TransferMap | None) -> ProtocolReport:
+    """Post-selected output of one variant, computed in the chain k-sector."""
+    dim = input_dimension(variant, partition, k)
+    s = np.asarray(s, dtype=complex)
+    if s.shape != (dim,):
+        raise ValueError(f"expected {dim} input amplitudes, got shape {s.shape}")
+    s = s / np.linalg.norm(s)
+    tm = transfer_map or TransferMap(couplings, partition, k)
+    built_for = (tm.partition.n_sites, tm.partition.n_s, tm.partition.n_er, tm.k)
+    if built_for != (partition.n_sites, partition.n_s, partition.n_er, k):
+        raise ValueError("transfer map was built for another partition or k")
+    # the encoded input j sits on sender pattern j; the others carry nothing
+    x = np.zeros(binom(partition.n_s, k), dtype=complex)
+    x[:dim] = s
+
+    if isinstance(w, RestoreSolution) or variant != "global":
+        _check_solution(w, tau0, k, partition, variant)
+        lam, q_layers = w.lam, _q_layers_of(w)
+        register = wer_full_from_solution(w) @ (
+            _register_columns(tm.v_hat(tau0), partition.n_er) @ x)
+        recv = _full_er_positions(partition.n_er, partition.n_r, k)[0]
+        branch = register[recv[:dim]]
+    else:
+        block = _sector_block(w, partition.n_sites, k)
+        lam, q_layers = 1.0, None
+        u, evals = tm.eig.eigenvectors, tm.eig.eigenvalues
+        chain = prepare_k_state(x, partition, k).amplitudes
+        chain = block @ (u @ (np.exp(-1j * evals * tau0) * (u.conj().T @ chain)))
+        recv = embed_subsystem(partition.receiver_sites, partition.n_sites, k)
+        branch = chain[np.asarray(recv.chain_ordinals)]
+
+    prob = float(np.vdot(branch, branch).real)
+    out = branch / math.sqrt(prob) if prob > 0.0 else np.zeros(dim, dtype=complex)
+    n_s0 = len(partition.s0_sites) if variant == "arbitrary" else None
+    cost = cost_estimate(variant, n_s=partition.n_s, k=k, n_er=partition.n_er,
+                         n_s0=n_s0, q_layers=q_layers, t0=tau0, lam_abs=abs(lam))
+    return ProtocolReport(variant=variant, success_probability=prob,
+                          fidelity=float(abs(np.vdot(s, out))),
+                          output_amplitudes=out, lambda_expected=complex(lam),
+                          garbage_norm=math.sqrt(max(1.0 - prob, 0.0)), cost=cost)
 
 
 def run_k_excitation_pst(couplings: CouplingMatrix, partition: Partition, k: int,
                          s, solution: RestoreSolution, tau0: float,
-                         eig: SectorEigensystem | None = None) -> ProtocolReport:
-    """Fixed-excitation protocol in the chain k-sector with flag ancilla B.
+                         transfer_map: TransferMap | None = None) -> ProtocolReport:
+    """Fixed-excitation protocol: sender amplitudes ``s`` to the receiver.
 
-    Pipeline: sector evolution to tau0, local W_ER on the extended receiver,
-    flag flip on the receiver k-patterns, post-selection of the flagged
-    branch.  Output amplitudes are reported in receiver k-basis order.
+    Sector evolution to tau0, a preserving W_ER on the extended receiver,
+    the flag on the receiver k-patterns, post-selection of the flagged
+    branch.  Output amplitudes are in receiver k-basis order.
+    ``transfer_map`` is the chain's TransferMap, built if not given.
     """
-    _check_solution(solution, tau0, k, partition, preserving=True)
-    s_norm = np.asarray(s, dtype=complex)
-    s_norm = s_norm / np.linalg.norm(s_norm)
-    state = prepare_k_state(s_norm, partition, k)
-
-    eig = eig or sector_eigensystem(couplings, k)
-    vec = propagator(eig, tau0) @ state.amplitudes
-    w_er = wer_full_from_solution(solution)
-    vec = _apply_wer_sector(vec, w_er, partition, k)
-
-    cb = k_states(partition.n_sites, k)
-    recv_masks = _pattern_masks(partition.receiver_sites, partition.n_r, k)
-    recv_idx = np.fromiter((cb.index_of(m) for m in recv_masks), dtype=np.int64)
-    amps = np.zeros((len(cb), 2), dtype=complex)
-    amps[:, 0] = vec
-    flips = _parity_flip_matches(recv_masks, np.fromiter(cb.states, dtype=np.int64))
-    amps = _swap_flag(amps, flips, axis=1)
-
-    st = PureState(amps, BasisDescriptor("sector", partition.n_sites, k, ("B",)))
-    prob, post = measure_ancilla(st, "B", 1)
-    out = post.amplitudes[recv_idx] if post is not None else np.zeros(len(recv_idx),
-                                                                      dtype=complex)
-    fid = float(abs(np.vdot(s_norm, out)))
-    cost = cost_estimate("k_excitation", n_s=partition.n_s, k=k,
-                         n_er=partition.n_er, t0=tau0,
-                         q_layers=_q_layers_of(solution),
-                         lam_abs=abs(solution.lam))
-    return ProtocolReport(variant="k_excitation", success_probability=prob,
-                          fidelity=fid, output_amplitudes=out,
-                          lambda_expected=solution.lam,
-                          garbage_norm=math.sqrt(max(1.0 - prob, 0.0)), cost=cost)
+    return _run("k_excitation", couplings, partition, k, s, solution, tau0,
+                transfer_map)
 
 
-def run_global_pst(couplings: CouplingMatrix, partition: Partition, sender_state,
-                   w, tau0: float) -> ProtocolReport:
-    """Whole-line reference protocol: flag flips on the S+TL ground subspace.
+def run_global_pst(couplings: CouplingMatrix, partition: Partition, k: int, s,
+                   w, tau0: float,
+                   transfer_map: TransferMap | None = None) -> ProtocolReport:
+    """Whole-line reference protocol: the flag on the ground S+TL subspace.
 
-    ``sender_state`` is a full 2**n_s vector over the sender register; it must
-    be supported on a single excitation sector (multi-sector inputs would need
-    equal scale factors across sectors, which no solver here constructs).
-    ``w`` is either a full-chain unitary or a preserving RestoreSolution whose
-    W_ER is embedded as identity outside the extended receiver.
+    ``s`` holds sender k-sector amplitudes.  ``w`` is a preserving
+    RestoreSolution, whose W_ER acts as the identity outside the extended
+    receiver, or the C(N, k)-square k-sector block of a whole-line unitary,
+    rejected unless it is unitary to UNITARY_TOL.
     """
-    n = partition.n_sites
-    if n > 12:
-        raise ValueError("full-space reference protocol guarded to n_sites <= 12")
-    s_full = np.asarray(sender_state, dtype=complex)
-    if s_full.shape != (2 ** partition.n_s,):
-        raise ValueError(f"sender state must have 2**n_s = {2 ** partition.n_s} "
-                         "amplitudes")
-    ks = {bin(j).count("1") for j in range(s_full.size) if abs(s_full[j]) > 1e-12}
-    if len(ks) != 1:
-        raise ValueError("sender state mixes excitation sectors; the whole-line "
-                         "protocol is only defined here for fixed-k inputs")
-    k = ks.pop()
-    s_full = s_full / np.linalg.norm(s_full)
-
-    amps = np.zeros((2 ** n, 2), dtype=complex)
-    for j in range(s_full.size):
-        if abs(s_full[j]) > 0:
-            amps[_value_mask(j, partition.sender_sites), 0] = s_full[j]
-    amps = _evolve_full(amps, couplings, tau0)
-
-    lam = 1.0 + 0.0j
-    if isinstance(w, RestoreSolution):
-        _check_solution(w, tau0, k, partition, preserving=True)
-        lam = w.lam
-        amps = _apply_wer_full_space(amps, wer_full_from_solution(w), n,
-                                     partition.n_er)
-    else:
-        w = np.asarray(w, dtype=complex)
-        if w.shape != (2 ** n, 2 ** n):
-            raise ValueError("whole-line unitary has wrong shape")
-        amps = (w @ amps.reshape(2 ** n, -1)).reshape(amps.shape)
-
-    stl_mask = _sites_mask(range(1, n - partition.n_r + 1))
-    idx = np.arange(2 ** n, dtype=np.int64)
-    matched = (idx & stl_mask) == 0
-    amps = _swap_flag(amps, matched, axis=1)
-
-    st = PureState(amps, BasisDescriptor("full", n, None, ("B",)))
-    prob, post = measure_ancilla(st, "B", 1)
-    recv_masks = _pattern_masks(partition.receiver_sites, partition.n_r, k)
-    out = (post.amplitudes[np.fromiter(recv_masks, dtype=np.int64)]
-           if post is not None else np.zeros(len(recv_masks), dtype=complex))
-    s_sector = np.zeros(binom(partition.n_s, k), dtype=complex)
-    for i, m in enumerate(k_states(partition.n_s, k).states):
-        s_sector[i] = s_full[m]
-    fid = float(abs(np.vdot(s_sector, out)))
-    cost = cost_estimate("global", n_s=partition.n_s, k=k, t0=tau0,
-                         lam_abs=abs(lam))
-    return ProtocolReport(variant="global", success_probability=prob,
-                          fidelity=fid, output_amplitudes=out,
-                          lambda_expected=complex(lam),
-                          garbage_norm=math.sqrt(max(1.0 - prob, 0.0)), cost=cost)
+    return _run("global", couplings, partition, k, s, w, tau0, transfer_map)
 
 
 def run_arbitrary_pst(couplings: CouplingMatrix, partition: Partition, k: int,
-                      input_state, solution: RestoreSolution,
-                      tau0: float) -> ProtocolReport:
-    """Encoded protocol: arbitrary S0 state through the k-excitation channel.
+                      input_state, solution: RestoreSolution, tau0: float,
+                      transfer_map: TransferMap | None = None) -> ProtocolReport:
+    """Encoded protocol: an arbitrary S0 state through the k-excitation channel.
 
-    Five stages: encode S0 into sender k-patterns (and reset S0), evolve,
-    restore at the extended receiver, flag the receiver patterns, decode into
-    R0 (and reset R), then post-select the flag.  Runs over the full
-    computational space with the flag ancilla.
+    Encode S0 value j into sender pattern j (and reset S0), evolve, restore
+    at the extended receiver, flag the first 2**n_s0 receiver patterns,
+    decode pattern j into R0 value j (and reset R), post-select the flag.
+    Output amplitudes are over the R0 values.
     """
-    n = partition.n_sites
-    if n + 1 > FULL_GUARD:
-        raise ValueError(f"full-space protocol guarded to n_sites + 1 <= {FULL_GUARD}")
-    if not partition.s0_sites or not partition.r0_sites:
-        raise ValueError("partition must define S0 and R0 for the encoded protocol")
-    _check_solution(solution, tau0, k, partition, preserving=True)
-    s0 = partition.s0_sites
-    r0 = partition.r0_sites
-    if len(r0) != len(s0):
-        raise ValueError("S0 and R0 must have equal size")
-    n_s0 = len(s0)
-    if 2 ** n_s0 > binom(partition.n_s, k):
-        raise ValueError(f"2**{n_s0} input states exceed the {binom(partition.n_s, k)} "
-                         f"available sender k-patterns")
-    psi0 = np.asarray(input_state, dtype=complex)
-    if psi0.shape != (2 ** n_s0,):
-        raise ValueError(f"input state must have 2**{n_s0} amplitudes")
-    psi0 = psi0 / np.linalg.norm(psi0)
-
-    idx = np.arange(2 ** n, dtype=np.int64)
-    s_masks = _pattern_masks(partition.sender_sites, partition.n_s, k)[: 2 ** n_s0]
-    r_masks = _pattern_masks(partition.receiver_sites, partition.n_r, k)[: 2 ** n_s0]
-    r0_vals = np.fromiter((_value_mask(j, r0) for j in range(2 ** n_s0)),
-                          dtype=np.int64)
-
-    amps = np.zeros((2 ** n, 2), dtype=complex)
-    for j in range(2 ** n_s0):
-        amps[_value_mask(j, s0), 0] = psi0[j]
-
-    # encode S0 value j into sender pattern chi_j, then ground S0
-    amps = _apply_perm(amps, value_controlled_pattern_flips(n, s0, s_masks))
-    amps = _apply_perm(amps, pattern_controlled_value_flips(n, s_masks, s0))
-
-    amps = _evolve_full(amps, couplings, tau0)
-    amps = _apply_wer_full_space(amps, wer_full_from_solution(solution), n,
-                                 partition.n_er)
-
-    flips = _parity_flip_matches(r_masks, idx)
-    amps = _swap_flag(amps, flips, axis=1)
-
-    # decode receiver pattern chi_j into R0 value j, then ground the receiver
-    amps = _apply_perm(amps, pattern_controlled_value_flips(n, r_masks, r0))
-    amps = _apply_perm(amps, exact_value_controlled_pattern_flips(n, r0, r_masks))
-
-    st = PureState(amps, BasisDescriptor("full", n, None, ("B",)))
-    prob, post = measure_ancilla(st, "B", 1)
-    out_amp = (post.amplitudes[r0_vals] if post is not None
-               else np.zeros(2 ** n_s0, dtype=complex))
-    fid = float(abs(np.vdot(psi0, out_amp)))
-    cost = cost_estimate("arbitrary", n_s=partition.n_s, k=k, n_er=partition.n_er,
-                         n_s0=n_s0, t0=tau0, lam_abs=abs(solution.lam))
-    return ProtocolReport(variant="arbitrary", success_probability=prob,
-                          fidelity=fid, output_amplitudes=out_amp,
-                          lambda_expected=solution.lam,
-                          garbage_norm=math.sqrt(max(1.0 - prob, 0.0)), cost=cost)
+    return _run("arbitrary", couplings, partition, k, input_state, solution, tau0,
+                transfer_map)
 
 
 def run_nonpreserving_pst(couplings: CouplingMatrix, partition: Partition, k: int,
-                          s, solution: RestoreSolution,
-                          tau0: float) -> ProtocolReport:
+                          s, solution: RestoreSolution, tau0: float,
+                          transfer_map: TransferMap | None = None) -> ProtocolReport:
     """Protocol variant for a W_ER that mixes excitation sectors.
 
-    A marker ancilla D joins at registration time and is flipped on the
-    "all excitations inside ER" components before W_ER acts; the flag B then
-    selects components with A ground, a receiver k-pattern, and D excited.
+    A marker ancilla D joins at registration time and is set on the "all
+    excitations inside ER" components before W_ER acts; the flag B then
+    selects components with A ground, a receiver k-pattern, and D set.
     """
-    n = partition.n_sites
-    if n + 2 > FULL_GUARD:
-        raise ValueError(f"this variant is guarded to n_sites + 2 <= {FULL_GUARD}")
-    _check_solution(solution, tau0, k, partition, preserving=False)
-    s = np.asarray(s, dtype=complex)
-    s = s / np.linalg.norm(s)
-    n_s_k = binom(partition.n_s, k)
-    if s.shape != (n_s_k,):
-        raise ValueError(f"expected {n_s_k} sender amplitudes")
-
-    idx = np.arange(2 ** n, dtype=np.int64)
-    s_masks = _pattern_masks(partition.sender_sites, partition.n_s, k)
-    r_masks = _pattern_masks(partition.receiver_sites, partition.n_r, k)
-    er_masks = _pattern_masks(partition.er_sites, partition.n_er, k)
-    a_all = _sites_mask(partition.a_sites)
-    r_all = _sites_mask(partition.receiver_sites)
-
-    amps = np.zeros((2 ** n, 2, 2), dtype=complex)   # chain x D x B
-    for j in range(n_s_k):
-        amps[s_masks[j], 0, 0] = s[j]
-    amps = _evolve_full(amps, couplings, tau0)
-
-    flips = _parity_flip_matches(er_masks, idx)      # all k excitations in ER
-    amps = _swap_flag(amps, flips, axis=1)
-
-    amps = _apply_wer_full_space(amps, wer_full_from_solution(solution), n,
-                                 partition.n_er)
-
-    matched = (idx & a_all) == 0
-    pattern_hit = np.zeros(2 ** n, dtype=bool)
-    for j in range(n_s_k):
-        pattern_hit |= (idx & r_all) == r_masks[j]
-    matched &= pattern_hit
-    d_is_1 = np.zeros((2 ** n, 2), dtype=bool)
-    d_is_1[matched, 1] = True
-    flat = amps.reshape(2 ** n * 2, 2)
-    sel = d_is_1.reshape(-1)
-    flat[sel] = flat[sel][:, ::-1]
-    amps = flat.reshape(2 ** n, 2, 2)
-
-    st = PureState(amps, BasisDescriptor("full", n, None, ("D", "B")))
-    prob, post = measure_ancilla(st, "B", 1)
-    if post is not None:
-        out = np.array([post.amplitudes[r_masks[j], 1] for j in range(n_s_k)])
-    else:
-        out = np.zeros(n_s_k, dtype=complex)
-    fid = float(abs(np.vdot(s, out)))
-    cost = cost_estimate("nonpreserving", n_s=partition.n_s, k=k,
-                         n_er=partition.n_er, t0=tau0,
-                         q_layers=_q_layers_of(solution),
-                         lam_abs=abs(solution.lam))
-    return ProtocolReport(variant="nonpreserving", success_probability=prob,
-                          fidelity=fid, output_amplitudes=out,
-                          lambda_expected=solution.lam,
-                          garbage_norm=math.sqrt(max(1.0 - prob, 0.0)), cost=cost)
+    return _run("nonpreserving", couplings, partition, k, s, solution, tau0,
+                transfer_map)

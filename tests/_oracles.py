@@ -8,8 +8,10 @@ The paper's forms that the package replaced live here too: the |lambda|^2
 polynomial from determinants with its companion-matrix roots (the package
 takes the Gram spectrum), the Gram spectrum from LAPACK's Hermitian
 eigensolver (the package runs its own Jacobi kernel), the dimensionality
-feasibility test, transfer blocks cut from a full sector propagator, and the
-full-space Hamiltonian as the direct sum of the package's sector blocks.
+feasibility test, transfer blocks cut from a full sector propagator, the
+full-space Hamiltonian as the direct sum of the package's sector blocks, and
+the gate-level composition of the four protocol variants over the 2**N space
+with their value/pattern cascades (the package runs them in the k-sector).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from scipy.optimize import least_squares
 
 from spinpst.basis import FULL_SPACE_GUARD, binom, embed_subsystem, full_basis, k_states
 from spinpst.chain import CouplingMatrix, Partition, hamiltonian_block
-from spinpst.dynamics import TransferBlock
+from spinpst.dynamics import TransferBlock, propagator, sector_eigensystem
+from spinpst.restore import wer_full_from_solution
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -499,3 +502,195 @@ def build_circuit_nonpreserving(params, q_layers: int, n_er: int,
     for a in a_qubits:
         w = apply_single(w, HADAMARD, a, n_er)
     return w
+
+
+# ---------------------------------------------------------------------------
+# gate-level full-space protocol composition (the paper's form of the four
+# protocol variants; site q <-> bit q-1 of the computational index)
+# ---------------------------------------------------------------------------
+
+def sites_mask(sites) -> int:
+    m = 0
+    for q in sites:
+        m |= 1 << (q - 1)
+    return m
+
+
+def value_mask(value: int, sites) -> int:
+    """Computational mask of register value ``value`` laid out on ``sites``."""
+    m = 0
+    for b, q in enumerate(sites):
+        if (value >> b) & 1:
+            m |= 1 << (q - 1)
+    return m
+
+
+def k_pattern_masks(sub_sites, k: int) -> list[int]:
+    """Chain masks of the subsystem k-patterns, in subsystem k-basis order."""
+    return [sites_mask(sub_sites[b] for b in range(len(sub_sites)) if (m >> b) & 1)
+            for m in k_states(len(sub_sites), k).states]
+
+
+def parity_flip_matches(masks, indices_or_n) -> np.ndarray:
+    """Boolean array: odd number of control patterns fully excited per index.
+
+    Equivalent to the product of one multi-controlled flip per pattern; inside
+    a k-sector at most one k-qubit pattern can match, recovering plain
+    projector semantics.
+    """
+    if isinstance(indices_or_n, int):
+        idx = np.arange(2 ** indices_or_n, dtype=np.int64)
+    else:
+        idx = np.asarray(indices_or_n, dtype=np.int64)
+    flips = np.zeros(idx.shape, dtype=bool)
+    for m in masks:
+        flips ^= (idx & m) == m
+    return flips
+
+
+def value_controlled_pattern_flips(n: int, value_sites, pattern_masks) -> np.ndarray:
+    """Permutation of the cascade "if register == j, flip pattern_masks[j]".
+
+    One controlled operator per register value, all commuting; with a pattern
+    for every value the composite reduces to a single XOR per basis state.
+    Returns ``perm`` with ``new[perm[m]] = old[m]``.
+    """
+    value_sites = tuple(value_sites)
+    if len(pattern_masks) != 2 ** len(value_sites):
+        raise ValueError("need one pattern per register value")
+    idx = np.arange(2 ** n, dtype=np.int64)
+    vals = np.zeros(2 ** n, dtype=np.int64)
+    for b, q in enumerate(value_sites):
+        vals |= ((idx >> (q - 1)) & 1) << b
+    return idx ^ np.asarray(pattern_masks, dtype=np.int64)[vals]
+
+
+def pattern_controlled_value_flips(n: int, pattern_masks, value_sites) -> np.ndarray:
+    """Permutation of the cascade "if pattern j fully excited, XOR j into register".
+
+    The per-pattern operators commute (diagonal controls, targets off the
+    control sites); they are composed sequentially so states matching several
+    patterns (possible off-sector) accumulate every XOR.
+    """
+    value_sites = tuple(value_sites)
+    perm = np.arange(2 ** n, dtype=np.int64)
+    for j, pat in enumerate(pattern_masks):
+        matched = (perm & pat) == pat
+        perm = np.where(matched, perm ^ value_mask(j, value_sites), perm)
+    return perm
+
+
+def exact_value_controlled_pattern_flips(n: int, value_sites,
+                                         pattern_masks) -> np.ndarray:
+    """Permutation of the cascade "if register == j exactly, flip pattern j".
+
+    Like :func:`value_controlled_pattern_flips` but defined for fewer
+    patterns than register values (unmatched values pass through).
+    """
+    value_sites = tuple(value_sites)
+    all_mask = sites_mask(value_sites)
+    perm = np.arange(2 ** n, dtype=np.int64)
+    for j, pat in enumerate(pattern_masks):
+        matched = (perm & all_mask) == value_mask(j, value_sites)
+        perm = np.where(matched, perm ^ pat, perm)
+    return perm
+
+
+def apply_perm(amps: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    out = np.empty_like(amps)
+    out[perm] = amps
+    return out
+
+
+def swap_flag(amps: np.ndarray, matched: np.ndarray, axis: int) -> np.ndarray:
+    """Flip the two values of one trailing qubit axis on matched chain rows."""
+    out = amps.copy()
+    moved = np.moveaxis(out, axis, 1)
+    moved[matched] = moved[matched][:, ::-1]
+    return out
+
+
+def evolve_full(amps: np.ndarray, couplings: CouplingMatrix, tau: float) -> np.ndarray:
+    """Apply the block-diagonal propagator to a computational-order full vector."""
+    n = couplings.n_sites
+    flat = amps.reshape(2 ** n, -1)
+    out = flat.copy()
+    for k in range(n + 1):
+        idx = np.fromiter(k_states(n, k).states, dtype=np.int64)
+        sub = flat[idx]
+        if np.linalg.norm(sub) < 1e-15:
+            continue
+        out[idx] = propagator(sector_eigensystem(couplings, k), tau) @ sub
+    return out.reshape(amps.shape)
+
+
+def apply_wer_full_space(amps: np.ndarray, w_er: np.ndarray, n_sites: int,
+                         n_er: int) -> np.ndarray:
+    """Apply a 2**n_er unitary to the extended receiver (the top qubits)."""
+    mat = amps.reshape(2 ** n_er, -1)
+    return (w_er @ mat).reshape(amps.shape)
+
+
+def full_space_protocol(variant: str, couplings: CouplingMatrix, partition: Partition,
+                        k: int, s, w, tau0: float) -> tuple[float, np.ndarray]:
+    """(success probability, post-selected output) of a variant over the 2**N space.
+
+    ``s`` is the sender k-sector amplitudes, or the S0 register state for
+    ``arbitrary``.  ``w`` is a restoring solution, or for ``global`` a whole
+    2**N x 2**N line unitary.  The flag ancilla B is the last axis.
+    """
+    n = partition.n_sites
+    if n > FULL_SPACE_GUARD:
+        raise ValueError(f"full-space protocol guarded to n_sites <= {FULL_SPACE_GUARD}")
+    s = np.asarray(s, dtype=complex) / np.linalg.norm(s)
+    idx = np.arange(2 ** n, dtype=np.int64)
+    s_masks = k_pattern_masks(partition.sender_sites, k)
+    r_masks = k_pattern_masks(partition.receiver_sites, k)
+    ancillas = (2, 2) if variant == "nonpreserving" else (2,)    # (D,) B
+    amps = np.zeros((2 ** n,) + ancillas, dtype=complex)
+
+    if variant == "arbitrary":
+        s0, r0 = partition.s0_sites, partition.r0_sites
+        n_vals = 2 ** len(s0)
+        s_masks, r_masks = s_masks[:n_vals], r_masks[:n_vals]
+        for j in range(n_vals):
+            amps[value_mask(j, s0), 0] = s[j]
+        # encode S0 value j into sender pattern j, then ground S0
+        amps = apply_perm(amps, value_controlled_pattern_flips(n, s0, s_masks))
+        amps = apply_perm(amps, pattern_controlled_value_flips(n, s_masks, s0))
+    else:
+        for j, mask in enumerate(s_masks):
+            amps[(mask,) + (0,) * len(ancillas)] = s[j]
+    amps = evolve_full(amps, couplings, tau0)
+
+    if variant == "nonpreserving":             # D marks "all k excitations in ER"
+        er_masks = k_pattern_masks(partition.er_sites, k)
+        amps = swap_flag(amps, parity_flip_matches(er_masks, idx), axis=1)
+    if isinstance(w, np.ndarray):
+        amps = (w @ amps.reshape(2 ** n, -1)).reshape(amps.shape)
+    else:
+        amps = apply_wer_full_space(amps, wer_full_from_solution(w), n, partition.n_er)
+
+    if variant == "nonpreserving":             # A ground, a receiver pattern, D set
+        in_r = (idx & sites_mask(partition.receiver_sites))[:, None] == np.array(r_masks)
+        matched = ((idx & sites_mask(partition.a_sites)) == 0) & in_r.any(axis=1)
+        amps[:, 1] = swap_flag(amps[:, 1], matched, axis=1)
+    elif variant == "global":                  # S + TL ground
+        stl = sites_mask(range(1, n - partition.n_r + 1))
+        amps = swap_flag(amps, (idx & stl) == 0, axis=1)
+    else:
+        amps = swap_flag(amps, parity_flip_matches(r_masks, idx), axis=1)
+
+    if variant == "arbitrary":
+        # decode receiver pattern j into R0 value j, then ground the receiver
+        amps = apply_perm(amps, pattern_controlled_value_flips(n, r_masks, r0))
+        amps = apply_perm(amps, exact_value_controlled_pattern_flips(n, r0, r_masks))
+        out_masks = [value_mask(j, r0) for j in range(n_vals)]
+    else:
+        out_masks = r_masks
+    flagged = amps[..., 1]
+    prob = float(np.linalg.norm(flagged) ** 2)
+    out = flagged[out_masks]
+    if variant == "nonpreserving":
+        out = out[:, 1]
+    return prob, out / np.sqrt(prob)

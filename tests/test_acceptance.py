@@ -129,17 +129,16 @@ def test_criterion_04_scale_factor_uniqueness(vhat_at):
             "; ".join(details))
 
 
-def test_criterion_05_protocol_fidelity(chain10, part10, solution5, rng):
-    from spinpst.dynamics import sector_eigensystem
+def test_criterion_05_protocol_fidelity(chain10, part10, tmap10, solution5, rng):
     t0 = time.time()
-    eig = sector_eigensystem(chain10, 2)
     worst_fid = 1.0
     probs = []
     for _ in range(100):
         s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         s /= np.linalg.norm(s)
         rep = protocol.run_k_excitation_pst(chain10, part10(5), 2, s,
-                                            solution5, 14.391, eig=eig)
+                                            solution5, 14.391,
+                                            transfer_map=tmap10(5))
         worst_fid = min(worst_fid, rep.fidelity)
         probs.append(rep.success_probability)
     elapsed = time.time() - t0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spinpst
+from spinpst import dynamics
 from spinpst.cli import CSV_BATCH_ROWS, _scan_csv, main
 from spinpst.config import ConfigError, RunConfig, parse_config_text
 from spinpst.scale import ScanResult
@@ -25,6 +26,20 @@ scan.step = 0.01
 solver.mode = preserving-general
 solver.restarts = 8
 solver.seed = 7
+"""
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# the whole-line protocol with the preserving n_er=4 solution, N=10
+GLOBAL_CFG = """
+chain.n = 10
+partition.n_s = 3
+partition.n_r = 3
+partition.n_er = 4
+excitation.k = 2
+solver.tau = 12.493
+simulate.variant = global
 """
 
 
@@ -181,6 +196,13 @@ class TestCommands:
         assert payload["seed"] == 7
         assert 0 <= payload["lambda"]["abs"] <= 1
 
+    def test_solve_unknown_mode_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(BASE_CFG.replace("solver.mode = preserving-general",
+                                      "solver.mode = bogus"))
+        assert main(["solve", "--config", str(p)]) == 2
+        assert "solver.mode must be one of" in capsys.readouterr().err
+
     def test_solve_infeasible_exits_3(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text(BASE_CFG.replace("partition.n_er = 3", "partition.n_er = 2"))
@@ -254,6 +276,57 @@ class TestCommands:
         assert rc == 0
         rep = json.loads(out.read_text())
         assert rep["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("text, state, message", [
+        # a fourth amplitude on a 3-pattern sender used to be dropped silently
+        (GLOBAL_CFG, [[0.1, 0], [0.1, 0], [0.1, 0], [1, 0]], "takes 3"),
+        (BASE_CFG, [[1, 0], [0, 0], [0, 0]], "takes 2"),
+        (BASE_CFG + "simulate.variant = nonpreserving\n", None, "non-preserving solution"),
+        (BASE_CFG + "simulate.variant = arbitrary\n", None, "S0 and R0"),
+        (BASE_CFG + "simulate.variant = bogus\n", None, "unknown protocol variant"),
+        (BASE_CFG, [1, 0], "[[re, im], ...] pairs"),
+    ], ids=["global-long-state", "short-state", "nonpreserving-with-preserving-mode",
+            "arbitrary-without-s0-r0", "unknown-variant", "state-not-pairs"])
+    def test_simulate_misconfiguration_exits_2_before_solving(
+            self, tmp_path, capsys, monkeypatch, text, state, message):
+        def no_solve(problem):
+            raise AssertionError("the restoring solve ran")
+        monkeypatch.setattr("spinpst.cli.solve_general", no_solve)
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        argv = ["simulate", "--config", str(p)]
+        if state is not None:
+            (tmp_path / "state.json").write_text(json.dumps(state))
+            argv += ["--state", str(tmp_path / "state.json")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["k_excitation", "arbitrary", "global",
+                                         "nonpreserving"])
+    def test_simulate_diagonalizes_once(self, tmp_path, monkeypatch, variant):
+        # one TransferMap serves the tau scan, the solve and the protocol run
+        calls = []
+        eigendecompose = dynamics.eigendecompose
+        monkeypatch.setattr(dynamics, "eigendecompose",
+                            lambda h: calls.append(h.shape) or eigendecompose(h))
+        mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"
+        text = (BASE_CFG.replace("chain.n = 6", "chain.n = 8")
+                .replace("solver.mode = preserving-general", f"solver.mode = {mode}")
+                + f"simulate.variant = {variant}\npartition.s0 = 3\npartition.r0 = 4\n")
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert json.loads(out.read_text())["fidelity"] >= 1 - 1e-8
+
+    def test_simulate_n42(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--config", str(CONFIGS / "simulate_n42_distance.cfg"),
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["fidelity"] >= 1 - 1e-8
+        assert rep["success_probability"] == pytest.approx(0.2183656, abs=1e-6)
 
     def test_fit_circuit_requires_circuit_mode(self, cfg_file):
         assert main(["fit-circuit", "--config", str(cfg_file)]) == 2

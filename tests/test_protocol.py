@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
-                     build_couplings, protocol, solve_general)
+                     build_couplings, fit_circuit, protocol, solve_general)
 from spinpst.basis import k_states
-from spinpst.protocol import (BasisDescriptor, PureState, _parity_flip_matches,
-                              _value_mask, amplification_runs, cost_estimate,
-                              exact_value_controlled_pattern_flips,
-                              measure_ancilla, pattern_controlled_value_flips,
-                              prepare_k_state, value_controlled_pattern_flips)
+from spinpst.paper import N42_OVERRIDES
+from spinpst.protocol import (BasisDescriptor, PureState, amplification_runs,
+                              cost_estimate, measure_ancilla, prepare_k_state)
 from spinpst.restore import wer_full_from_solution
 
-from _oracles import expm_propagator, pauli_xx_hamiltonian
+from _oracles import (I2, SX, exact_value_controlled_pattern_flips, expm_propagator,
+                      full_space_protocol, parity_flip_matches,
+                      pattern_controlled_value_flips, pauli_xx_hamiltonian,
+                      restrict_to_sector, site_operator, value_controlled_pattern_flips,
+                      value_mask)
 
 
 def random_state(rng, dim):
@@ -187,47 +189,55 @@ class TestKExcitationProtocol:
                                           solution5_nonpreserving, 14.391)
 
 
+def _mirror(n: int) -> np.ndarray:
+    """Whole-line site mirror q -> n + 1 - q as a 2**n permutation matrix."""
+    perm = [sum(1 << (n - 1 - q) for q in range(n) if (m >> q) & 1) for m in range(2 ** n)]
+    w = np.zeros((2 ** n, 2 ** n))
+    w[perm, np.arange(2 ** n)] = 1.0
+    return w
+
+
 class TestGlobalProtocol:
     def test_agrees_with_sector_variant(self, chain8, part8, solution8, rng):
         s = random_state(rng, 3)
         rep_k = protocol.run_k_excitation_pst(chain8, part8, 2, s, solution8, 9.0)
-        full = np.zeros(8, dtype=complex)
-        for i, m in enumerate(k_states(3, 2).states):
-            full[m] = s[i]
-        rep_g = protocol.run_global_pst(chain8, part8, full, solution8, 9.0)
+        rep_g = protocol.run_global_pst(chain8, part8, 2, s, solution8, 9.0)
         assert rep_g.success_probability == pytest.approx(
             rep_k.success_probability, abs=1e-10)
         assert np.abs(rep_g.output_amplitudes - rep_k.output_amplitudes).max() < 1e-10
 
     def test_perfect_mirror_unit_probability(self, chain8, part8):
-        # artificial garbage-free whole-line unitary: site-reversal permutation
-        # maps the evolved... use W = site mirror applied to the identity
-        # evolution tau=0, so every sender pattern lands exactly on the mirror
-        # receiver pattern: success probability 1, fidelity 1.
-        n = 8
-        perm = np.zeros(2 ** n, dtype=np.int64)
-        for m in range(2 ** n):
-            r = 0
-            for q in range(n):
-                if (m >> q) & 1:
-                    r |= 1 << (n - 1 - q)
-            perm[m] = r
-        w = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        w[perm, np.arange(2 ** n)] = 1.0
-        # the mirror reverses the pattern ordering, so use a mirror-symmetric
-        # input to make the overlap exactly one
-        s = np.zeros(8, dtype=complex)
-        s[0b011] = 1 / math.sqrt(2)
-        s[0b110] = 1 / math.sqrt(2)
-        rep = protocol.run_global_pst(chain8, part8, s, w, 0.0)
+        # artificial garbage-free whole-line unitary: the site mirror at tau=0
+        # maps every sender pattern exactly onto the mirror receiver pattern,
+        # so success probability 1; the mirror reverses the pattern order, so
+        # a mirror-symmetric input has overlap exactly one
+        block = restrict_to_sector(_mirror(8), k_states(8, 2).states)
+        s = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
+        rep = protocol.run_global_pst(chain8, part8, 2, s, block, 0.0)
         assert rep.success_probability == pytest.approx(1.0, abs=1e-12)
         assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_mixed_sector_input(self, chain8, part8, solution8):
-        s = np.zeros(8, dtype=complex)
-        s[0b001] = s[0b011] = 1 / math.sqrt(2)
-        with pytest.raises(ValueError, match="sector"):
-            protocol.run_global_pst(chain8, part8, s, solution8, 9.0)
+    @pytest.mark.parametrize("make, match", [
+        (lambda n: 0.5 * np.eye(math.comb(n, 2)), "not unitary"),
+        # a rotation exp(-0.3i X_1) moves part of every k-state out of the sector
+        (lambda n: restrict_to_sector(site_operator(
+            math.cos(0.3) * I2 - 1j * math.sin(0.3) * SX, 1, n), k_states(n, 2).states),
+         "leaks"),
+        (_mirror, "k-sector block"),            # the whole 2**n matrix
+    ], ids=["non-unitary", "leaking", "whole-line-matrix"])
+    def test_rejects_non_unitary_or_leaking_block(self, chain8, part8, make, match):
+        with pytest.raises(ValueError, match=match):
+            protocol.run_global_pst(chain8, part8, 2, np.array([1.0, 0, 0]), make(8), 9.0)
+
+    def test_rejects_long_input(self, chain8, part8, solution8):
+        with pytest.raises(ValueError, match="expected 3 input amplitudes"):
+            protocol.run_global_pst(chain8, part8, 2, np.ones(4), solution8, 9.0)
+
+    def test_rejects_foreign_transfer_map(self, chain8, part8, solution8):
+        tm = TransferMap(chain8, Partition(n_sites=8, n_s=3, n_r=3, n_er=5), 2)
+        with pytest.raises(ValueError, match="transfer map"):
+            protocol.run_global_pst(chain8, part8, 2, np.array([1.0, 0, 0]),
+                                    solution8, 9.0, transfer_map=tm)
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +249,16 @@ def setup10(chain10):
                                        mode="preserving-general",
                                        seed=33))
     return part, sol
+
+
+@pytest.fixture(scope="module")
+def circuit_np4(chain10):
+    part = Partition(n_sites=10, n_s=3, n_r=3, n_er=4)
+    tm = TransferMap(chain10, part, 2)
+    return part, fit_circuit(RestoreProblem(v_hat=tm.v_hat(12.493),
+                                            mode="circuit-nonpreserving",
+                                            q_layers=2, n_extra_zero_rows=0,
+                                            seed=77, restarts=30))
 
 
 class TestArbitraryProtocol:
@@ -307,21 +327,79 @@ class TestNonpreservingProtocol:
                                            random_state(rng, 3), solution5,
                                            14.391)
 
-    def test_circuit_solution_drives_pipeline(self, chain10, rng):
+    def test_circuit_solution_drives_pipeline(self, chain10, circuit_np4, rng):
         # a fitted sector-mixing circuit carries its own (smaller) lambda;
         # the protocol still post-selects a perfect copy at |lambda|**2
-        from spinpst import fit_circuit
-        part = Partition(n_sites=10, n_s=3, n_r=3, n_er=4)
-        tm = TransferMap(chain10, part, 2)
-        sol = fit_circuit(RestoreProblem(v_hat=tm.v_hat(12.493),
-                                         mode="circuit-nonpreserving",
-                                         q_layers=2, n_extra_zero_rows=0,
-                                         seed=77, restarts=30))
+        part, sol = circuit_np4
         s = random_state(rng, 3)
         rep = protocol.run_nonpreserving_pst(chain10, part, 2, s, sol, 12.493)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(abs(sol.lam) ** 2,
                                                         abs=1e-8)
+
+
+def _number_preserving_unitary(rng, n: int) -> np.ndarray:
+    """Random whole-line unitary that keeps every excitation sector."""
+    w = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for k in range(n + 1):
+        idx = np.asarray(k_states(n, k).states)
+        z = rng.standard_normal((len(idx),) * 2) + 1j * rng.standard_normal((len(idx),) * 2)
+        w[np.ix_(idx, idx)] = np.linalg.qr(z)[0]
+    return w
+
+
+@pytest.mark.parametrize("case", ["k_excitation", "arbitrary", "nonpreserving",
+                                  "circuit-nonpreserving", "global",
+                                  "global-line-unitary"])
+def test_runners_match_full_space_oracle(case, chain10, part10, solution5,
+                                         solution5_nonpreserving, setup10,
+                                         circuit_np4, rng):
+    # every k-sector runner equals the gate-level 2**N composition at N=10
+    part, w, tau0 = {
+        "k_excitation": (part10(5), solution5, 14.391),
+        "arbitrary": (*setup10, 14.391),
+        "nonpreserving": (part10(5), solution5_nonpreserving, 14.391),
+        "circuit-nonpreserving": (*circuit_np4, 12.493),
+        "global": (part10(5), solution5, 14.391),
+        "global-line-unitary": (part10(5), None, 14.391),
+    }[case]
+    if w is None:
+        w = _number_preserving_unitary(rng, 10)
+    variant = {"circuit-nonpreserving": "nonpreserving",
+               "global-line-unitary": "global"}.get(case, case)
+    s = random_state(rng, 2 if variant == "arbitrary" else 3)
+    w_runner = (restrict_to_sector(w, k_states(10, 2).states)
+                if isinstance(w, np.ndarray) else w)
+    rep = getattr(protocol, f"run_{variant}_pst")(chain10, part, 2, s, w_runner, tau0)
+    prob, out = full_space_protocol(variant, chain10, part, 2, s, w, tau0)
+    assert abs(rep.success_probability - prob) <= 1e-12
+    assert np.abs(rep.output_amplitudes - out).max() <= 1e-12
+    assert rep.fidelity >= 1 - 1e-8 or case == "global-line-unitary"
+
+
+@pytest.fixture(scope="module")
+def chain42():
+    couplings = build_couplings(ChainSpec(n_sites=42, nn_overrides=N42_OVERRIDES))
+    return couplings, TransferMap(couplings, Partition(n_sites=42, n_s=3, n_r=3, n_er=5), 2)
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_n42_distance_reading(variant, chain42, rng):
+    # Table 2's N=42 chain at tau0 = 57.267: every variant runs in the k-sector
+    # and post-selects a perfect copy with probability sigma_min(V_hat)**2
+    couplings, tm = chain42
+    tau0 = 57.267
+    v = tm.v_hat(tau0)
+    sigma_min = np.linalg.svd(v.v_hat, compute_uv=False).min()
+    assert sigma_min == pytest.approx(0.467, abs=5e-3)
+    mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"
+    sol = solve_general(RestoreProblem(v_hat=v, mode=mode, seed=0))
+    s0, r0, dim = ((4,), (38,), 2) if variant == "arbitrary" else ((), (), 3)
+    part = Partition(n_sites=42, n_s=3, n_r=3, n_er=5, s0_sites=s0, r0_sites=r0)
+    rep = getattr(protocol, f"run_{variant}_pst")(couplings, part, 2, random_state(rng, dim),
+                                                  sol, tau0, transfer_map=tm)
+    assert rep.fidelity >= 1 - 1e-8
+    assert rep.success_probability == pytest.approx(sigma_min ** 2, abs=1e-6)
 
 
 def _perm_matrix(perm):
@@ -362,7 +440,7 @@ class TestControlledCascades:
         dense = np.eye(2 ** self.N)
         for j, pat in enumerate(self.S_PATTERNS):
             diag = [(m & pat) == pat for m in range(2 ** self.N)]
-            dense = _controlled_op(self.N, diag, _value_mask(j, self.S0)) @ dense
+            dense = _controlled_op(self.N, diag, value_mask(j, self.S0)) @ dense
         assert np.array_equal(_perm_matrix(perm), dense)
 
     def test_exact_value_controlled_pattern_flips(self):
@@ -393,7 +471,7 @@ class TestLabelOperator:
         r_masks = [sum(1 << (q - 1) for q in (6, 7, 8) if (m >> (q - 6)) & 1)
                    for m in k_states(3, 2).states]
         sector = np.fromiter(k_states(n, k).states, dtype=np.int64)
-        subset = _parity_flip_matches(r_masks, sector)
+        subset = parity_flip_matches(r_masks, sector)
         exact = np.isin(sector, r_masks)
         assert np.array_equal(subset, exact)
 
@@ -402,7 +480,7 @@ class TestLabelOperator:
         # the composite equals the product of controlled-X matrices
         n = 4
         masks = [0b0011, 0b0101, 0b0110]
-        flips = _parity_flip_matches(masks, n)
+        flips = parity_flip_matches(masks, n)
         dense = np.eye(2 ** (n + 1))
         for pat in masks:
             diag = [(m & pat) == pat for m in range(2 ** n)]
