@@ -1,17 +1,14 @@
 """Perfect state transfer on spin-1/2 chains via restoring and post-selection."""
 
-from .basis import EmbeddingMap, SectorBasis, binom, embed_subsystem, full_basis, k_states
+from .basis import EmbeddingMap, SectorBasis, binom, embed_subsystem, k_states
 from .chain import (ChainSpec, CouplingMatrix, InvalidSpecError, Partition,
                     build_couplings, direct_override_matrix, hamiltonian_block)
 from .dynamics import (SectorEigensystem, TransferBlock, TransferMap,
                        eigendecompose, propagator, sector_eigensystem)
-from .protocol import (CostEstimate, ProtocolReport, PureState,
-                       amplification_runs, cost_estimate, measure_ancilla,
-                       prepare_k_state, run_arbitrary_pst, run_global_pst,
-                       run_k_excitation_pst, run_nonpreserving_pst)
+from .protocol import (ProtocolReport, amplification_runs, run_arbitrary_pst,
+                       run_global_pst, run_k_excitation_pst, run_nonpreserving_pst)
 from .restore import (ConvergenceError, FeasibilityError, RestoreProblem,
-                      RestoreSolution, complete_unitary, fit_circuit, solve_general,
-                      wer_full_from_solution)
+                      RestoreSolution, fit_circuit, solve_general, wer_full_from_solution)
 from .scale import ScanResult, roots_at, scan
 
 __version__ = "0.1.0"

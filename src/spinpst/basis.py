@@ -2,8 +2,7 @@
 
 Basis states are occupation bitmasks: site ``q`` (1-based) excited <=> bit
 ``q-1`` set.  The k-sector is ordered lexicographically by the sorted tuple
-of excited sites, i.e. (1,2) < (1,3) < ... < (2,3) < ...; the full basis is
-ordered by excitation number first, then lexicographically within a sector.
+of excited sites, i.e. (1,2) < (1,3) < ... < (2,3) < ...
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-
-FULL_SPACE_GUARD = 14
 
 
 def binom(n: int, k: int) -> int:
@@ -53,11 +50,6 @@ class SectorBasis:
             raise KeyError(f"mask {mask:#x} is not a {self.k}-excitation state "
                            f"of {self.n} sites") from None
 
-    def sites_of(self, ordinal: int) -> tuple[int, ...]:
-        """1-based excited sites of the state at ``ordinal``."""
-        m = self.states[ordinal]
-        return tuple(q + 1 for q in range(self.n) if (m >> q) & 1)
-
 
 def k_states(n: int, k: int) -> SectorBasis:
     """Enumerate the C(n, k) k-excitation bitmasks in lexicographic order."""
@@ -65,16 +57,6 @@ def k_states(n: int, k: int) -> SectorBasis:
         raise ValueError(f"excitation count k={k} out of range for n={n}")
     states = tuple(_mask(c) for c in itertools.combinations(range(n), k))
     return SectorBasis(n=n, k=k, states=states)
-
-
-def full_basis(n: int) -> tuple[int, ...]:
-    """All 2**n bitmasks sorted by excitation number, then lexicographically."""
-    if n > FULL_SPACE_GUARD:
-        raise ValueError(f"full basis guarded to n <= {FULL_SPACE_GUARD}, got n={n}")
-    out: list[int] = []
-    for k in range(n + 1):
-        out.extend(k_states(n, k).states)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

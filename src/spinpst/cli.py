@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -86,6 +87,8 @@ def cmd_roots(args) -> int:
     tau = args.tau if args.tau is not None else cfg._float("roots.tau")
     if tau is None:
         raise ConfigError("roots needs --tau or the roots.tau key")
+    if not math.isfinite(tau):
+        raise ConfigError(f"--tau must be a finite number, got {tau}")
     roots = scale.roots_at(cfg.couplings(), cfg.partition(), cfg.k(), tau)
     print(_json_dump({
         "tau": tau,

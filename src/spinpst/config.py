@@ -7,6 +7,7 @@ on the whitelist below and is validated before any computation starts.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,9 +122,12 @@ class RunConfig:
         if v is None:
             return default
         try:
-            return float(v)
+            x = float(v)
         except ValueError as exc:
             raise ConfigError(f"{key} must be a number, got {v!r}") from exc
+        if not math.isfinite(x):
+            raise ConfigError(f"{key} must be a finite number, got {v!r}")
+        return x
 
     # -- object builders ---------------------------------------------------
 
@@ -187,6 +191,9 @@ class RunConfig:
         k = self._int("excitation.k")
         if k is None:
             raise ConfigError("missing required key 'excitation.k'")
+        n_s = self._int("partition.n_s")
+        if k < 0 or (n_s is not None and k > n_s):
+            raise ConfigError(f"excitation.k must be in 0..partition.n_s, got {k}")
         return k
 
     def scan_range(self) -> tuple[float, float, float]:
@@ -212,7 +219,10 @@ class RunConfig:
         return self._int("solver.seed", 0)
 
     def solver_tol(self) -> float:
-        return self._float("solver.tol", 1e-10)
+        tol = self._float("solver.tol", 1e-10)
+        if tol <= 0:
+            raise ConfigError(f"solver.tol must be > 0, got {tol}")
+        return tol
 
     def solver_restarts(self) -> int | None:
         restarts = self._int("solver.restarts")
@@ -221,7 +231,10 @@ class RunConfig:
         return restarts
 
     def solver_q(self) -> int:
-        return self._int("solver.q", 2)
+        q = self._int("solver.q", 2)
+        if q < 1:
+            raise ConfigError(f"solver.q must be >= 1, got {q}")
+        return q
 
     def solver_extra_rows(self) -> int | None:
         n_extra = self._int("solver.n_extra_zero_rows")

@@ -20,15 +20,14 @@ register:
   k-sector block, which must be unitary, since a unitary diagonal block of
   a unitary is exactly the condition that nothing leaks out of the sector.
 
-The variants differ only in the solution family they accept, the flagged
-patterns and the cost entry.  The gate-level composition over the 2**N
-space is kept in the test suite as an oracle.
+The variants differ only in the solution family they accept and the
+flagged patterns.  The gate-level composition over the 2**N space is kept
+in the test suite as an oracle.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,61 +35,12 @@ import numpy as np
 from .basis import binom, embed_subsystem
 from .chain import CouplingMatrix, Partition
 from .dynamics import TransferMap
-from .restore import (RestoreSolution, _full_er_positions, _register_columns,
+from .restore import (RestoreSolution, _er_positions, _register_columns,
                       wer_full_from_solution)
 
 VARIANTS = ("k_excitation", "arbitrary", "nonpreserving", "global")
 PRESERVING_MODES = ("preserving-general", "circuit-preserving")
 UNITARY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class BasisDescriptor:
-    kind: str                      # "sector": the chain k-sector
-    n: int
-    k: int
-    ancillas: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.kind != "sector":
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-
-    @property
-    def chain_dim(self) -> int:
-        return binom(self.n, self.k)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized amplitudes over a chain basis and optional ancilla qubits.
-
-    Shape is (chain_dim, 2, 2, ...) with one trailing axis per ancilla, in
-    ``basis.ancillas`` order.
-    """
-
-    amplitudes: np.ndarray
-    basis: BasisDescriptor
-
-    def __post_init__(self):
-        expect = (self.basis.chain_dim,) + (2,) * len(self.basis.ancillas)
-        if self.amplitudes.shape != expect:
-            raise ValueError(f"amplitude shape {self.amplitudes.shape} does not "
-                             f"match basis {expect}")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    """Symbolic per-component operation counts (unit constants, no wall clock)."""
-
-    encode_depth: int
-    label_depth: int
-    wer_depth: int
-    t0: float
-    runs_expected: int | None
 
 
 @dataclass(frozen=True)
@@ -100,8 +50,6 @@ class ProtocolReport:
     fidelity: float
     output_amplitudes: np.ndarray
     lambda_expected: complex
-    garbage_norm: float
-    cost: CostEstimate
 
     def to_dict(self, chain_id: str = "", k: int | None = None,
                 tau0: float | None = None, seed: int | None = None,
@@ -109,60 +57,24 @@ class ProtocolReport:
         amp = None
         if 0.0 < self.success_probability < 1.0:
             amp = amplification_runs(self.success_probability, epsilon)
+        lam_abs = abs(self.lambda_expected)
         return {
             "variant": self.variant,
             "chain_id": chain_id,
             "k": k,
             "tau0": tau0,
-            "lambda": {"abs": abs(self.lambda_expected),
+            "lambda": {"abs": lam_abs,
                        "arg": float(np.angle(self.lambda_expected))},
             "success_probability": self.success_probability,
             "fidelity": self.fidelity,
-            "runs_expected": self.cost.runs_expected,
+            "runs_expected": math.ceil(1.0 / lam_abs ** 2) if lam_abs > 0 else None,
             "amplification": {"epsilon": epsilon, "M": amp},
             "seed": seed,
         }
 
 
 # ---------------------------------------------------------------------------
-# state preparation and measurement
-# ---------------------------------------------------------------------------
-
-def prepare_k_state(s, partition: Partition, k: int) -> PureState:
-    """Chain k-sector state with sender amplitudes ``s`` and the rest ground."""
-    s = np.asarray(s, dtype=complex)
-    n_s_k = binom(partition.n_s, k)
-    if s.shape != (n_s_k,):
-        raise ValueError(f"expected {n_s_k} sender amplitudes, got shape {s.shape}")
-    norm = np.linalg.norm(s)
-    if abs(norm - 1.0) > 1e-10:
-        warnings.warn(f"input norm {norm:.6g} != 1; renormalizing", stacklevel=2)
-        s = s / norm
-    vec = np.zeros(binom(partition.n_sites, k), dtype=complex)
-    sender = embed_subsystem(partition.sender_sites, partition.n_sites, k)
-    vec[np.asarray(sender.chain_ordinals)] = s
-    return PureState(amplitudes=vec,
-                     basis=BasisDescriptor("sector", partition.n_sites, k))
-
-
-def measure_ancilla(state: PureState, ancilla: str, outcome: int):
-    """Post-select one ancilla outcome: (probability, renormalized state)."""
-    if ancilla not in state.basis.ancillas:
-        raise ValueError(f"unknown ancilla {ancilla!r}")
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    axis = 1 + state.basis.ancillas.index(ancilla)
-    branch = np.take(state.amplitudes, outcome, axis=axis)
-    prob = float(np.linalg.norm(branch) ** 2)
-    rest = tuple(a for a in state.basis.ancillas if a != ancilla)
-    new_basis = BasisDescriptor(state.basis.kind, state.basis.n, state.basis.k, rest)
-    if prob == 0.0:
-        return 0.0, None
-    return prob, PureState(amplitudes=branch / math.sqrt(prob), basis=new_basis)
-
-
-# ---------------------------------------------------------------------------
-# cost model and probability amplification
+# probability amplification
 # ---------------------------------------------------------------------------
 
 def amplification_runs(success_probability: float, epsilon: float) -> int:
@@ -175,54 +87,9 @@ def amplification_runs(success_probability: float, epsilon: float) -> int:
     return math.ceil(math.log2(1.0 / eps) / math.log2(1.0 / (1.0 - p)))
 
 
-def cost_estimate(variant: str, *, n_s: int, k: int, n_er: int | None = None,
-                  n_s0: int | None = None, q_layers: int | None = None,
-                  t0: float = 0.0, lam_abs: float = 0.0) -> CostEstimate:
-    """Symbolic operation counts per protocol variant, unit constants.
-
-    The restoring-unitary depth is counted only for the circuit families
-    (Q*n_er preserving, Q*n_er**2 non-preserving); general-form solutions
-    contribute zero since no gate realization is prescribed for them.
-    """
-    n_s_k = binom(n_s, k)
-    encode = 0
-    wer = 0
-    if variant == "k_excitation":
-        label = k * n_s_k
-        if q_layers and n_er:
-            wer = q_layers * n_er
-    elif variant == "arbitrary":
-        if n_s0 is None:
-            raise ValueError("arbitrary variant needs n_s0")
-        encode = (2 ** n_s0) * k * n_s0
-        label = k * (2 ** n_s0)
-        if q_layers and n_er:
-            wer = q_layers * n_er
-    elif variant == "nonpreserving":
-        if n_er is None:
-            raise ValueError("nonpreserving variant needs n_er")
-        label = n_er * n_s_k + k * binom(n_er, k)
-        if q_layers:
-            wer = q_layers * n_er ** 2
-    elif variant == "global":
-        label = 1
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    runs = math.ceil(1.0 / lam_abs ** 2) if lam_abs > 0 else None
-    return CostEstimate(encode_depth=encode, label_depth=label, wer_depth=wer,
-                        t0=t0, runs_expected=runs)
-
-
 # ---------------------------------------------------------------------------
 # protocol runners
 # ---------------------------------------------------------------------------
-
-def _q_layers_of(solution: RestoreSolution) -> int | None:
-    if solution.circuit_params is None:
-        return None
-    per = 2 if solution.mode == "circuit-preserving" else 3
-    return len(solution.circuit_params) // (per * solution.n_er)
-
 
 def input_dimension(variant: str, partition: Partition, k: int,
                     mode: str | None = None) -> int:
@@ -297,29 +164,29 @@ def _run(variant: str, couplings: CouplingMatrix, partition: Partition, k: int,
 
     if isinstance(w, RestoreSolution) or variant != "global":
         _check_solution(w, tau0, k, partition, variant)
-        lam, q_layers = w.lam, _q_layers_of(w)
+        lam = w.lam
         register = wer_full_from_solution(w) @ (
             _register_columns(tm.v_hat(tau0), partition.n_er) @ x)
-        recv = _full_er_positions(partition.n_er, partition.n_r, k)[0]
+        recv = _er_positions(partition.n_er, partition.n_r, k)[0]
         branch = register[recv[:dim]]
     else:
         block = _sector_block(w, partition.n_sites, k)
-        lam, q_layers = 1.0, None
+        lam = 1.0
         u, evals = tm.eig.eigenvectors, tm.eig.eigenvalues
-        chain = prepare_k_state(x, partition, k).amplitudes
+        chain = np.zeros(binom(partition.n_sites, k), dtype=complex)
+        sender = embed_subsystem(partition.sender_sites, partition.n_sites, k)
+        chain[np.asarray(sender.chain_ordinals)] = x
         chain = block @ (u @ (np.exp(-1j * evals * tau0) * (u.conj().T @ chain)))
         recv = embed_subsystem(partition.receiver_sites, partition.n_sites, k)
         branch = chain[np.asarray(recv.chain_ordinals)]
 
     prob = float(np.vdot(branch, branch).real)
     out = branch / math.sqrt(prob) if prob > 0.0 else np.zeros(dim, dtype=complex)
-    n_s0 = len(partition.s0_sites) if variant == "arbitrary" else None
-    cost = cost_estimate(variant, n_s=partition.n_s, k=k, n_er=partition.n_er,
-                         n_s0=n_s0, q_layers=q_layers, t0=tau0, lam_abs=abs(lam))
+    # |<s, out>| of two unit vectors, whose rounding can exceed 1; np.minimum
+    # keeps a NaN from a NaN input
     return ProtocolReport(variant=variant, success_probability=prob,
-                          fidelity=float(abs(np.vdot(s, out))),
-                          output_amplitudes=out, lambda_expected=complex(lam),
-                          garbage_norm=math.sqrt(max(1.0 - prob, 0.0)), cost=cost)
+                          fidelity=float(np.minimum(abs(np.vdot(s, out)), 1.0)),
+                          output_amplitudes=out, lambda_expected=complex(lam))
 
 
 def run_k_excitation_pst(couplings: CouplingMatrix, partition: Partition, k: int,

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import full_basis, k_states
+from .basis import k_states
 from .dynamics import TransferBlock
 from .gates import HADAMARD, _bit_split, _cnot_perm
 
@@ -159,31 +159,16 @@ class RestoreSolution:
 # receiver/extra row placement
 # ---------------------------------------------------------------------------
 
-def _er_k_positions(n_er: int, n_r: int, k: int) -> tuple[list[int], list[int]]:
-    """Positions in the ER k-sector basis of (receiver rows, other rows).
+def _er_positions(n_er: int, n_r: int, k: int) -> tuple[list[int], list[int]]:
+    """Register masks of the receiver rows and of the other k-sector rows of ER.
 
     Receiver rows are the k-states with every excitation inside R (the last
-    n_r qubits of the extended receiver), ordered like the receiver k-basis.
+    n_r qubits of the extended receiver), ordered like the receiver k-basis;
+    the other rows (zeroing-row candidates, since zeroing constraints act on
+    k-excitation garbage) follow in sector order.
     """
-    er = k_states(n_er, k)
-    r_local = k_states(n_r, k)
-    offset = n_er - n_r
-    recv = [er.index_of(m << offset) for m in r_local.states]
-    rest = [i for i in range(len(er)) if i not in set(recv)]
-    return recv, rest
-
-
-def _full_er_positions(n_er: int, n_r: int, k: int) -> tuple[list[int], list[int]]:
-    """Same as above but as computational-basis indices of the full ER register.
-
-    Extra-row candidates stay inside the k-sector (zeroing constraints act on
-    k-excitation garbage), in sector order.
-    """
-    er = k_states(n_er, k)
-    r_local = k_states(n_r, k)
-    offset = n_er - n_r
-    recv = [m << offset for m in r_local.states]
-    rest = [m for m in er.states if m not in set(recv)]
+    recv = [m << (n_er - n_r) for m in k_states(n_r, k).states]
+    rest = [m for m in k_states(n_er, k).states if m not in recv]
     return recv, rest
 
 
@@ -218,13 +203,16 @@ def _general_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_rows(b: np.ndarray, n_extra: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Receiver rows with A b = sigma_min I, then ``n_extra`` rows with Z b = 0.
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver rows with A b = sigma_min I, then ``n_extra`` rows with Z b = 0;
+    also the rows that complete them to a unitary.
 
     With b = W S Q^dag and P a random orthonormal basis of range(W[:, n:]),
-    x_j = c_j w_j + sqrt(1 - c_j^2) p_j with c_j = sigma_min / sigma_j gives
-    X^dag b = sigma_min Q^dag, so the rows Q X^dag restore with lambda =
-    sigma_min; the next ``n_extra`` columns of P give the zeroing rows.
+    x_j = c_j w_j + s_j p_j with c_j = sigma_min / sigma_j and s_j =
+    sqrt(1 - c_j^2) gives X^dag b = sigma_min Q^dag, so the rows Q X^dag
+    restore with lambda = sigma_min; the next ``n_extra`` columns of P give
+    the zeroing rows.  The partners y_j = c_j p_j - s_j w_j (j < n - 1), in
+    the plane of w_j and p_j, and the unused columns of P complete the rows.
     """
     d, n = b.shape
     w, sigma, qh = np.linalg.svd(b)
@@ -232,9 +220,12 @@ def _closed_form_rows(b: np.ndarray, n_extra: int,
     p = w[:, n:] @ np.linalg.qr(g)[0]
     c = np.ones(n)
     np.divide(sigma[-1], sigma, out=c, where=sigma > 0)
+    s = np.sqrt(1.0 - c[:-1] ** 2)
     x = c * w[:, :n]
-    x[:, :-1] += np.sqrt(1.0 - c[:-1] ** 2) * p[:, :n - 1]
-    return np.vstack([qh.conj().T @ x.conj().T, p[:, n - 1:n - 1 + n_extra].conj().T])
+    x[:, :-1] += s * p[:, :n - 1]
+    y = c[:-1] * p[:, :n - 1] - s * w[:, :n - 1]
+    rows = np.vstack([qh.conj().T @ x.conj().T, p[:, n - 1:n - 1 + n_extra].conj().T])
+    return rows, np.vstack([y.conj().T, p[:, n - 1 + n_extra:].conj().T])
 
 
 def solve_general(problem: RestoreProblem) -> RestoreSolution:
@@ -242,9 +233,10 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
 
     The rows come in closed form from the SVD of the transfer columns, so
     |lambda| = sigma_min(V) exactly; ``problem.seed`` picks the basis of the
-    complement of range(V) and of the unitary completion, since every such
-    basis gives an equally valid W_ER.  The single restart record holds the
-    residual, which must not exceed ``problem.tol``.
+    complement of range(V), which gives the zeroing rows and the unitary
+    completion, since every such basis gives an equally valid W_ER.  The
+    single restart record holds the residual, which must not exceed
+    ``problem.tol``.
     """
     if problem.mode not in GENERAL_MODES:
         raise ValueError(f"solve_general does not handle mode {problem.mode!r}")
@@ -252,16 +244,18 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
     n = v.columns
     k = v.k
     n_r = v.n_s  # receiver size equals sender size
+    recv, rest = _er_positions(problem.n_er, n_r, k)
     if problem.mode == "preserving-general":
         d = v.rows
         b = np.asarray(v.v_hat, dtype=complex)
-        recv, rest = _er_k_positions(problem.n_er, n_r, k)
+        er = k_states(problem.n_er, k)
+        recv, rest = [er.index_of(m) for m in recv], [er.index_of(m) for m in rest]
     else:
         d = 2 ** problem.n_er
         b = _register_columns(v, problem.n_er)
-        recv, _ = _full_er_positions(problem.n_er, n_r, k)
         # zero-row candidates in excitation-sorted order over the whole register
-        rest = [m for m in full_basis(problem.n_er) if m not in set(recv)]
+        rest = [m for j in range(problem.n_er + 1)
+                for m in k_states(problem.n_er, j).states if m not in recv]
     if d < 2 * n - 1:
         raise FeasibilityError(f"dimension {d} < {2 * n - 1} required")
     n_extra_max = d - (2 * n - 1)
@@ -276,14 +270,16 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
                                f"admits 0..{n_extra_max}")
 
     rng = np.random.default_rng(problem.seed)
-    a = _closed_form_rows(b, n_extra, rng)
+    a, others = _closed_form_rows(b, n_extra, rng)
     residual = float(np.abs(_general_residuals(a, b)).max())
     lam = complex((a @ b)[0, 0])
     if residual > problem.tol:
         raise ConvergenceError(
             f"closed-form residual {residual:.2e} exceeds tol={problem.tol}", residual)
-    positions = tuple(recv[:n]) + tuple(rest[:n_extra])
-    completed = complete_unitary(a, d, row_positions=positions, rng=rng)
+    positions = tuple(recv) + tuple(rest[:n_extra])
+    completed = np.zeros((d, d), dtype=complex)
+    completed[list(positions)] = a
+    completed[[i for i in range(d) if i not in positions]] = others
     return RestoreSolution(mode=problem.mode, constrained_rows=a,
                            row_positions=positions, lam=lam, residual=residual,
                            completed_unitary=completed, tau=v.tau,
@@ -303,7 +299,7 @@ def _circuit_row_positions(problem: RestoreProblem) -> list[int]:
     """
     v = problem.v_hat
     n_extra = problem.n_extra_zero_rows or 0
-    recv, rest = _full_er_positions(problem.n_er, v.n_s, v.k)
+    recv, rest = _er_positions(problem.n_er, v.n_s, v.k)
     if not 0 <= n_extra <= len(rest):
         raise FeasibilityError(f"{n_extra} extra zero rows; the k-sector of "
                                f"{problem.n_er} qubits admits 0..{len(rest)}")
@@ -573,9 +569,9 @@ def fit_circuit(problem: RestoreProblem,
     w_full = _circuit_unitary(problem.mode, x[best], problem.q_layers,
                               problem.n_er, a_qubits)
     if problem.mode == "circuit-preserving":
-        er_states = np.fromiter(k_states(problem.n_er, v.k).states, dtype=np.int64)
-        recv, rest = _er_k_positions(problem.n_er, v.n_s, v.k)
-        row_positions = tuple(recv) + tuple(rest[:n_extra])
+        er = k_states(problem.n_er, v.k)
+        er_states = np.fromiter(er.states, dtype=np.int64)
+        row_positions = tuple(er.index_of(m) for m in positions)
         rows = w_full[np.ix_(positions, er_states)]
         completed = w_full[np.ix_(er_states, er_states)]
     else:
@@ -591,50 +587,8 @@ def fit_circuit(problem: RestoreProblem,
 
 
 # ---------------------------------------------------------------------------
-# unitary completion
+# whole extended-receiver unitary
 # ---------------------------------------------------------------------------
-
-def complete_unitary(rows: np.ndarray, dim: int,
-                     row_positions: Sequence[int] | None = None,
-                     rng: np.random.Generator | None = None,
-                     tol: float = 1e-10) -> np.ndarray:
-    """Extend orthonormal rows to a full unitary, deterministic under the rng.
-
-    The given rows are placed at ``row_positions`` (default 0..m-1); the
-    remaining rows come from orthonormalizing a random complement.
-    """
-    a = np.asarray(rows, dtype=complex)
-    m = a.shape[0]
-    if a.shape[1] != dim:
-        raise ValueError(f"rows of length {a.shape[1]} cannot fill dim={dim}")
-    g = a @ a.conj().T
-    dev = np.abs(g - np.eye(m)).max()
-    if dev > tol:
-        raise ValueError(f"input rows are not orthonormal (deviation {dev:.2e})")
-    if row_positions is None:
-        row_positions = tuple(range(m))
-    row_positions = tuple(int(i) for i in row_positions)
-    if len(row_positions) != m or len(set(row_positions)) != m:
-        raise ValueError("row positions must be distinct and match the row count")
-    rng = rng or np.random.default_rng(0)
-    w = np.zeros((dim, dim), dtype=complex)
-    w[list(row_positions), :] = a
-    if m < dim:
-        x = rng.standard_normal((dim - m, dim)) + 1j * rng.standard_normal((dim - m, dim))
-        x -= (x @ a.conj().T) @ a
-        q, r = np.linalg.qr(x.conj().T)
-        comp = q.conj().T
-        # one re-orthogonalization pass guards against near-rank-deficient draws
-        comp -= (comp @ a.conj().T) @ a
-        comp, _ = np.linalg.qr(comp.conj().T)
-        comp = comp.conj().T
-        others = [i for i in range(dim) if i not in set(row_positions)]
-        w[others, :] = comp
-    uni = np.abs(w @ w.conj().T - np.eye(dim)).max()
-    if uni > tol:
-        raise ValueError(f"completion failed unitarity check ({uni:.2e})")
-    return w
-
 
 def wer_full_from_solution(solution: RestoreSolution) -> np.ndarray:
     """Whole extended-receiver unitary (2**n_er) implied by a solution.

@@ -11,7 +11,8 @@ eigensolver (the package runs its own Jacobi kernel), the dimensionality
 feasibility test, transfer blocks cut from a full sector propagator, the
 full-space Hamiltonian as the direct sum of the package's sector blocks, and
 the gate-level composition of the four protocol variants over the 2**N space
-with their value/pattern cascades (the package runs them in the k-sector).
+with their value/pattern cascades (the package runs them in the k-sector),
+and the excitation-sorted full basis with its size guard.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import least_squares
 
-from spinpst.basis import FULL_SPACE_GUARD, binom, embed_subsystem, full_basis, k_states
+from spinpst.basis import binom, embed_subsystem, k_states
 from spinpst.chain import CouplingMatrix, Partition, hamiltonian_block
 from spinpst.dynamics import TransferBlock, propagator, sector_eigensystem
 from spinpst.restore import wer_full_from_solution
@@ -37,6 +38,17 @@ IMAG_RESIDUE_TOL = 1e-10
 ROOT_IMAG_TOL = 1e-9
 ROOT_CLUSTER_TOL = 1e-4
 ROOT_RANGE_SLACK = 1e-9
+FULL_SPACE_GUARD = 14
+
+
+def full_basis(n: int) -> tuple[int, ...]:
+    """All 2**n bitmasks sorted by excitation number, then lexicographically."""
+    if n > FULL_SPACE_GUARD:
+        raise ValueError(f"full basis guarded to n <= {FULL_SPACE_GUARD}, got n={n}")
+    out: list[int] = []
+    for k in range(n + 1):
+        out.extend(k_states(n, k).states)
+    return tuple(out)
 
 
 def site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:

@@ -3,8 +3,8 @@ import pytest
 
 from spinpst import basis, chain
 
-from _oracles import (excitation_sort_permutation, hamiltonian_block_loop, hamiltonian_full,
-                      pauli_xx_hamiltonian, restrict_to_sector)
+from _oracles import (excitation_sort_permutation, full_basis, hamiltonian_block_loop,
+                      hamiltonian_full, pauli_xx_hamiltonian, restrict_to_sector)
 
 
 class TestBuildCouplings:
@@ -137,7 +137,7 @@ class TestHamiltonianFull:
     def test_commutes_with_total_excitation(self):
         c = chain.build_couplings(chain.ChainSpec(n_sites=4))
         h = hamiltonian_full(c)
-        counts = np.array([bin(m).count("1") for m in basis.full_basis(4)], dtype=float)
+        counts = np.array([bin(m).count("1") for m in full_basis(4)], dtype=float)
         nz = np.diag(counts)
         assert np.abs(h @ nz - nz @ h).max() == 0.0
 

@@ -154,19 +154,52 @@ class TestCommands:
         p.write_text(BASE_CFG.replace("scan.tau_max = 8", "scan.tau_max = -1"))
         assert main(["scan", "--config", str(p)]) == 2
 
-    @pytest.mark.parametrize("extra", [
-        "chain.positions = 0,1,2,3,4,abc",
-        "partition.s0 = 4-x",
-        "chain.model = explicit\nchain.matrix_file = {matrix}",
-    ], ids=["positions", "s0", "matrix_file"])
-    def test_malformed_value_exits_2(self, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("extra, argv, message", [
+        ("chain.positions = 0,1,2,3,4,abc", ["roots", "--tau", "4.0"], "config error"),
+        ("partition.s0 = 4-x", ["roots", "--tau", "4.0"], "config error"),
+        ("chain.model = explicit\nchain.matrix_file = {matrix}", ["roots", "--tau", "4.0"],
+         "config error"),
+        # non-finite numbers: NaN roots, a tolerance every residual passes, or
+        # a traceback deep in the solve or the scan
+        ("roots.tau = inf", ["roots"], "roots.tau must be a finite number"),
+        ("", ["roots", "--tau", "nan"], "--tau must be a finite number"),
+        ("", ["roots", "--tau", "inf"], "--tau must be a finite number"),
+        ("solver.tol = nan", ["solve"], "solver.tol must be a finite number"),
+        ("solver.tau = nan", ["solve"], "solver.tau must be a finite number"),
+        ("scan.tau_max = nan", ["scan", "--out", "{out}"],
+         "scan.tau_max must be a finite number"),
+    ], ids=["positions", "s0", "matrix_file", "roots-tau-inf", "tau-flag-nan",
+            "tau-flag-inf", "tol-nan", "solver-tau-nan", "scan-tau-max-nan"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, extra, argv, message):
         matrix = tmp_path / "d.csv"
         matrix.write_text("x,y\n")
+        out = tmp_path / "scan.csv"
+        # the keys ``extra`` sets replace those of BASE_CFG
+        keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+        base = "".join(line for line in BASE_CFG.splitlines(keepends=True)
+                       if line.split("=")[0].strip() not in keys)
         p = tmp_path / "bad.cfg"
-        p.write_text(BASE_CFG.replace("chain.model = dipole\n", "")
-                     + extra.format(matrix=matrix) + "\n")
-        assert main(["roots", "--config", str(p), "--tau", "4.0"]) == 2
-        assert "config error" in capsys.readouterr().err
+        p.write_text(base + extra.format(matrix=matrix) + "\n")
+        argv = [arg.format(out=out) for arg in argv]
+        assert main([argv[0], "--config", str(p), *argv[1:]]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, argv, message", [
+        (BASE_CFG.replace("solver.mode = preserving-general",
+                          "solver.mode = circuit-preserving\nsolver.q = 0"),
+         ["fit-circuit"], "solver.q must be >= 1"),
+        (BASE_CFG + "solver.tol = 0\n", ["solve"], "solver.tol must be > 0"),
+        (GLOBAL_CFG.replace("excitation.k = 2", "excitation.k = 5"),
+         ["roots", "--tau", "4.0"], "excitation.k must be in 0..partition.n_s"),
+        (GLOBAL_CFG.replace("excitation.k = 2", "excitation.k = -1"),
+         ["roots", "--tau", "4.0"], "excitation.k must be in 0..partition.n_s"),
+    ], ids=["circuit-q-0", "tol-0", "k-above-sender", "k-negative"])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, text, argv, message):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        assert main([argv[0], "--config", str(p), *argv[1:]]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self):
         assert main(["scan", "--config", "/nonexistent.cfg"]) == 2
@@ -266,6 +299,13 @@ class TestCommands:
         rep = json.loads(out.read_text())
         assert rep["fidelity"] >= 1 - 1e-8
         assert abs(rep["success_probability"] - rep["lambda"]["abs"] ** 2) < 1e-8
+
+    def test_simulate_fidelity_never_above_one(self, tmp_path):
+        # |<s, out>| of two unit vectors rounds to 1 + 2**-52 on this run
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--config", str(CONFIGS / "simulate_er5.cfg"),
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert 1 - 1e-12 <= json.loads(out.read_text())["fidelity"] <= 1.0
 
     def test_simulate_explicit_state(self, cfg_file, tmp_path):
         state = tmp_path / "state.json"

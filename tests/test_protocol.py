@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
                      build_couplings, fit_circuit, protocol, solve_general)
-from spinpst.basis import k_states
+from spinpst.basis import embed_subsystem, k_states
 from spinpst.paper import N42_OVERRIDES
-from spinpst.protocol import (BasisDescriptor, PureState, amplification_runs,
-                              cost_estimate, measure_ancilla, prepare_k_state)
+from spinpst.protocol import amplification_runs
 from spinpst.restore import wer_full_from_solution
 
 from _oracles import (I2, SX, exact_value_controlled_pattern_flips, expm_propagator,
@@ -41,67 +40,6 @@ def solution8(chain8, part8):
     return solve_general(RestoreProblem(v_hat=tm.v_hat(9.0),
                                         mode="preserving-general",
                                         seed=13))
-
-
-class TestPrepare:
-    def test_basis_state(self, part10):
-        st_ = prepare_k_state(np.array([1.0, 0, 0]), part10(5), 2)
-        cb = k_states(10, 2)
-        assert st_.amplitudes[cb.index_of(0b11)] == 1.0
-        assert st_.norm == pytest.approx(1.0)
-
-    def test_uniform(self, part10):
-        st_ = prepare_k_state(np.ones(3) / math.sqrt(3), part10(5), 2)
-        assert st_.norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_renormalizes_with_warning(self, part10):
-        with pytest.warns(UserWarning, match="renormalizing"):
-            st_ = prepare_k_state(np.array([2.0, 0, 0]), part10(5), 2)
-        assert st_.norm == pytest.approx(1.0)
-
-    def test_matches_kronecker_embedding(self, rng):
-        # full-space oracle at N=6: amplitudes land on the right bitmasks
-        part = Partition(n_sites=6, n_s=3, n_r=3, n_er=3)
-        s = random_state(rng, 3)
-        st_ = prepare_k_state(s, part, 2)
-        cb = k_states(6, 2)
-        full = np.zeros(64, dtype=complex)
-        for i, m in enumerate(cb.states):
-            full[m] = st_.amplitudes[i]
-        for j, mask in enumerate([0b011, 0b101, 0b110]):
-            assert full[mask] == pytest.approx(s[j])
-        assert np.linalg.norm(full) == pytest.approx(1.0)
-
-    def test_length_mismatch(self, part10):
-        with pytest.raises(ValueError):
-            prepare_k_state(np.ones(4), part10(5), 2)
-
-
-class TestMeasureAncilla:
-    def test_branch_probabilities(self):
-        amps = np.zeros((3, 2), dtype=complex)
-        amps[0, 0] = 0.6
-        amps[1, 1] = 0.8
-        st_ = PureState(amps, BasisDescriptor("sector", 3, 1, ("B",)))
-        p0, post0 = measure_ancilla(st_, "B", 0)
-        p1, post1 = measure_ancilla(st_, "B", 1)
-        assert (p0, p1) == (pytest.approx(0.36), pytest.approx(0.64))
-        assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
-        assert post0.norm == pytest.approx(1.0, abs=1e-12)
-        assert post1.norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_branch(self):
-        amps = np.zeros((2, 2), dtype=complex)
-        amps[0, 0] = 1.0
-        st_ = PureState(amps, BasisDescriptor("sector", 2, 1, ("B",)))
-        p, post = measure_ancilla(st_, "B", 1)
-        assert p == 0.0 and post is None
-
-    def test_unknown_ancilla(self):
-        st_ = PureState(np.ones(2, dtype=complex) / math.sqrt(2),
-                        BasisDescriptor("sector", 2, 1))
-        with pytest.raises(ValueError):
-            measure_ancilla(st_, "B", 1)
 
 
 class TestKExcitationProtocol:
@@ -138,15 +76,16 @@ class TestKExcitationProtocol:
         # Kronecker/expm oracle
         from spinpst.dynamics import propagator, sector_eigensystem
         s = random_state(rng, 3)
-        state = prepare_k_state(s, part8, 2)
+        sender = embed_subsystem(part8.sender_sites, 8, 2)
+        cb = k_states(8, 2)
+        state = np.zeros(len(cb), dtype=complex)
+        state[list(sender.chain_ordinals)] = s
         eig = sector_eigensystem(chain8, 2)
-        evolved = propagator(eig, 5.0) @ state.amplitudes
+        evolved = propagator(eig, 5.0) @ state
 
         h_full = pauli_xx_hamiltonian(chain8.d)
         full0 = np.zeros(256, dtype=complex)
-        cb = k_states(8, 2)
-        for i, m in enumerate(cb.states):
-            full0[m] = state.amplitudes[i]
+        full0[list(sender.chain_masks)] = s
         full_t = expm_propagator(h_full, 5.0) @ full0
 
         tm = TransferMap(chain8, part8, 2)
@@ -501,6 +440,16 @@ class TestLabelOperator:
         assert np.array_equal(dense @ dense.T, np.eye(2 ** (n + 1)))
 
 
+class TestReport:
+    @pytest.mark.parametrize("lam, runs", [(math.sqrt(0.510), 2), (0.5j, 4), (1.0, 1),
+                                           (0.0, None)],
+                             ids=["sqrt-0.51", "imaginary-half", "one", "zero"])
+    def test_runs_expected(self, lam, runs):
+        rep = protocol.ProtocolReport("k_excitation", abs(lam) ** 2, 1.0,
+                                      np.ones(3) / math.sqrt(3), complex(lam))
+        assert rep.to_dict()["runs_expected"] == runs
+
+
 class TestAmplification:
     def test_half_probability(self):
         assert amplification_runs(0.5, 0.001) == 10
@@ -525,26 +474,3 @@ class TestAmplification:
             assert amplification_runs(p + 0.1, eps) <= m
         if ei > 1:
             assert amplification_runs(p, eps - 0.1 * eps) >= m
-
-
-class TestCostEstimate:
-    def test_fixed_k_label_depth(self):
-        c = cost_estimate("k_excitation", n_s=3, k=2, lam_abs=0.5)
-        assert c.label_depth == 6
-
-    def test_runs_expected(self):
-        c = cost_estimate("k_excitation", n_s=3, k=2, lam_abs=math.sqrt(0.510))
-        assert c.runs_expected == 2
-
-    def test_zero_excitations(self):
-        c = cost_estimate("k_excitation", n_s=3, k=0, lam_abs=0.9)
-        assert c.label_depth == 0
-
-    def test_arbitrary_encode_depth(self):
-        c = cost_estimate("arbitrary", n_s=3, k=2, n_er=5, n_s0=1, lam_abs=0.5)
-        assert c.encode_depth == 2 * 2 * 1
-        assert c.label_depth == 2 * 2
-
-    def test_zero_lambda_runs_none(self):
-        c = cost_estimate("k_excitation", n_s=3, k=2, lam_abs=0.0)
-        assert c.runs_expected is None

@@ -3,15 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spinpst import RestoreProblem, complete_unitary, fit_circuit, solve_general
-from spinpst.basis import full_basis, k_states
+from spinpst import RestoreProblem, fit_circuit, solve_general
+from spinpst.basis import k_states
 from spinpst.dynamics import TransferBlock
 from spinpst.restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
                              _circuit_row_positions, _circuit_sweep, _circuit_unitary,
                              _lambda_residuals, _register_columns)
 
 from _oracles import (build_circuit_nonpreserving, build_circuit_preserving,
-                      finite_difference_jacobian, gram, lambda_polynomial,
+                      finite_difference_jacobian, full_basis, gram, lambda_polynomial,
                       least_squares_lambda, pack_rows, random_unitary, real_roots,
                       restoring_columns, restoring_jacobian, restoring_residuals,
                       u_pair, unpack_rows)
@@ -466,43 +466,6 @@ class TestStackedSolver:
         a_qubits = (1,)    # the default: the one site of ER outside R
         assert np.array_equal(sol.wer_full, _circuit_unitary(
             mode, sol.circuit_params, q, 4, a_qubits))
-
-
-class TestCompleteUnitary:
-    def test_first_identity_row(self):
-        w = complete_unitary(np.eye(2, dtype=complex)[:1], 2,
-                             rng=np.random.default_rng(0))
-        assert np.abs(w[0] - [1, 0]).max() < 1e-12
-        assert abs(abs(w[1, 1]) - 1) < 1e-12
-
-    def test_unitarity(self, rng):
-        a = np.linalg.qr(rng.standard_normal((8, 3)) +
-                         1j * rng.standard_normal((8, 3)))[0].conj().T
-        w = complete_unitary(a, 8, rng=rng)
-        assert np.abs(w @ w.conj().T - np.eye(8)).max() < 1e-10
-
-    def test_recovers_rows_of_known_unitary(self, rng):
-        u = random_unitary(rng, 6)
-        w = complete_unitary(u[:3], 6, rng=rng)
-        assert np.abs(w[:3] - u[:3]).max() < 1e-12
-        assert np.abs(w @ w.conj().T - np.eye(6)).max() < 1e-10
-
-    def test_row_positions(self, rng):
-        u = random_unitary(rng, 5)
-        w = complete_unitary(u[:2], 5, row_positions=(3, 1), rng=rng)
-        assert np.abs(w[3] - u[0]).max() < 1e-12
-        assert np.abs(w[1] - u[1]).max() < 1e-12
-
-    def test_rejects_non_orthonormal(self, rng):
-        bad = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-        with pytest.raises(ValueError):
-            complete_unitary(bad, 5)
-
-    def test_deterministic(self, rng):
-        a = random_unitary(np.random.default_rng(3), 6)[:2]
-        w1 = complete_unitary(a, 6, rng=np.random.default_rng(11))
-        w2 = complete_unitary(a, 6, rng=np.random.default_rng(11))
-        assert np.array_equal(w1, w2)
 
 
 class TestSolutionSerialization:
