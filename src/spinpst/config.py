@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingMatrix, Partition, build_couplings, direct_override_matrix
+from .chain import (ChainSpec, CouplingMatrix, InvalidSpecError, Partition, build_couplings,
+                    direct_override_matrix)
 from .restore import CIRCUIT_MODES, GENERAL_MODES
 
 
@@ -67,6 +68,17 @@ def _parse_site_range(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _finite(key: str, text: str) -> float:
+    """A finite float parsed from one value of ``key``."""
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be a number, got {text!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be a finite number, got {text!r}")
+    return x
+
+
 def _parse_overrides(text: str) -> dict[int, float]:
     out: dict[int, float] = {}
     for item in text.split(","):
@@ -80,7 +92,7 @@ def _parse_overrides(text: str) -> dict[int, float]:
             raise ConfigError(f"bad override item {item!r}") from exc
         if j != i + 1:
             raise ConfigError(f"override {item!r} is not a nearest-neighbor bond")
-        out[i] = float(value)
+        out[i] = _finite("chain.nn_overrides", value)
     return out
 
 
@@ -119,15 +131,7 @@ class RunConfig:
 
     def _float(self, key: str, default=None) -> float | None:
         v = self._get(key)
-        if v is None:
-            return default
-        try:
-            x = float(v)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {v!r}") from exc
-        if not math.isfinite(x):
-            raise ConfigError(f"{key} must be a finite number, got {v!r}")
-        return x
+        return default if v is None else _finite(key, v)
 
     # -- object builders ---------------------------------------------------
 
@@ -140,11 +144,8 @@ class RunConfig:
             raise ConfigError(f"chain.model must be dipole or explicit, got {model!r}")
         positions = None
         if "chain.positions" in self.raw:
-            try:
-                positions = tuple(float(x) for x in self.raw["chain.positions"].split(","))
-            except ValueError as exc:
-                raise ConfigError(f"chain.positions must be numbers, got "
-                                  f"{self.raw['chain.positions']!r}") from exc
+            positions = tuple(_finite("chain.positions", x)
+                              for x in self.raw["chain.positions"].split(","))
         overrides = None
         if "chain.nn_overrides" in self.raw:
             overrides = _parse_overrides(self.raw["chain.nn_overrides"])
@@ -170,7 +171,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def couplings(self) -> CouplingMatrix:
-        return build_couplings(self.chain_spec())
+        try:
+            return build_couplings(self.chain_spec())
+        except InvalidSpecError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def partition(self) -> Partition:
         n = self._int("chain.n")
@@ -216,7 +220,10 @@ class RunConfig:
         return mode
 
     def solver_seed(self) -> int:
-        return self._int("solver.seed", 0)
+        seed = self._int("solver.seed", 0)
+        if seed < 0:
+            raise ConfigError(f"solver.seed must be >= 0, got {seed}")
+        return seed
 
     def solver_tol(self) -> float:
         tol = self._float("solver.tol", 1e-10)

@@ -28,11 +28,13 @@ from .chain import CouplingMatrix, Partition, hamiltonian_block
 
 HERMITICITY_TOL = 1e-10
 # Grid points per interpolated block in TransferMap.gram_batch; a divisor of
-# the scan's 2,048-point chunk.  Full Table 1a/2 grids at step 0.001 (k=2,
-# n_er=5, one BLAS thread, median of 9) took, for 128 / 256 / 512 / 1024:
+# SCAN_CHUNK.  Full Table 1a/2 grids at step 0.001 (k=2, n_er=5, one BLAS
+# thread, median of 9) took, for 128 / 256 / 512 / 1024:
 # N=10 13 / 11 / 11 / 15 ms, N=30 51 / 37 / 37 / 30 ms, N=42 106 / 73 / 64 /
 # 57 ms, with 10-17 nodes per block.
 GRAM_BLOCK = 512
+# Grid points per gram_batch call in scale.scan, which bounds its peak memory.
+SCAN_CHUNK = 2048
 
 
 @dataclass(frozen=True)

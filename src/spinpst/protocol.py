@@ -41,6 +41,7 @@ from .restore import (RestoreSolution, _er_positions, _register_columns,
 VARIANTS = ("k_excitation", "arbitrary", "nonpreserving", "global")
 PRESERVING_MODES = ("preserving-general", "circuit-preserving")
 UNITARY_TOL = 1e-10
+AMPLIFICATION_EPSILON = 0.01    # all-failure probability the reported M reaches
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,10 @@ class ProtocolReport:
     lambda_expected: complex
 
     def to_dict(self, chain_id: str = "", k: int | None = None,
-                tau0: float | None = None, seed: int | None = None,
-                epsilon: float = 0.01) -> dict:
+                tau0: float | None = None, seed: int | None = None) -> dict:
         amp = None
         if 0.0 < self.success_probability < 1.0:
-            amp = amplification_runs(self.success_probability, epsilon)
+            amp = amplification_runs(self.success_probability, AMPLIFICATION_EPSILON)
         lam_abs = abs(self.lambda_expected)
         return {
             "variant": self.variant,
@@ -68,7 +68,7 @@ class ProtocolReport:
             "success_probability": self.success_probability,
             "fidelity": self.fidelity,
             "runs_expected": math.ceil(1.0 / lam_abs ** 2) if lam_abs > 0 else None,
-            "amplification": {"epsilon": epsilon, "M": amp},
+            "amplification": {"epsilon": AMPLIFICATION_EPSILON, "M": amp},
             "seed": seed,
         }
 

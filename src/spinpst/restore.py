@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -515,8 +515,7 @@ def _levenberg_marquardt(sweep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return x, lam, f
 
 
-def fit_circuit(problem: RestoreProblem,
-                a_qubits: Sequence[int] | None = None) -> RestoreSolution:
+def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
     """Fit circuit parameters to the restoring constraints, best over restarts.
 
     Restart i starts from uniform random angles drawn from child i of
@@ -545,10 +544,7 @@ def fit_circuit(problem: RestoreProblem,
         warnings.warn(
             f"{n_constraints} real constraints exceed {n_params} parameters; "
             "the fit may only reach a least-squares residual", stacklevel=2)
-    if a_qubits is None:
-        a_qubits = tuple(range(1, problem.n_er - v.n_s + 1))
-    else:
-        a_qubits = tuple(a_qubits)
+    a_qubits = tuple(range(1, problem.n_er - v.n_s + 1))
 
     b_full = _register_columns(v, problem.n_er)
     seeds = np.random.SeedSequence(problem.seed).spawn(problem.default_restarts())

@@ -19,13 +19,12 @@ accurate as the QR algorithm does.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import CouplingMatrix, Partition
-from .dynamics import TransferMap
+from .dynamics import SCAN_CHUNK, TransferMap
 
 
 @dataclass(frozen=True)
@@ -141,31 +140,19 @@ def _grid(tau_min: float, tau_max: float, step: float) -> np.ndarray:
 
 def scan(couplings: CouplingMatrix, partition: Partition, k: int,
          tau_min: float, tau_max: float, step: float,
-         transfer_map: TransferMap | None = None,
-         chunk: int = 2048, threads: int = 1) -> ScanResult:
+         transfer_map: TransferMap | None = None) -> ScanResult:
     """Scan the tau grid for the registration time maximizing the minimal root.
 
     At every grid point the sorted |lambda| roots come from the Gram
-    spectrum, as in ``roots_at``.  Exact ties in the maximum are broken
-    toward smaller tau.  Grid chunks are independent; ``threads`` > 1
-    evaluates them concurrently with order-preserving assembly.
+    spectrum, as in ``roots_at``, SCAN_CHUNK grid points at a time.  Exact
+    ties in the maximum are broken toward smaller tau.
     """
     taus = _grid(tau_min, tau_max, step)
     tm = transfer_map or TransferMap(couplings, partition, k)
-    n_roots = tm.n_s_k
-    roots = np.empty((len(taus), n_roots))
-
-    def fill(lo: int) -> None:
-        gs = tm.gram_batch(taus[lo:lo + chunk])
-        roots[lo:lo + len(gs)] = _singular_values(gs)
-
-    starts = range(0, len(taus), chunk)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
+    roots = np.empty((len(taus), tm.n_s_k))
+    for lo in range(0, len(taus), SCAN_CHUNK):
+        grams = tm.gram_batch(taus[lo:lo + SCAN_CHUNK])
+        roots[lo:lo + len(grams)] = _singular_values(grams)
     mins = roots[:, 0]
     i_max = int(np.argmax(mins))
     i_det = min(i_max + 1, len(taus) - 1)

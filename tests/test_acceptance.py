@@ -36,7 +36,7 @@ def test_criterion_01_table_1a_scan(chain10, part10):
     t0 = time.time()
     results = {}
     for n_er in (4, 5, 6):
-        res = scale.scan(chain10, part10(n_er), 2, 0.0, 20.0, 0.001, threads=2)
+        res = scale.scan(chain10, part10(n_er), 2, 0.0, 20.0, 0.001)
         results[n_er] = res
     elapsed = time.time() - t0
     ok = True
@@ -76,7 +76,7 @@ def test_criterion_03_long_chains():
     for n, (tau_ref, lam_ref) in PAPER_TABLE_2.items():
         couplings = build_couplings(ChainSpec(n_sites=n))
         part = Partition(n_sites=n, n_s=3, n_r=3, n_er=5)
-        res = scale.scan(couplings, part, 2, 0.0, TABLE_2_WINDOWS[n], 0.001, threads=2)
+        res = scale.scan(couplings, part, 2, 0.0, TABLE_2_WINDOWS[n], 0.001)
         good = (abs(res.tau0 - tau_ref) < 1e-9 and
                 abs(res.lambda_min - lam_ref) <= 5e-4)
         ok &= good
@@ -92,8 +92,7 @@ def test_criterion_03_long_chains():
         ("direct", ChainSpec(n_sites=42, coupling_model="explicit",
                              matrix=direct_override_matrix(42, N42_OVERRIDES))),
     ):
-        res = scale.scan(build_couplings(spec), part, 2, 0.0, TABLE_2_WINDOWS[42], 0.001,
-                         threads=2)
+        res = scale.scan(build_couplings(spec), part, 2, 0.0, TABLE_2_WINDOWS[42], 0.001)
         hits[label] = (res.tau0, res.lambda_min,
                        abs(res.tau0 - tau_ref) <= 0.05 and
                        abs(res.lambda_min - lam_ref) <= 5e-3)

@@ -89,17 +89,6 @@ class TestHamiltonianBlock:
             sector = restrict_to_sector(full, basis.k_states(8, k).states)
             assert np.abs(chain.hamiltonian_block(c, k) - sector).max() < 1e-12
 
-    def test_dimension_mismatch(self):
-        c = chain.build_couplings(chain.ChainSpec(n_sites=4))
-        with pytest.raises(ValueError):
-            chain.hamiltonian_block(c, 2, basis.k_states(5, 2))
-
-    def test_incomplete_basis(self):
-        c = chain.build_couplings(chain.ChainSpec(n_sites=4))
-        partial = basis.SectorBasis(n=4, k=2, states=basis.k_states(4, 2).states[:-1])
-        with pytest.raises(KeyError):
-            chain.hamiltonian_block(c, 2, partial)
-
     @pytest.mark.parametrize("n", range(3, 13))
     def test_same_bytes_as_the_loop(self, n):
         rng = np.random.default_rng(n)

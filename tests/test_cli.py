@@ -9,7 +9,7 @@ import pytest
 
 import spinpst
 from spinpst import dynamics
-from spinpst.cli import CSV_BATCH_ROWS, _scan_csv, main
+from spinpst.cli import CSV_BATCH_ROWS, _scan_csv, build_parser, main
 from spinpst.config import ConfigError, RunConfig, parse_config_text
 from spinpst.scale import ScanResult
 
@@ -43,7 +43,7 @@ simulate.variant = global
 """
 
 
-# standard output of `reproduce 1a` and `reproduce roots`, byte for byte
+# standard output of `reproduce 1a`, `reproduce roots` and `reproduce 2`, byte for byte
 REPRODUCE_1A = (
     'n_er          tau0          want          lam_min       want          status      \n'
     '4             12.493        12.493        0.4347        0.435         PASS        \n'
@@ -55,6 +55,14 @@ REPRODUCE_ROOTS = (
     '4             [0.4347 0.6599 0.8276]  (0.435, 0.66, 0.828)  PASS        \n'
     '5             [0.5966 0.7936 0.8663]  (0.597, 0.794, 0.866)  PASS        \n'
     '6             [0.7145 0.8876 0.9312]  (0.714, 0.888, 0.931)  PASS        \n'
+)
+REPRODUCE_2 = (
+    'N             variant       tau0          want          lam           want          status      \n'
+    '20            homog         26.506        26.506        0.2652        0.265         PASS        \n'
+    '30            homog         37.393        37.393        0.1364        0.136         PASS        \n'
+    '40            homog         52.846        52.846        0.0795        0.079         PASS        \n'
+    '42            adj-dist      57.267        57.267        0.4673        0.467         PASS        \n'
+    '42            adj-direct    57.416        57.267        0.4151        0.467         FAIL        \n'
 )
 
 
@@ -168,8 +176,19 @@ class TestCommands:
         ("solver.tau = nan", ["solve"], "solver.tau must be a finite number"),
         ("scan.tau_max = nan", ["scan", "--out", "{out}"],
          "scan.tau_max must be a finite number"),
+        # every item of a list is checked; a NaN coupling would otherwise fail
+        # the exact symmetry check (NaN != NaN) with a misleading message
+        ("chain.positions = 0,1,2,3,4,nan", ["roots", "--tau", "4.0"],
+         "chain.positions must be a finite number"),
+        ("chain.positions = 0,1,2,3,4,inf", ["roots", "--tau", "4.0"],
+         "chain.positions must be a finite number"),
+        ("chain.nn_overrides = 1-2:nan", ["roots", "--tau", "4.0"],
+         "chain.nn_overrides must be a finite number"),
+        ("chain.nn_overrides = 1-2:inf", ["roots", "--tau", "4.0"],
+         "chain.nn_overrides must be a finite number"),
     ], ids=["positions", "s0", "matrix_file", "roots-tau-inf", "tau-flag-nan",
-            "tau-flag-inf", "tol-nan", "solver-tau-nan", "scan-tau-max-nan"])
+            "tau-flag-inf", "tol-nan", "solver-tau-nan", "scan-tau-max-nan",
+            "positions-nan", "positions-inf", "overrides-nan", "overrides-inf"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, extra, argv, message):
         matrix = tmp_path / "d.csv"
         matrix.write_text("x,y\n")
@@ -194,7 +213,12 @@ class TestCommands:
          ["roots", "--tau", "4.0"], "excitation.k must be in 0..partition.n_s"),
         (GLOBAL_CFG.replace("excitation.k = 2", "excitation.k = -1"),
          ["roots", "--tau", "4.0"], "excitation.k must be in 0..partition.n_s"),
-    ], ids=["circuit-q-0", "tol-0", "k-above-sender", "k-negative"])
+        # np.random.default_rng rejects a negative seed with a traceback
+        (BASE_CFG.replace("solver.seed = 7", "solver.seed = -1"), ["solve"],
+         "solver.seed must be >= 0"),
+        (BASE_CFG, ["simulate", "--seed", "-1"], "--seed must be >= 0"),
+    ], ids=["circuit-q-0", "tol-0", "k-above-sender", "k-negative", "solver-seed-negative",
+            "seed-flag-negative"])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, text, argv, message):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
@@ -212,12 +236,26 @@ class TestCommands:
         assert "output.format" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_threads_exits_2(self, cfg_file, tmp_path, capsys):
-        out = tmp_path / "scan.csv"
-        assert main(["scan", "--config", str(cfg_file), "--threads", "-1",
-                     "--out", str(out)]) == 2
-        assert "--threads" in capsys.readouterr().err
-        assert not out.exists()
+    def test_coupling_matrix_error_exits_2(self, tmp_path, capsys):
+        # symmetric to np.allclose, which ChainSpec checks, but not exactly,
+        # which build_couplings checks
+        m = np.ones((6, 6)) - np.eye(6)
+        m[0, 1] += 1e-12
+        matrix = tmp_path / "d.csv"
+        np.savetxt(matrix, m, delimiter=",")
+        p = tmp_path / "bad.cfg"
+        p.write_text(BASE_CFG.replace("chain.model = dipole", "chain.model = explicit\n"
+                                      f"chain.matrix_file = {matrix}"))
+        assert main(["roots", "--config", str(p), "--tau", "4.0"]) == 2
+        assert "coupling matrix must be exactly symmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan", "roots", "solve", "fit-circuit", "simulate"])
+    def test_threads_flag_parses_but_is_not_listed(self, capsys, command):
+        args = build_parser().parse_args([command, "--config", "run.cfg", "--threads", "1"])
+        assert args.config == "run.cfg"
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--threads" not in capsys.readouterr().out
 
     def test_solve_deterministic_json(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
@@ -325,8 +363,13 @@ class TestCommands:
         (BASE_CFG + "simulate.variant = arbitrary\n", None, "S0 and R0"),
         (BASE_CFG + "simulate.variant = bogus\n", None, "unknown protocol variant"),
         (BASE_CFG, [1, 0], "[[re, im], ...] pairs"),
+        # the normalised state, and so the fidelity, would be NaN
+        (BASE_CFG, [[0, 0], [0, 0]], "finite with a nonzero norm"),
+        (BASE_CFG, [[float("nan"), 0], [1, 0]], "finite with a nonzero norm"),
+        (BASE_CFG, [[1, 0], [0, float("inf")]], "finite with a nonzero norm"),
     ], ids=["global-long-state", "short-state", "nonpreserving-with-preserving-mode",
-            "arbitrary-without-s0-r0", "unknown-variant", "state-not-pairs"])
+            "arbitrary-without-s0-r0", "unknown-variant", "state-not-pairs",
+            "state-zero", "state-nan", "state-inf"])
     def test_simulate_misconfiguration_exits_2_before_solving(
             self, tmp_path, capsys, monkeypatch, text, state, message):
         def no_solve(problem):
@@ -388,5 +431,10 @@ class TestCommands:
         assert capsys.readouterr().out == REPRODUCE_ROOTS
 
     def test_reproduce_1a(self, capsys):
-        assert main(["reproduce", "1a", "--threads", "2"]) == 0
+        assert main(["reproduce", "1a"]) == 0
         assert capsys.readouterr().out == REPRODUCE_1A
+
+    def test_reproduce_2(self, capsys):
+        # the N=42 direct reading misses; the distance reading carries the table
+        assert main(["reproduce", "2"]) == 0
+        assert capsys.readouterr().out == REPRODUCE_2

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpst import ChainSpec, Partition, TransferMap, build_couplings, scale
-from spinpst.dynamics import GRAM_BLOCK
+from spinpst.dynamics import GRAM_BLOCK, SCAN_CHUNK
 from spinpst.paper import PAPER_ROOTS, PAPER_TABLE_1A
 
 from _oracles import (cubic_from_gram, expm_propagator, feasibility, gram, lambda_polynomial,
@@ -182,10 +182,10 @@ class TestGramEigenvalues:
             scale.gram_eigenvalues(spectral_gram(rng, [0.1, 0.3, 0.8])[None])
 
 
-def oracle_scan_rows(tm, taus, chunk=2048):
+def oracle_scan_rows(tm, taus):
     """LAPACK roots of the Gram stacks a scan forms, chunk by chunk."""
-    return np.concatenate([lapack_singular_values(tm.gram_batch(taus[lo:lo + chunk]))
-                           for lo in range(0, len(taus), chunk)])
+    return np.concatenate([lapack_singular_values(tm.gram_batch(taus[lo:lo + SCAN_CHUNK]))
+                           for lo in range(0, len(taus), SCAN_CHUNK)])
 
 
 class TestScan:
@@ -228,15 +228,9 @@ class TestScan:
             j = i0 + int(round(dt / 0.001))
             assert mins[j] >= 0.9 * mins[i0]
 
-    def test_threaded_scan_matches_serial(self, chain10, part10):
-        # 7,001 points: four chunks of up to 2,048 points, each of several phase blocks
-        a = scale.scan(chain10, part10(4), 2, 0.0, 7.0, 0.001)
-        b = scale.scan(chain10, part10(4), 2, 0.0, 7.0, 0.001, threads=2)
-        assert np.array_equal(a.roots, b.roots)
-
     def test_rows_at_block_and_chunk_edges_match_single_tau(self, chain10, part10, tmap10):
-        chunk, b = 2048, GRAM_BLOCK
-        res = scale.scan(chain10, part10(5), 2, 10.0, 13.0, 0.001, chunk=chunk)
+        chunk, b = SCAN_CHUNK, GRAM_BLOCK
+        res = scale.scan(chain10, part10(5), 2, 10.0, 13.0, 0.001)
         for i in (0, b - 1, b, chunk - 1, chunk, len(res.taus) - 1):
             want = lapack_singular_values(gram(tmap10(5).v_hat(res.taus[i])).g)
             assert np.abs(res.roots[i] - want).max() < 1e-13
