@@ -8,7 +8,7 @@ from .dynamics import (SectorEigensystem, TransferBlock, TransferMap,
 from .protocol import (ProtocolReport, amplification_runs, run_arbitrary_pst,
                        run_global_pst, run_k_excitation_pst, run_nonpreserving_pst)
 from .restore import (ConvergenceError, FeasibilityError, RestoreProblem,
-                      RestoreSolution, fit_circuit, solve_general, wer_full_from_solution)
+                      RestoreSolution, fit_circuit, solve_general)
 from .scale import ScanResult, roots_at, scan
 
 __version__ = "0.1.0"

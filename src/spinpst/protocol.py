@@ -4,8 +4,9 @@ All four variants run in the chain k-sector, at any chain length.  The flag
 ancilla B marks the receiver k-patterns and post-selection keeps only the
 branch where all k excitations sit there, so the report needs only the
 amplitudes that reach those patterns.  For a restoring solution they are
-W_ER applied to V_hat(tau0) s placed in the 2**n_er extended-receiver
-register:
+W_ER applied to V_hat(tau0) s in the solution family's space: the ER
+k-sector for a preserving W_ER, the 2**n_er extended-receiver register for
+a non-preserving one (``restore.family_space``):
 
 - ``k_excitation``: a preserving W_ER never maps an ER component with
   fewer than k excitations (the rest outside ER) onto a receiver k-pattern;
@@ -35,11 +36,9 @@ import numpy as np
 from .basis import binom, embed_subsystem
 from .chain import CouplingMatrix, Partition
 from .dynamics import TransferMap
-from .restore import (RestoreSolution, _er_positions, _register_columns,
-                      wer_full_from_solution)
+from .restore import PRESERVING_MODES, RestoreSolution, family_space
 
 VARIANTS = ("k_excitation", "arbitrary", "nonpreserving", "global")
-PRESERVING_MODES = ("preserving-general", "circuit-preserving")
 UNITARY_TOL = 1e-10
 AMPLIFICATION_EPSILON = 0.01    # all-failure probability the reported M reaches
 
@@ -84,7 +83,8 @@ def amplification_runs(success_probability: float, epsilon: float) -> int:
         raise ValueError(f"success probability must be in (0, 1), got {p}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"target failure must be in (0, 1), got {eps}")
-    return math.ceil(math.log2(1.0 / eps) / math.log2(1.0 / (1.0 - p)))
+    # log1p keeps -log(1 - p) at its value p + O(p^2) where 1 - p rounds to 1
+    return math.ceil(math.log(eps) / math.log1p(-p))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +165,8 @@ def _run(variant: str, couplings: CouplingMatrix, partition: Partition, k: int,
     if isinstance(w, RestoreSolution) or variant != "global":
         _check_solution(w, tau0, k, partition, variant)
         lam = w.lam
-        register = wer_full_from_solution(w) @ (
-            _register_columns(tm.v_hat(tau0), partition.n_er) @ x)
-        recv = _er_positions(partition.n_er, partition.n_r, k)[0]
-        branch = register[recv[:dim]]
+        b, recv, _ = family_space(w.mode, tm.v_hat(tau0))
+        branch = (w.completed_unitary @ (b @ x))[recv[:dim]]
     else:
         block = _sector_block(w, partition.n_sites, k)
         lam = 1.0

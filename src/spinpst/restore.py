@@ -3,16 +3,19 @@
 Four solution families share one constraint set: rows a_i of W_ER must give
 a_i . b_j = lambda * delta_ij on the transfer columns b_j (common lambda),
 extra rows must annihilate every b_j, and the constrained rows must be
-orthonormal.  The general modes treat the row entries as free; their rows
-follow in closed form from the SVD of the transfer columns, with lambda =
-sigma_min.  The circuit modes parameterize W_ER by gate angles and minimize
-the stacked real/imaginary residuals from random restarts, all restarts in
-one Levenberg-Marquardt solve with the restarts on a leading array axis.
-Each circuit is a list of two-level gates and permutations; per iteration,
-one forward and one backward sweep over the stacked circuits give every
-restart's residuals and exact Jacobian (adjoint differentiation), and one
-batched solve gives every restart's damped step.  In every mode lambda is
-the derived quantity a_0 . b_0, never a free variable.
+orthonormal.  Each family fixes the space W_ER acts in (``family_space``):
+the preserving families act on the ER k-sector, the non-preserving ones on
+the 2**n_er register.  The general modes treat the row entries as free;
+their rows follow in closed form from the SVD of the transfer columns, with
+lambda = sigma_min.  The circuit modes parameterize W_ER by gate angles and
+minimize the stacked real/imaginary residuals from random restarts, all
+restarts in one Levenberg-Marquardt solve with the restarts on a leading
+array axis.  Each circuit is a list of two-level gates and permutations;
+per iteration, one forward and one backward sweep over the stacked circuits
+give every restart's residuals and exact Jacobian (adjoint
+differentiation), and one batched solve gives every restart's damped step.
+In every mode lambda is the derived quantity a_0 . b_0, never a free
+variable.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .gates import HADAMARD, _bit_split, _cnot_perm
 
 GENERAL_MODES = ("preserving-general", "nonpreserving-general")
 CIRCUIT_MODES = ("circuit-preserving", "circuit-nonpreserving")
+PRESERVING_MODES = ("preserving-general", "circuit-preserving")
 DEFAULT_TOL = 1e-10
 DEFAULT_RESTARTS_CIRCUIT = 1000
 LM_MU0 = 1e-3              # initial damping relative to max diag J^T J
@@ -107,13 +111,16 @@ class RestartRecord:
 class RestoreSolution:
     """Converged constrained rows, the scale factor, and a unitary completion.
 
-    ``constrained_rows[i]`` sits at row ``row_positions[i]`` of
-    ``completed_unitary``; the first N^(S)_k rows are the receiver rows (the
-    ones the protocol projector selects), the rest are garbage-zeroing rows.
-    For preserving modes the completion is the k-excitation block of W_ER
-    (dimension N^(ER)_k); for non-preserving modes it is the full 2**n_er
-    matrix.  ``wer_full`` is the whole extended-receiver unitary whenever the
-    family defines one (circuit modes), else None.
+    ``completed_unitary`` is W_ER in its family's space (``family_space``):
+    the k-excitation block (dimension N^(ER)_k, sector order) for the
+    preserving families, the full 2**n_er matrix for the non-preserving
+    ones.  ``constrained_rows[i]`` is its row ``row_positions[i]``; the
+    first N^(S)_k rows are the receiver rows (the ones the protocol
+    projector selects), the rest are garbage-zeroing rows.  ``wer_full`` is
+    a circuit W_ER on the whole 2**n_er register (``_register_unitary``),
+    the identity outside the k-sector for the preserving family, and None
+    for the general modes.  Only the benchmark checks under ``bench/`` read
+    it; it goes when they next change (ROADMAP item 5).
     """
 
     mode: str
@@ -156,27 +163,53 @@ class RestoreSolution:
 
 
 # ---------------------------------------------------------------------------
-# receiver/extra row placement
+# family spaces: transfer columns and row placement
 # ---------------------------------------------------------------------------
 
-def _er_positions(n_er: int, n_r: int, k: int) -> tuple[list[int], list[int]]:
-    """Register masks of the receiver rows and of the other k-sector rows of ER.
-
-    Receiver rows are the k-states with every excitation inside R (the last
-    n_r qubits of the extended receiver), ordered like the receiver k-basis;
-    the other rows (zeroing-row candidates, since zeroing constraints act on
-    k-excitation garbage) follow in sector order.
-    """
-    recv = [m << (n_er - n_r) for m in k_states(n_r, k).states]
-    rest = [m for m in k_states(n_er, k).states if m not in recv]
-    return recv, rest
-
-
-def _register_columns(v: TransferBlock, n_er: int) -> np.ndarray:
+def _register_columns(v: TransferBlock) -> np.ndarray:
     """Transfer columns V placed at the k-sector rows of the 2**n_er register."""
-    b = np.zeros((2 ** n_er, v.columns), dtype=complex)
-    b[np.fromiter(k_states(n_er, v.k).states, dtype=np.int64), :] = v.v_hat
+    b = np.zeros((2 ** v.n_er, v.columns), dtype=complex)
+    b[np.fromiter(k_states(v.n_er, v.k).states, dtype=np.int64), :] = v.v_hat
     return b
+
+
+def family_space(mode: str, v: TransferBlock) -> tuple[np.ndarray, list[int], list[int]]:
+    """The space a family's W_ER acts in: transfer columns, receiver rows and
+    zero-row candidates there.
+
+    Preserving families act on the C(n_er, k) ER k-sector, rows given as
+    sector ordinals; non-preserving families act on the 2**n_er register,
+    rows given as register masks.  Receiver rows are the k-states with every
+    excitation inside R (the last n_r qubits of the extended receiver),
+    ordered like the receiver k-basis.  The candidates are the other k-sector
+    rows in sector order (zeroing constraints act on k-excitation garbage),
+    except for nonpreserving-general, whose candidates run over every sector
+    of the register in excitation order.
+    """
+    n_er, k = v.n_er, v.k
+    recv = [m << (n_er - v.n_s) for m in k_states(v.n_s, k).states]
+    if mode in PRESERVING_MODES:
+        sector = k_states(n_er, k)
+        recv = [sector.index_of(m) for m in recv]
+        rest = [i for i in range(len(sector)) if i not in recv]
+        return np.asarray(v.v_hat, dtype=complex), recv, rest
+    sectors = range(n_er + 1) if mode == "nonpreserving-general" else (k,)
+    rest = [m for j in sectors for m in k_states(n_er, j).states if m not in recv]
+    return _register_columns(v), recv, rest
+
+
+def _register_unitary(mode: str, w: np.ndarray, n_er: int, k: int) -> np.ndarray:
+    """W_ER on the whole 2**n_er register from W_ER in its family's space.
+
+    A preserving family's k-block goes to the k-sector, with the identity on
+    every other sector; a non-preserving W_ER is the register matrix already.
+    """
+    if mode not in PRESERVING_MODES:
+        return w
+    states = np.fromiter(k_states(n_er, k).states, dtype=np.int64)
+    full = np.eye(2 ** n_er, dtype=complex)
+    full[np.ix_(states, states)] = w
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +275,8 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
         raise ValueError(f"solve_general does not handle mode {problem.mode!r}")
     v = problem.v_hat
     n = v.columns
-    k = v.k
-    n_r = v.n_s  # receiver size equals sender size
-    recv, rest = _er_positions(problem.n_er, n_r, k)
-    if problem.mode == "preserving-general":
-        d = v.rows
-        b = np.asarray(v.v_hat, dtype=complex)
-        er = k_states(problem.n_er, k)
-        recv, rest = [er.index_of(m) for m in recv], [er.index_of(m) for m in rest]
-    else:
-        d = 2 ** problem.n_er
-        b = _register_columns(v, problem.n_er)
-        # zero-row candidates in excitation-sorted order over the whole register
-        rest = [m for j in range(problem.n_er + 1)
-                for m in k_states(problem.n_er, j).states if m not in recv]
+    b, recv, rest = family_space(problem.mode, v)
+    d = len(b)
     if d < 2 * n - 1:
         raise FeasibilityError(f"dimension {d} < {2 * n - 1} required")
     n_extra_max = d - (2 * n - 1)
@@ -283,7 +304,7 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
     return RestoreSolution(mode=problem.mode, constrained_rows=a,
                            row_positions=positions, lam=lam, residual=residual,
                            completed_unitary=completed, tau=v.tau,
-                           n_er=problem.n_er, k=k, seed=problem.seed,
+                           n_er=problem.n_er, k=v.k, seed=problem.seed,
                            restart_records=(RestartRecord(0, True, residual, abs(lam)),))
 
 
@@ -291,31 +312,18 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
 # circuit families
 # ---------------------------------------------------------------------------
 
-def _circuit_row_positions(problem: RestoreProblem) -> list[int]:
-    """Constrained row positions as full-register computational indices.
-
-    Raises FeasibilityError unless 0 <= n_extra_zero_rows <= the number of
-    k-sector rows left after the receiver rows.
-    """
-    v = problem.v_hat
-    n_extra = problem.n_extra_zero_rows or 0
-    recv, rest = _er_positions(problem.n_er, v.n_s, v.k)
-    if not 0 <= n_extra <= len(rest):
-        raise FeasibilityError(f"{n_extra} extra zero rows; the k-sector of "
-                               f"{problem.n_er} qubits admits 0..{len(rest)}")
-    return recv + rest[:n_extra]
-
-
 # Each circuit is a list of entries in application order: a _TwoLevel acts
-# with the 2x2 block g on the register index pairs (pairs[0][i], pairs[1][i])
-# and as the identity elsewhere; a _Permutation maps a state r to r[perm].
-# The angles belong to the entries marked ``tuned``, gate after gate in
-# application order, which is the order of the flat parameter vector.  The
-# circuits act on stacks: r has shape (restarts, 2**n, columns), and a tuned
-# entry holds one block per restart, shape (restarts, 2, 2).
+# with the 2x2 block g on the index pairs (pairs[0][i], pairs[1][i]) and as
+# the identity elsewhere; a _Permutation maps a state r to r[perm].  Indices
+# are those of the family's space: k-sector ordinals for the preserving
+# family, register masks for the non-preserving one.  The angles belong to
+# the entries marked ``tuned``, gate after gate in application order, which
+# is the order of the flat parameter vector.  The circuits act on stacks: r
+# has shape (restarts, dimension, columns), and a tuned entry holds one
+# block per restart, shape (restarts, 2, 2).
 
 class _TwoLevel(NamedTuple):
-    pairs: np.ndarray   # (2, n_pairs) register indices
+    pairs: np.ndarray   # (2, n_pairs) indices
     g: np.ndarray       # (restarts, 2, 2) blocks, or one fixed (2, 2) block
     tuned: bool         # False for the fixed trailing Hadamards
 
@@ -334,11 +342,13 @@ def _rotation_pairs(n: int, qubit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _exchange_pairs(n: int, i: int, j: int) -> np.ndarray:
-    """Index pairs (bit i = 0 and bit j = 1, bit i = 1 and bit j = 0)."""
-    idx = np.arange(2 ** n)
-    lo = idx[(((idx >> (i - 1)) & 1) == 0) & (((idx >> (j - 1)) & 1) == 1)]
-    return np.stack([lo, lo ^ (1 << (i - 1)) ^ (1 << (j - 1))])
+def _exchange_pairs(n: int, k: int, i: int, j: int) -> np.ndarray:
+    """k-sector ordinals of the pairs (bit i = 0, bit j = 1) and (1, 0)."""
+    sector = k_states(n, k)
+    flip = (1 << (i - 1)) | (1 << (j - 1))
+    lo = [m for m in sector.states if m & flip == 1 << (j - 1)]
+    return np.array([[sector.index_of(m) for m in lo],
+                     [sector.index_of(m ^ flip) for m in lo]], dtype=np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -389,22 +399,23 @@ def _rotation_blocks(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, du
 
 
-def _gate_list(mode: str, params: np.ndarray, q_layers: int, n: int,
+def _gate_list(mode: str, params: np.ndarray, q_layers: int, n: int, k: int,
                a_qubits: tuple[int, ...]) -> tuple[list, np.ndarray]:
     """The circuits of the stacked ``params`` (restarts, n_params) as entries,
     and their derivative blocks.
 
     Preserving: layer q applies the pair gate U_{j, j+1 mod n} for j = 1..n,
-    j = 1 first.  Nonpreserving: layer q applies rz(alpha) ry(beta) rz(gamma)
-    on every qubit, then CNOTs C_ij over all pairs i < j ((1, 2) first); the
-    layers end with Hadamards on ``a_qubits``.  The derivative blocks have
-    shape (restarts, tuned entries, angles per entry, 2, 2), so they flatten
-    to the parameter order.
+    j = 1 first, on the k-sector.  Nonpreserving, on the 2**n register:
+    layer q applies rz(alpha) ry(beta) rz(gamma) on every qubit, then CNOTs
+    C_ij over all pairs i < j ((1, 2) first); the layers end with Hadamards
+    on ``a_qubits``.  The derivative blocks have shape (restarts, tuned
+    entries, angles per entry, 2, 2), so they flatten to the parameter
+    order.
     """
     if mode == "circuit-preserving":
         p = params.reshape(len(params), -1, 2)
         h, dh = _exchange_blocks(p[..., 0], p[..., 1])
-        pairs = [_exchange_pairs(n, j, j % n + 1) for j in range(1, n + 1)] * q_layers
+        pairs = [_exchange_pairs(n, k, j, j % n + 1) for j in range(1, n + 1)] * q_layers
         return [_TwoLevel(pr, h[:, t], True) for t, pr in enumerate(pairs)], dh
     u, du = _rotation_blocks(params.reshape(len(params), -1, 3))
     gates = []
@@ -437,24 +448,26 @@ def _apply_gates(gates: list, r: np.ndarray,
 
 
 def _circuit_sweep(problem: RestoreProblem, params: np.ndarray,
-                   a_qubits: tuple[int, ...], b_full: np.ndarray,
+                   a_qubits: tuple[int, ...], b: np.ndarray,
                    positions: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda, residuals, exact Jacobian) of the circuits at the stacked ``params``.
 
     ``params`` has shape (restarts, n_params); the outputs have shapes
     (restarts,), (restarts, n_residuals) and (restarts, n_residuals,
-    n_params).  Adjoint differentiation: the forward sweep r_t = G_t r_(t-1)
-    from r_0 = b_full gives e = W[positions] @ b_full; the backward sweep
-    carries l_t = E G_L ... G_(t+1), E the identity rows at ``positions``,
-    and each angle of G_t contributes d e = l_t dG_t r_(t-1), which needs
-    only the rows of l_t^T and r_(t-1) at the gate's index pairs.
+    n_params).  ``b`` and ``positions`` are the transfer columns and the
+    constrained rows in the family's space.  Adjoint differentiation: the
+    forward sweep r_t = G_t r_(t-1) from r_0 = b gives e = W[positions] @ b;
+    the backward sweep carries l_t = E G_L ... G_(t+1), E the identity rows
+    at ``positions``, and each angle of G_t contributes d e = l_t dG_t
+    r_(t-1), which needs only the rows of l_t^T and r_(t-1) at the gate's
+    index pairs.
     """
     gates, dg = _gate_list(problem.mode, params, problem.q_layers,
-                           problem.n_er, a_qubits)
+                           problem.n_er, problem.v_hat.k, a_qubits)
     stack = len(params)
-    r, r_in = _apply_gates(gates, np.repeat(b_full[None], stack, axis=0))
+    r, r_in = _apply_gates(gates, np.repeat(b[None], stack, axis=0))
     e = r[:, positions]
-    ell = np.zeros((stack, len(b_full), len(positions)), dtype=complex)   # l_L^T
+    ell = np.zeros((stack, len(b), len(positions)), dtype=complex)   # l_L^T
     ell[:, positions, np.arange(len(positions))] = 1.0
     _, ell_out = _apply_gates(gates, ell, transpose=True)
     m = np.einsum("rgaim,rgbin->rgabmn", np.stack(ell_out, axis=1), np.stack(r_in, axis=1))
@@ -462,11 +475,13 @@ def _circuit_sweep(problem: RestoreProblem, params: np.ndarray,
     return e[:, 0, 0], _lambda_residuals(e), _lambda_residuals(de).swapaxes(-1, -2)
 
 
-def _circuit_unitary(mode: str, params: np.ndarray, q_layers: int, n: int,
+def _circuit_unitary(mode: str, params: np.ndarray, q_layers: int, n: int, k: int,
                      a_qubits: tuple[int, ...]) -> np.ndarray:
-    """W_ER of one circuit: the identity swept through its gate list."""
-    gates, _ = _gate_list(mode, params[None], q_layers, n, a_qubits)
-    return _apply_gates(gates, np.eye(2 ** n, dtype=complex)[None])[0][0]
+    """W_ER of one circuit in its family's space: the identity swept through
+    its gate list (the k-block for the preserving family)."""
+    gates, _ = _gate_list(mode, params[None], q_layers, n, k, a_qubits)
+    dim = len(k_states(n, k)) if mode in PRESERVING_MODES else 2 ** n
+    return _apply_gates(gates, np.eye(dim, dtype=complex)[None])[0][0]
 
 
 def _levenberg_marquardt(sweep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -528,15 +543,20 @@ def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
     ``problem.tol``; converged restarts keep their own lambda (the circuit
     families do not pin it), and the returned solution is the converged one
     with the largest |lambda|, its W_ER built by sweeping the identity
-    through the same gates.  An ``n_extra_zero_rows`` outside 0..(free
-    k-sector rows) raises FeasibilityError.
+    through the same gates.  Everything runs in the family's space
+    (``family_space``).  An ``n_extra_zero_rows`` outside 0..(free k-sector
+    rows) raises FeasibilityError.
     """
     if problem.mode not in CIRCUIT_MODES:
         raise ValueError(f"fit_circuit does not handle mode {problem.mode!r}")
     v = problem.v_hat
     n = v.columns
-    positions = _circuit_row_positions(problem)
-    n_extra = len(positions) - n
+    b, recv, rest = family_space(problem.mode, v)
+    n_extra = problem.n_extra_zero_rows or 0
+    if not 0 <= n_extra <= len(rest):
+        raise FeasibilityError(f"{n_extra} extra zero rows; the k-sector of "
+                               f"{problem.n_er} qubits admits 0..{len(rest)}")
+    positions = recv + rest[:n_extra]
     per_layer = 2 if problem.mode == "circuit-preserving" else 3
     n_params = per_layer * problem.q_layers * problem.n_er
     n_constraints = 2 * ((n + n_extra) * n - 1)
@@ -546,12 +566,11 @@ def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
             "the fit may only reach a least-squares residual", stacklevel=2)
     a_qubits = tuple(range(1, problem.n_er - v.n_s + 1))
 
-    b_full = _register_columns(v, problem.n_er)
     seeds = np.random.SeedSequence(problem.seed).spawn(problem.default_restarts())
     x0 = np.array([np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, n_params)
                    for s in seeds])
     x, lam, f = _levenberg_marquardt(
-        lambda p: _circuit_sweep(problem, p, a_qubits, b_full, positions), x0)
+        lambda p: _circuit_sweep(problem, p, a_qubits, b, positions), x0)
     res = np.abs(f).max(axis=1)
     records = tuple(RestartRecord(i, bool(res[i] <= problem.tol), float(res[i]),
                                   float(abs(lam[i]))) for i in range(len(x)))
@@ -562,43 +581,12 @@ def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
             float(res.min()))
     best = min(converged, key=lambda r: (-r.lam_abs, r.residual, r.index)).index
 
-    w_full = _circuit_unitary(problem.mode, x[best], problem.q_layers,
-                              problem.n_er, a_qubits)
-    if problem.mode == "circuit-preserving":
-        er = k_states(problem.n_er, v.k)
-        er_states = np.fromiter(er.states, dtype=np.int64)
-        row_positions = tuple(er.index_of(m) for m in positions)
-        rows = w_full[np.ix_(positions, er_states)]
-        completed = w_full[np.ix_(er_states, er_states)]
-    else:
-        row_positions = tuple(positions)
-        rows = w_full[positions]
-        completed = w_full
-    return RestoreSolution(mode=problem.mode, constrained_rows=rows,
-                           row_positions=row_positions, lam=complex(lam[best]),
-                           residual=float(res[best]), completed_unitary=completed,
+    w = _circuit_unitary(problem.mode, x[best], problem.q_layers, problem.n_er,
+                         v.k, a_qubits)
+    return RestoreSolution(mode=problem.mode, constrained_rows=w[positions],
+                           row_positions=tuple(positions), lam=complex(lam[best]),
+                           residual=float(res[best]), completed_unitary=w,
                            tau=v.tau, n_er=problem.n_er, k=v.k,
                            seed=problem.seed, restart_records=records,
-                           circuit_params=x[best], wer_full=w_full)
-
-
-# ---------------------------------------------------------------------------
-# whole extended-receiver unitary
-# ---------------------------------------------------------------------------
-
-def wer_full_from_solution(solution: RestoreSolution) -> np.ndarray:
-    """Whole extended-receiver unitary (2**n_er) implied by a solution.
-
-    Preserving families embed the k-block at the k-sector positions and leave
-    every other sector's block as the identity; non-preserving families carry
-    the full matrix already.
-    """
-    if solution.wer_full is not None:
-        return solution.wer_full
-    if solution.mode == "nonpreserving-general":
-        return solution.completed_unitary
-    n_er, k = solution.n_er, solution.k
-    er_states = np.fromiter(k_states(n_er, k).states, dtype=np.int64)
-    w = np.eye(2 ** n_er, dtype=complex)
-    w[np.ix_(er_states, er_states)] = solution.completed_unitary
-    return w
+                           circuit_params=x[best], wer_full=_register_unitary(
+                               problem.mode, w, problem.n_er, v.k))

@@ -134,7 +134,8 @@ def _grid(tau_min: float, tau_max: float, step: float) -> np.ndarray:
         raise ValueError("step must be positive")
     if tau_max < tau_min:
         raise ValueError("empty tau range")
-    n = int(round((tau_max - tau_min) / step))
+    # the largest j with tau_min + j step <= tau_max, up to 1e-9 steps of rounding
+    n = int((tau_max - tau_min) / step + 1e-9)
     return tau_min + step * np.arange(n + 1)
 
 

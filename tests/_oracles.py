@@ -27,7 +27,7 @@ from scipy.optimize import least_squares
 from spinpst.basis import binom, embed_subsystem, k_states
 from spinpst.chain import CouplingMatrix, Partition, hamiltonian_block
 from spinpst.dynamics import TransferBlock, propagator, sector_eigensystem
-from spinpst.restore import wer_full_from_solution
+from spinpst.restore import _register_unitary
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -634,6 +634,16 @@ def evolve_full(amps: np.ndarray, couplings: CouplingMatrix, tau: float) -> np.n
             continue
         out[idx] = propagator(sector_eigensystem(couplings, k), tau) @ sub
     return out.reshape(amps.shape)
+
+
+def wer_full_from_solution(solution) -> np.ndarray:
+    """Whole extended-receiver unitary (2**n_er) of a restoring solution.
+
+    A preserving family's k-block is embedded with the identity on every
+    other sector; a non-preserving solution carries the register matrix.
+    """
+    return _register_unitary(solution.mode, solution.completed_unitary,
+                             solution.n_er, solution.k)
 
 
 def apply_wer_full_space(amps: np.ndarray, w_er: np.ndarray, n_sites: int,

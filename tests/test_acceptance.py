@@ -18,11 +18,10 @@ from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
 from spinpst.basis import k_states
 from spinpst.paper import (N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A, PAPER_TABLE_2,
                            PAPER_TABLE_2_N42, TABLE_2_WINDOWS)
-from spinpst.restore import wer_full_from_solution
 
 from _oracles import (expm_propagator, gram, lambda_polynomial, least_squares_lambda,
                       pauli_xx_hamiltonian, real_roots, restoring_columns,
-                      restrict_to_sector, u_pair)
+                      restrict_to_sector, u_pair, wer_full_from_solution)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)

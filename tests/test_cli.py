@@ -345,6 +345,17 @@ class TestCommands:
                      "--seed", "3", "--out", str(out)]) == 0
         assert 1 - 1e-12 <= json.loads(out.read_text())["fidelity"] <= 1.0
 
+    def test_simulate_with_vanishing_lambda(self, tmp_path):
+        # |lambda| is about 1e-13 at tau = 0.001, so 1 - |lambda|^2 rounds to 1
+        p = tmp_path / "run.cfg"
+        p.write_text((CONFIGS / "simulate_er5.cfg").read_text()
+                     .replace("solver.tau = 14.391", "solver.tau = 0.001"))
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["lambda"]["abs"] < 1e-12
+        assert rep["amplification"]["M"] > 1e24
+
     def test_simulate_explicit_state(self, cfg_file, tmp_path):
         state = tmp_path / "state.json"
         state.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0]]))

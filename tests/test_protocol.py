@@ -10,13 +10,12 @@ from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
 from spinpst.basis import embed_subsystem, k_states
 from spinpst.paper import N42_OVERRIDES
 from spinpst.protocol import amplification_runs
-from spinpst.restore import wer_full_from_solution
 
 from _oracles import (I2, SX, exact_value_controlled_pattern_flips, expm_propagator,
                       full_space_protocol, parity_flip_matches,
                       pattern_controlled_value_flips, pauli_xx_hamiltonian,
                       restrict_to_sector, site_operator, value_controlled_pattern_flips,
-                      value_mask)
+                      value_mask, wer_full_from_solution)
 
 
 def random_state(rng, dim):
@@ -456,6 +455,11 @@ class TestAmplification:
 
     def test_table_probability(self):
         assert amplification_runs(0.189, 0.01) == 22
+
+    @pytest.mark.parametrize("p", [1e-15, 1e-18])
+    def test_tiny_probability(self, p):
+        # 1 - p rounds to 1 (or close to it); -log(1 - p) = p + O(p^2)
+        assert amplification_runs(p, 0.01) == pytest.approx(math.log(100) / p, rel=1e-12)
 
     def test_bounds(self):
         for bad in (0.0, 1.0, -0.2):

@@ -7,8 +7,8 @@ from spinpst import RestoreProblem, fit_circuit, solve_general
 from spinpst.basis import k_states
 from spinpst.dynamics import TransferBlock
 from spinpst.restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
-                             _circuit_row_positions, _circuit_sweep, _circuit_unitary,
-                             _lambda_residuals, _register_columns)
+                             _circuit_sweep, _circuit_unitary, _lambda_residuals,
+                             family_space)
 
 from _oracles import (build_circuit_nonpreserving, build_circuit_preserving,
                       finite_difference_jacobian, full_basis, gram, lambda_polynomial,
@@ -324,13 +324,16 @@ class TestFitCircuit:
                            restarts=restarts)
 
     def test_rows_match_built_unitary(self, vhat_at):
+        # the winner's rows and k-block against the gate-by-gate oracle
         problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493),
                                  mode="circuit-preserving", q_layers=3,
                                  n_extra_zero_rows=0, seed=21, restarts=5)
         sol = fit_circuit(problem)
         er = np.fromiter(k_states(4, 2).states, dtype=np.int64)
-        wk = sol.wer_full[np.ix_(er, er)]
-        assert np.abs(wk - sol.completed_unitary).max() < 1e-12
+        want = build_circuit_preserving(sol.circuit_params, 3, 4)
+        assert np.abs(sol.completed_unitary - want[np.ix_(er, er)]).max() < 1e-12
+        rows = want[np.ix_(er[list(sol.row_positions)], er)]
+        assert np.abs(sol.constrained_rows - rows).max() < 1e-12
 
 
 # (mode, q, n_er, n_extra, a_qubits): N=10, n_s=3, k=2, so n_er - 3 free
@@ -354,9 +357,12 @@ class TestCircuitJacobian:
         v = vhat_at(n_er, tau=12.493)
         problem = RestoreProblem(v_hat=v, mode=mode, q_layers=q,
                                  n_extra_zero_rows=n_extra)
-        positions = _circuit_row_positions(problem)
+        b, recv, rest = family_space(mode, v)
+        positions = recv + rest[:n_extra]
         assert len(positions) == v.columns + n_extra
         er = np.fromiter(k_states(n_er, 2).states, dtype=np.int64)
+        # preserving rows are k-sector ordinals, non-preserving ones register masks
+        masks = er[positions] if mode == "circuit-preserving" else positions
 
         def built(x):
             """rows @ V from the matrix that build_circuit_* assembles."""
@@ -364,13 +370,12 @@ class TestCircuitJacobian:
                 w = build_circuit_preserving(x, q, n_er)
             else:
                 w = build_circuit_nonpreserving(x, q, n_er, a_qubits)
-            return w[np.ix_(positions, er)] @ v.v_hat
+            return w[np.ix_(masks, er)] @ v.v_hat
 
         per_gate = 2 if mode == "circuit-preserving" else 3
         x = np.random.default_rng(1000 * q + 10 * n_er + n_extra).uniform(
             0, 2 * np.pi, per_gate * q * n_er)
-        lam, res, jac = _circuit_sweep(problem, x[None], a_qubits,
-                                       _register_columns(v, n_er), positions)
+        lam, res, jac = _circuit_sweep(problem, x[None], a_qubits, b, positions)
         lam, res, jac = lam[0], res[0], jac[0]
         e = built(x)
         assert np.abs(res - _lambda_residuals(e)).max() <= 1e-13
@@ -445,15 +450,18 @@ class TestStackedSolver:
     def test_wer_full_matches_gate_by_gate_unitary(self, mode, q, n_er):
         rng = np.random.default_rng(100 * q + n_er)
         if mode == "circuit-preserving":
+            # the sweep of each k-sector is the oracle's k-block, and the
+            # oracle has nothing outside those blocks
             x = rng.uniform(0, 2 * np.pi, 2 * q * n_er)
-            w = _circuit_unitary(mode, x, q, n_er, ())
+            w = np.zeros((2 ** n_er, 2 ** n_er), dtype=complex)
+            for k in range(n_er + 1):
+                sector = np.fromiter(k_states(n_er, k).states, dtype=np.int64)
+                w[np.ix_(sector, sector)] = _circuit_unitary(mode, x, q, n_er, k, ())
             assert np.abs(w - build_circuit_preserving(x, q, n_er)).max() <= 1e-14
-            pop = np.array([bin(m).count("1") for m in range(2 ** n_er)])
-            assert not w[pop[:, None] != pop[None, :]].any()
             return
         x = rng.uniform(0, 2 * np.pi, 3 * q * n_er)
         for a_qubits in [(), tuple(range(1, n_er - 2))]:   # none, or every A qubit
-            w = _circuit_unitary(mode, x, q, n_er, a_qubits)
+            w = _circuit_unitary(mode, x, q, n_er, 2, a_qubits)
             want = build_circuit_nonpreserving(x, q, n_er, a_qubits)
             assert np.abs(w - want).max() <= 1e-14
 
@@ -464,8 +472,8 @@ class TestStackedSolver:
                                  restarts=2)
         sol = fit_circuit(problem)
         a_qubits = (1,)    # the default: the one site of ER outside R
-        assert np.array_equal(sol.wer_full, _circuit_unitary(
-            mode, sol.circuit_params, q, 4, a_qubits))
+        assert np.array_equal(sol.completed_unitary, _circuit_unitary(
+            mode, sol.circuit_params, q, 4, 2, a_qubits))
 
 
 class TestSolutionSerialization:

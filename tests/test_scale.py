@@ -220,6 +220,14 @@ class TestScan:
         assert res.tau0 == 0.0
         assert res.lambda_min < 1e-12
 
+    def test_grid_stops_at_tau_max(self, chain10, part10):
+        # 1.0 is not a multiple of 0.35: the grid ends at 0.7, not at 1.05
+        res = scale.scan(chain10, part10(5), 2, 0.0, 1.0, 0.35)
+        assert np.array_equal(res.taus, [0.0, 0.35, 0.7])
+        assert res.tau0 <= 1.0
+        # (12.6 - 12.4) / 0.001 rounds to 199.9999999999993; 12.6 stays on the grid
+        assert len(scale.scan(chain10, part10(5), 2, 12.4, 12.6, 0.001).taus) == 201
+
     def test_bell_shape_near_peak(self, chain10, part10):
         res = scale.scan(chain10, part10(5), 2, 0.0, 20.0, 0.001)
         mins = res.roots[:, 0]
