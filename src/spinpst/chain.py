@@ -188,16 +188,9 @@ def direct_override_matrix(n_sites: int, nn_overrides: dict[int, float]) -> np.n
     Alternative reading of "adjusted coupling constants": the overrides patch
     D_{i,i+1} directly while all other pairs keep the unit-spacing dipole value.
     """
-    pos = np.arange(n_sites, dtype=float)
-    r = np.abs(pos[:, None] - pos[None, :])
-    with np.errstate(divide="ignore"):
-        d = 1.0 / r ** 3
-    np.fill_diagonal(d, 0.0)
+    ChainSpec(n_sites=n_sites, nn_overrides=nn_overrides)   # checks the bonds and signs
+    d = build_couplings(ChainSpec(n_sites=n_sites)).d
     for i, v in nn_overrides.items():
-        if not 1 <= i <= n_sites - 1:
-            raise InvalidSpecError(f"override bond {i}-{i + 1} out of range")
-        if v <= 0:
-            raise InvalidSpecError("override coupling must be positive")
         d[i - 1, i] = d[i, i - 1] = v
     return d
 

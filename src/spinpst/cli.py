@@ -57,13 +57,17 @@ def _scan_csv(result: scale.ScanResult) -> str:
     return "".join(parts)
 
 
+def _scan_range(cfg: RunConfig) -> tuple[float, float, float]:
+    """The configured tau grid; the scan keys are required only where a scan runs."""
+    if cfg["scan.tau_min"] is None or cfg["scan.tau_max"] is None:
+        raise ConfigError("scan needs scan.tau_min and scan.tau_max")
+    return cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.step"]
+
+
 def cmd_scan(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    couplings = cfg.couplings()
-    part = cfg.partition()
-    lo, hi, step = cfg.scan_range()
-    fmt = args.format or cfg.output_format()
-    result = scale.scan(couplings, part, cfg.k(), lo, hi, step)
+    lo, hi, step = _scan_range(cfg)
+    result = scale.scan(cfg.couplings(), cfg.partition(), cfg["excitation.k"], lo, hi, step)
     summary = {
         "tau0": result.tau0,
         "lambda_min": result.lambda_min,
@@ -73,8 +77,8 @@ def cmd_scan(args) -> int:
         "config_hash": cfg.config_hash(),
         "seed": args.seed,
     }
-    if fmt == "csv":
-        out = args.out or cfg.raw.get("output.path", "scan_output.csv")
+    if (args.format or cfg["output.format"]) == "csv":
+        out = args.out or cfg["output.path"] or "scan_output.csv"
         Path(out).write_text(_scan_csv(result))
         summary["csv"] = out
     print(_json_dump(summary))
@@ -83,70 +87,64 @@ def cmd_scan(args) -> int:
 
 def cmd_roots(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    tau = args.tau if args.tau is not None else cfg._float("roots.tau")
+    tau = args.tau if args.tau is not None else cfg["roots.tau"]
     if tau is None:
         raise ConfigError("roots needs --tau or the roots.tau key")
     if not math.isfinite(tau):
         raise ConfigError(f"--tau must be a finite number, got {tau}")
-    roots = scale.roots_at(cfg.couplings(), cfg.partition(), cfg.k(), tau)
+    part, k = cfg.partition(), cfg["excitation.k"]
+    roots = scale.roots_at(cfg.couplings(), part, k, tau)
     print(_json_dump({
         "tau": tau,
         "roots": [float(r) for r in roots],
-        "n_er": cfg.partition().n_er,
-        "k": cfg.k(),
+        "n_er": part.n_er,
+        "k": k,
         "chain_id": cfg.chain_id(),
         "config_hash": cfg.config_hash(),
     }))
     return EXIT_OK
 
 
-def _solve_from_config(cfg: RunConfig, args, couplings, tm: TransferMap):
-    """Restoring solution at the configured or scanned tau, from tm's eigensystem."""
-    tau = cfg.solver_tau()
-    if tau is None:
-        tau = scale.scan(couplings, tm.partition, tm.k, *cfg.scan_range(),
-                         transfer_map=tm).tau0
-    seed = args.seed if args.seed is not None else cfg.solver_seed()
-    problem = RestoreProblem(v_hat=tm.v_hat(tau), mode=cfg.solver_mode(),
-                             n_extra_zero_rows=cfg.solver_extra_rows(),
-                             q_layers=cfg.solver_q(),
-                             restarts=cfg.solver_restarts(),
-                             tol=cfg.solver_tol(), seed=seed)
+def _solve_from_config(cfg: RunConfig, args):
+    """Restoring solution at the configured or scanned tau, and the TransferMap
+    whose one eigensystem served the scan and the solve."""
+    tau = cfg["solver.tau"]
+    grid = _scan_range(cfg) if tau is None else None
+    tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
+    if grid is not None:
+        tau = scale.scan(cfg.couplings(), tm.partition, tm.k, *grid, transfer_map=tm).tau0
+    problem = RestoreProblem(v_hat=tm.v_hat(tau), mode=cfg["solver.mode"],
+                             n_extra_zero_rows=cfg["solver.n_extra_zero_rows"],
+                             q_layers=cfg["solver.q"],
+                             restarts=cfg["solver.restarts"],
+                             tol=cfg["solver.tol"],
+                             seed=args.seed if args.seed is not None else cfg["solver.seed"])
     if problem.mode in CIRCUIT_MODES:
-        return fit_circuit(problem)
-    return solve_general(problem)
+        return fit_circuit(problem), tm
+    return solve_general(problem), tm
 
 
 def cmd_solve(args) -> int:
+    """``solve``, and ``fit-circuit``, which takes the circuit modes only."""
     cfg = RunConfig.from_file(args.config)
-    couplings = cfg.couplings()
-    solution = _solve_from_config(cfg, args, couplings,
-                                  TransferMap(couplings, cfg.partition(), cfg.k()))
+    if args.command == "fit-circuit" and cfg["solver.mode"] not in CIRCUIT_MODES:
+        raise ConfigError("fit-circuit needs solver.mode = circuit-preserving "
+                          "or circuit-nonpreserving")
+    solution, _ = _solve_from_config(cfg, args)
     payload = solution.to_dict()
     payload["chain_id"] = cfg.chain_id()
     payload["config_hash"] = cfg.config_hash()
-    _write_or_print(_json_dump(payload), args.out or cfg.raw.get("output.path"))
+    _write_or_print(_json_dump(payload), args.out or cfg["output.path"])
     return EXIT_OK
-
-
-def cmd_fit_circuit(args) -> int:
-    cfg = RunConfig.from_file(args.config)
-    if cfg.solver_mode() not in CIRCUIT_MODES:
-        raise ConfigError("fit-circuit needs solver.mode = circuit-preserving "
-                          "or circuit-nonpreserving")
-    return cmd_solve(args)
 
 
 def cmd_simulate(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    couplings = cfg.couplings()
-    part = cfg.partition()
-    k = cfg.k()
-    variant = cfg.raw.get("simulate.variant", "k_excitation")
-    seed = args.seed if args.seed is not None else cfg.solver_seed()
+    part, k, variant = cfg.partition(), cfg["excitation.k"], cfg["simulate.variant"]
+    seed = args.seed if args.seed is not None else cfg["solver.seed"]
     # every input the protocol checks is checked before the solve runs
     try:
-        dim = protocol.input_dimension(variant, part, k, cfg.solver_mode())
+        dim = protocol.input_dimension(variant, part, k, cfg["solver.mode"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.state:
@@ -164,14 +162,13 @@ def cmd_simulate(args) -> int:
         s = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     s = s / np.linalg.norm(s)
 
-    tm = TransferMap(couplings, part, k)
-    solution = _solve_from_config(cfg, args, couplings, tm)
+    solution, tm = _solve_from_config(cfg, args)
     tau = solution.tau
     run = getattr(protocol, f"run_{variant}_pst")
-    report = run(couplings, part, k, s, solution, tau, transfer_map=tm)
+    report = run(cfg.couplings(), part, k, s, solution, tau, transfer_map=tm)
     payload = report.to_dict(chain_id=cfg.chain_id(), k=k, tau0=tau, seed=seed)
     payload["config_hash"] = cfg.config_hash()
-    _write_or_print(_json_dump(payload), args.out or cfg.raw.get("output.path"))
+    _write_or_print(_json_dump(payload), args.out or cfg["output.path"])
     return EXIT_OK
 
 
@@ -269,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-circuit", help="fit a parameterized restoring circuit")
     common(p)
-    p.set_defaults(func=cmd_fit_circuit)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="run a transfer protocol end to end")
     common(p)

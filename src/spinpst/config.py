@@ -1,20 +1,25 @@
 """Flat key-value run configuration shared by all CLI commands.
 
-Files hold ``key = value`` lines (``#`` comments allowed); every key must be
-on the whitelist below and is validated before any computation starts.
+Files hold ``key = value`` lines (``#`` comments allowed).  ``KEYS`` maps each
+allowed key to the parser of its value and its default.  ``RunConfig.from_text``
+parses every key, checks the rules that tie keys together and builds the chain
+and the partition, so a bad value raises ``ConfigError`` before any computation,
+whatever the command.  Commands check only what needs the command: the scan
+keys where a scan runs, and ``simulate``'s variant against the solution family
+and the S0/R0 registers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .chain import (ChainSpec, CouplingMatrix, InvalidSpecError, Partition, build_couplings,
-                    direct_override_matrix)
+from .chain import ChainSpec, CouplingMatrix, Partition, build_couplings, direct_override_matrix
+from .protocol import VARIANTS
 from .restore import CIRCUIT_MODES, GENERAL_MODES
 
 
@@ -22,19 +27,109 @@ class ConfigError(ValueError):
     """Malformed, unknown, or inconsistent configuration."""
 
 
-KNOWN_KEYS = {
-    "chain.n", "chain.model", "chain.positions", "chain.nn_overrides",
-    "chain.nn_override_mode", "chain.matrix_file",
-    "partition.n_s", "partition.n_r", "partition.n_er",
-    "partition.s0", "partition.r0",
-    "excitation.k",
-    "scan.tau_min", "scan.tau_max", "scan.step",
-    "roots.tau",
-    "solver.mode", "solver.restarts", "solver.tol", "solver.seed",
-    "solver.q", "solver.n_extra_zero_rows", "solver.tau",
-    "simulate.variant",
-    "output.format", "output.path",
+# Each parser turns the text of one value into the value, or raises
+# ValueError saying what the key needs: "must be ..., got '<text>'".
+
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return x
+
+
+def _positive(text: str) -> float:
+    x = _finite(text)
+    if x <= 0:
+        raise ValueError(f"must be > 0, got {text!r}")
+    return x
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def _at_least(lo: int):
+    def parse(text: str) -> int:
+        x = _integer(text)
+        if x < lo:
+            raise ValueError(f"must be >= {lo}, got {text!r}")
+        return x
+    return parse
+
+
+def _one_of(kind: str, *options: str):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be one of {', '.join(options)}, "
+                             f"got unknown {kind} {text!r}")
+        return text
+    return parse
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(_finite(x) for x in text.split(","))
+
+
+def _site_range(text: str) -> tuple[int, ...]:
+    lo, dash, hi = text.partition("-")
+    try:
+        sites = range(int(lo), int(hi if dash else lo) + 1)
+    except ValueError:
+        sites = range(0)
+    if not sites:
+        raise ValueError(f"must be a site i or a nonempty range i-j, got {text!r}")
+    return tuple(sites)
+
+
+def _overrides(text: str) -> dict[int, float]:
+    out: dict[int, float] = {}
+    for item in filter(None, (part.strip() for part in text.split(","))):
+        try:
+            bond, value = item.split(":")
+            i, j = (int(x) for x in bond.split("-"))
+        except ValueError:
+            raise ValueError(f"must list i-j:coupling items, got {item!r}") from None
+        if j != i + 1:
+            raise ValueError(f"must list nearest-neighbor bonds i-(i+1), got {item!r}")
+        out[i] = _finite(value)
+    return out
+
+
+KEYS = {
+    "chain.n": (_at_least(2), None),
+    "chain.model": (_one_of("coupling model", "dipole", "explicit"), "dipole"),
+    "chain.positions": (_numbers, None),
+    "chain.nn_overrides": (_overrides, None),
+    "chain.nn_override_mode": (_one_of("override mode", "distance", "direct"), "distance"),
+    "chain.matrix_file": (str, None),
+    "partition.n_s": (_at_least(1), None),
+    "partition.n_r": (_at_least(1), None),          # partition.n_s when absent
+    "partition.n_er": (_at_least(1), None),
+    "partition.s0": (_site_range, ()),
+    "partition.r0": (_site_range, ()),
+    "excitation.k": (_integer, None),
+    "scan.tau_min": (_finite, None),
+    "scan.tau_max": (_finite, None),
+    "scan.step": (_positive, 0.001),
+    "roots.tau": (_finite, None),
+    "solver.mode": (_one_of("mode", *GENERAL_MODES, *CIRCUIT_MODES), "preserving-general"),
+    "solver.restarts": (_at_least(1), None),
+    "solver.tol": (_positive, 1e-10),
+    "solver.seed": (_at_least(0), 0),
+    "solver.q": (_at_least(1), 2),
+    "solver.n_extra_zero_rows": (_at_least(0), None),
+    "solver.tau": (_finite, None),
+    "simulate.variant": (_one_of("protocol variant", *VARIANTS), "k_excitation"),
+    "output.format": (_one_of("format", "csv", "json"), "csv"),
+    "output.path": (str, None),
 }
+REQUIRED = ("chain.n", "partition.n_s", "partition.n_er", "excitation.k")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -46,7 +141,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -54,217 +149,89 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_site_range(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    try:
-        if "-" in text:
-            lo, hi = (int(x) for x in text.split("-", 1))
-        else:
-            lo = hi = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad site range {text!r}") from exc
-    if hi < lo:
-        raise ConfigError(f"empty site range {text!r}")
-    return tuple(range(lo, hi + 1))
-
-
-def _finite(key: str, text: str) -> float:
-    """A finite float parsed from one value of ``key``."""
-    try:
-        x = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {text!r}") from exc
-    if not math.isfinite(x):
-        raise ConfigError(f"{key} must be a finite number, got {text!r}")
-    return x
-
-
-def _parse_overrides(text: str) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+def _chain_spec(values: dict) -> ChainSpec:
+    """The chain the chain.* keys describe, in either reading of the overrides."""
+    n, overrides = values["chain.n"], values["chain.nn_overrides"]
+    if values["chain.nn_override_mode"] == "direct":
+        if not overrides:
+            raise ValueError("direct override mode needs chain.nn_overrides")
+        return ChainSpec(n_sites=n, coupling_model="explicit",
+                         matrix=direct_override_matrix(n, overrides))
+    matrix = None
+    if values["chain.model"] == "explicit":
+        path = values["chain.matrix_file"]
+        if path is None:
+            raise ValueError("missing required key 'chain.matrix_file'")
         try:
-            bond, value = item.split(":")
-            i, j = (int(x) for x in bond.split("-"))
+            matrix = np.loadtxt(path, delimiter=",", dtype=float)
         except ValueError as exc:
-            raise ConfigError(f"bad override item {item!r}") from exc
-        if j != i + 1:
-            raise ConfigError(f"override {item!r} is not a nearest-neighbor bond")
-        out[i] = _finite("chain.nn_overrides", value)
-    return out
+            raise ValueError(f"chain.matrix_file {path!r}: {exc}") from exc
+    return ChainSpec(n_sites=n, coupling_model=values["chain.model"],
+                     positions=values["chain.positions"], nn_overrides=overrides,
+                     matrix=matrix)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration; raw text is kept for hashing."""
+    """A checked configuration and its chain: ``cfg[key]`` is the parsed value
+    of a key in ``KEYS`` or its default, ``raw`` the given text, kept for hashing."""
 
-    raw: dict[str, str] = field(default_factory=dict)
+    raw: dict[str, str]
+    values: dict[str, object]
+    _couplings: CouplingMatrix
+    _partition: Partition
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        return cls(raw=parse_config_text(text))
+        raw = parse_config_text(text)
+        values = {}
+        for key, (parse, default) in KEYS.items():
+            try:
+                values[key] = parse(raw[key]) if key in raw else default
+            except ValueError as exc:
+                raise ConfigError(f"{key} {exc}") from exc
+        for key in REQUIRED:
+            if values[key] is None:
+                raise ConfigError(f"missing required key {key!r}")
+        n_s, k = values["partition.n_s"], values["excitation.k"]
+        if not 0 <= k <= n_s:
+            raise ConfigError(f"excitation.k must be in 0..partition.n_s, got {k}")
+        lo, hi = values["scan.tau_min"], values["scan.tau_max"]
+        if lo is not None and hi is not None and hi < lo:
+            raise ConfigError(f"scan.tau_max must be >= scan.tau_min, got {hi} < {lo}")
+        if values["partition.n_r"] is None:
+            values["partition.n_r"] = n_s
+        try:
+            couplings = build_couplings(_chain_spec(values))
+            partition = Partition(n_sites=values["chain.n"], n_s=n_s,
+                                  n_r=values["partition.n_r"], n_er=values["partition.n_er"],
+                                  s0_sites=values["partition.s0"],
+                                  r0_sites=values["partition.r0"])
+        except ValueError as exc:   # a chain, coupling or partition check
+            raise ConfigError(str(exc)) from exc
+        return cls(raw, values, couplings, partition)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_text(Path(path).read_text())
 
-    # -- typed accessors ---------------------------------------------------
-
-    def _get(self, key: str, default=None):
-        return self.raw.get(key, default)
-
-    def _require(self, key: str) -> str:
-        if key not in self.raw:
-            raise ConfigError(f"missing required key {key!r}")
-        return self.raw[key]
-
-    def _int(self, key: str, default=None) -> int | None:
-        v = self._get(key)
-        if v is None:
-            return default
-        try:
-            return int(v)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {v!r}") from exc
-
-    def _float(self, key: str, default=None) -> float | None:
-        v = self._get(key)
-        return default if v is None else _finite(key, v)
-
-    # -- object builders ---------------------------------------------------
-
-    def chain_spec(self) -> ChainSpec:
-        n = self._int("chain.n")
-        if n is None:
-            raise ConfigError("missing required key 'chain.n'")
-        model = self._get("chain.model", "dipole")
-        if model not in ("dipole", "explicit"):
-            raise ConfigError(f"chain.model must be dipole or explicit, got {model!r}")
-        positions = None
-        if "chain.positions" in self.raw:
-            positions = tuple(_finite("chain.positions", x)
-                              for x in self.raw["chain.positions"].split(","))
-        overrides = None
-        if "chain.nn_overrides" in self.raw:
-            overrides = _parse_overrides(self.raw["chain.nn_overrides"])
-        matrix = None
-        if model == "explicit":
-            path = self._require("chain.matrix_file")
-            try:
-                matrix = np.loadtxt(path, delimiter=",", dtype=float)
-            except ValueError as exc:
-                raise ConfigError(f"chain.matrix_file {path!r}: {exc}") from exc
-        mode = self._get("chain.nn_override_mode", "distance")
-        if mode not in ("distance", "direct"):
-            raise ConfigError("chain.nn_override_mode must be distance or direct")
-        if mode == "direct":
-            if not overrides:
-                raise ConfigError("direct override mode needs chain.nn_overrides")
-            matrix = direct_override_matrix(n, overrides)
-            return ChainSpec(n_sites=n, coupling_model="explicit", matrix=matrix)
-        try:
-            return ChainSpec(n_sites=n, coupling_model=model, positions=positions,
-                             nn_overrides=overrides, matrix=matrix)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def couplings(self) -> CouplingMatrix:
-        try:
-            return build_couplings(self.chain_spec())
-        except InvalidSpecError as exc:
-            raise ConfigError(str(exc)) from exc
+        """The coupling matrix, built and checked at load."""
+        return self._couplings
 
     def partition(self) -> Partition:
-        n = self._int("chain.n")
-        n_s = self._int("partition.n_s")
-        n_er = self._int("partition.n_er")
-        if n is None or n_s is None or n_er is None:
-            raise ConfigError("partition needs chain.n, partition.n_s, partition.n_er")
-        n_r = self._int("partition.n_r", n_s)
-        s0 = _parse_site_range(self.raw["partition.s0"]) if "partition.s0" in self.raw else ()
-        r0 = _parse_site_range(self.raw["partition.r0"]) if "partition.r0" in self.raw else ()
-        try:
-            return Partition(n_sites=n, n_s=n_s, n_r=n_r, n_er=n_er,
-                             s0_sites=s0, r0_sites=r0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def k(self) -> int:
-        k = self._int("excitation.k")
-        if k is None:
-            raise ConfigError("missing required key 'excitation.k'")
-        n_s = self._int("partition.n_s")
-        if k < 0 or (n_s is not None and k > n_s):
-            raise ConfigError(f"excitation.k must be in 0..partition.n_s, got {k}")
-        return k
-
-    def scan_range(self) -> tuple[float, float, float]:
-        lo = self._float("scan.tau_min")
-        hi = self._float("scan.tau_max")
-        step = self._float("scan.step", 0.001)
-        if lo is None or hi is None:
-            raise ConfigError("scan needs scan.tau_min and scan.tau_max")
-        if step is None or step <= 0:
-            raise ConfigError("scan.step must be positive")
-        if hi < lo:
-            raise ConfigError("empty scan range")
-        return lo, hi, step
-
-    def solver_mode(self) -> str:
-        mode = self._get("solver.mode", "preserving-general")
-        if mode not in GENERAL_MODES + CIRCUIT_MODES:
-            raise ConfigError(f"solver.mode must be one of "
-                              f"{', '.join(GENERAL_MODES + CIRCUIT_MODES)}, got {mode!r}")
-        return mode
-
-    def solver_seed(self) -> int:
-        seed = self._int("solver.seed", 0)
-        if seed < 0:
-            raise ConfigError(f"solver.seed must be >= 0, got {seed}")
-        return seed
-
-    def solver_tol(self) -> float:
-        tol = self._float("solver.tol", 1e-10)
-        if tol <= 0:
-            raise ConfigError(f"solver.tol must be > 0, got {tol}")
-        return tol
-
-    def solver_restarts(self) -> int | None:
-        restarts = self._int("solver.restarts")
-        if restarts is not None and restarts < 1:
-            raise ConfigError(f"solver.restarts must be >= 1, got {restarts}")
-        return restarts
-
-    def solver_q(self) -> int:
-        q = self._int("solver.q", 2)
-        if q < 1:
-            raise ConfigError(f"solver.q must be >= 1, got {q}")
-        return q
-
-    def solver_extra_rows(self) -> int | None:
-        n_extra = self._int("solver.n_extra_zero_rows")
-        if n_extra is not None and n_extra < 0:
-            raise ConfigError(f"solver.n_extra_zero_rows must be >= 0, got {n_extra}")
-        return n_extra
-
-    def solver_tau(self) -> float | None:
-        return self._float("solver.tau")
-
-    def output_format(self) -> str:
-        fmt = self._get("output.format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
-        return fmt
+        """The partition, built and checked at load."""
+        return self._partition
 
     def config_hash(self) -> str:
         canon = "\n".join(f"{k}={self.raw[k]}" for k in sorted(self.raw))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def chain_id(self) -> str:
-        n = self._get("chain.n", "?")
-        model = self._get("chain.model", "dipole")
-        if self._get("chain.nn_overrides"):
-            model += "-adj-" + self._get("chain.nn_override_mode", "distance")
-        return f"N{n}-{model}"
+        model = self["chain.model"]
+        if self["chain.nn_overrides"]:
+            model += "-adj-" + self["chain.nn_override_mode"]
+        return f"N{self['chain.n']}-{model}"

@@ -84,14 +84,6 @@ class RestoreProblem:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
     @property
-    def n_s_k(self) -> int:
-        return self.v_hat.columns
-
-    @property
-    def n_er_k(self) -> int:
-        return self.v_hat.rows
-
-    @property
     def n_er(self) -> int:
         return self.v_hat.n_er
 

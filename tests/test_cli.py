@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinpst
-from spinpst import dynamics
+from spinpst import dynamics, scale
 from spinpst.cli import CSV_BATCH_ROWS, _scan_csv, build_parser, main
 from spinpst.config import ConfigError, RunConfig, parse_config_text
 from spinpst.scale import ScanResult
@@ -30,6 +30,7 @@ solver.seed = 7
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BENCH_CONFIGS = CONFIGS.parent / "bench" / "configs"
 
 # the whole-line protocol with the preserving n_er=4 solution, N=10
 GLOBAL_CFG = """
@@ -73,6 +74,15 @@ def cfg_file(tmp_path):
     return p
 
 
+@pytest.fixture()
+def no_eigendecomposition(monkeypatch):
+    """Fails the test if the command scans or diagonalizes before it exits."""
+    def computed(*args, **kwargs):
+        raise AssertionError("the command computed before it rejected the config")
+    monkeypatch.setattr(dynamics, "eigendecompose", computed)
+    monkeypatch.setattr(scale, "scan", computed)
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(spinpst.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -87,8 +97,8 @@ def test_cli_import_loads_no_scipy():
 class TestConfig:
     def test_parse_and_hash(self):
         cfg = RunConfig.from_text(BASE_CFG)
-        assert cfg.k() == 1
-        assert cfg.scan_range() == (0.0, 8.0, 0.01)
+        assert cfg["excitation.k"] == 1
+        assert (cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.step"]) == (0.0, 8.0, 0.01)
         assert len(cfg.config_hash()) == 16
 
     def test_unknown_key_rejected(self):
@@ -104,15 +114,20 @@ class TestConfig:
         assert raw == {"chain.n": "4"}
 
     def test_overrides_parse(self):
-        cfg = RunConfig.from_text(
-            "chain.n = 42\nchain.nn_overrides = 1-2:0.3005,41-42:0.3005\n")
-        spec = cfg.chain_spec()
-        assert spec.nn_overrides == {1: 0.3005, 41: 0.3005}
+        cfg = RunConfig.from_text(BASE_CFG.replace(
+            "chain.n = 6", "chain.n = 42\nchain.nn_overrides = 1-2:0.3005,41-42:0.3005"))
+        assert cfg["chain.nn_overrides"] == {1: 0.3005, 41: 0.3005}
 
     def test_bad_override_bond(self):
-        cfg = RunConfig.from_text("chain.n = 5\nchain.nn_overrides = 1-3:0.5\n")
         with pytest.raises(ConfigError, match="nearest-neighbor"):
-            cfg.chain_spec()
+            RunConfig.from_text(BASE_CFG + "chain.nn_overrides = 1-3:0.5\n")
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg"))
+                             + sorted(BENCH_CONFIGS.glob("*.cfg")),
+                             ids=lambda p: str(p.relative_to(CONFIGS.parent)))
+    def test_shipped_config_loads(self, path):
+        cfg = RunConfig.from_file(path)
+        assert cfg.couplings().n_sites == cfg.partition().n_sites == cfg["chain.n"]
 
     def test_site_ranges(self):
         cfg = RunConfig.from_text(
@@ -186,9 +201,26 @@ class TestCommands:
          "chain.nn_overrides must be a finite number"),
         ("chain.nn_overrides = 1-2:inf", ["roots", "--tau", "4.0"],
          "chain.nn_overrides must be a finite number"),
+        # every key is checked at load, also where the command does not read it
+        ("solver.tol = abc", ["scan", "--format", "json", "--out", "{out}"],
+         "solver.tol must be a finite number"),
+        ("solver.q = 0", ["scan", "--format", "json", "--out", "{out}"],
+         "solver.q must be >= 1"),
+        ("simulate.variant = bogus", ["scan", "--format", "json", "--out", "{out}"],
+         "unknown protocol variant"),
+        ("solver.tol = abc", ["roots", "--tau", "4.0"], "solver.tol must be a finite number"),
+        ("solver.q = 0", ["roots", "--tau", "4.0"], "solver.q must be >= 1"),
+        ("simulate.variant = bogus", ["roots", "--tau", "4.0"], "unknown protocol variant"),
+        # and before the scan that finds the registration time
+        ("solver.tol = -1", ["solve"], "solver.tol must be > 0"),
+        ("output.format = xml", ["scan", "--out", "{out}"], "output.format must be one of"),
     ], ids=["positions", "s0", "matrix_file", "roots-tau-inf", "tau-flag-nan",
             "tau-flag-inf", "tol-nan", "solver-tau-nan", "scan-tau-max-nan",
-            "positions-nan", "positions-inf", "overrides-nan", "overrides-inf"])
+            "positions-nan", "positions-inf", "overrides-nan", "overrides-inf",
+            "scan-json-tol-abc", "scan-json-q-0", "scan-json-variant-bogus",
+            "roots-tol-abc", "roots-q-0", "roots-variant-bogus", "solve-tol-negative",
+            "scan-format-xml"])
+    @pytest.mark.usefixtures("no_eigendecomposition")
     def test_malformed_value_exits_2(self, tmp_path, capsys, extra, argv, message):
         matrix = tmp_path / "d.csv"
         matrix.write_text("x,y\n")
@@ -219,6 +251,7 @@ class TestCommands:
         (BASE_CFG, ["simulate", "--seed", "-1"], "--seed must be >= 0"),
     ], ids=["circuit-q-0", "tol-0", "k-above-sender", "k-negative", "solver-seed-negative",
             "seed-flag-negative"])
+    @pytest.mark.usefixtures("no_eigendecomposition")
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, text, argv, message):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
