@@ -59,6 +59,16 @@ def k_states(n: int, k: int) -> SectorBasis:
     return SectorBasis(n=n, k=k, states=states)
 
 
+def mirror_ordinals(n: int, k: int) -> tuple[int, ...]:
+    """Ordinal of the mirror image of each k-sector state of an n-site chain.
+
+    The site reflection q -> n + 1 - q reverses a state's bitmask; it is an
+    involution on the sector and carries no sign in the spin basis.
+    """
+    sector = k_states(n, k)
+    return tuple(sector.index_of(int(format(m, f"0{n}b")[::-1], 2)) for m in sector.states)
+
+
 @dataclass(frozen=True)
 class EmbeddingMap:
     """Map from a subsystem's k-sector ordinals to chain k-sector ordinals.

@@ -97,6 +97,8 @@ def _overrides(text: str) -> dict[int, float]:
             raise ValueError(f"must list i-j:coupling items, got {item!r}") from None
         if j != i + 1:
             raise ValueError(f"must list nearest-neighbor bonds i-(i+1), got {item!r}")
+        if i in out:
+            raise ValueError(f"lists bond {i}-{j} twice")
         out[i] = _finite(value)
     return out
 
@@ -155,6 +157,10 @@ def _chain_spec(values: dict) -> ChainSpec:
     if values["chain.nn_override_mode"] == "direct":
         if not overrides:
             raise ValueError("direct override mode needs chain.nn_overrides")
+        if (values["chain.positions"] is not None or values["chain.model"] == "explicit"
+                or values["chain.matrix_file"] is not None):
+            raise ValueError("give either positions or nn_overrides, not both: direct "
+                             "override mode builds the whole coupling matrix")
         return ChainSpec(n_sites=n, coupling_model="explicit",
                          matrix=direct_override_matrix(n, overrides))
     matrix = None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinpst
-from spinpst import dynamics, scale
+from spinpst import binom, dynamics, scale
 from spinpst.cli import CSV_BATCH_ROWS, _scan_csv, build_parser, main
 from spinpst.config import ConfigError, RunConfig, parse_config_text
 from spinpst.scale import ScanResult
@@ -201,6 +201,19 @@ class TestCommands:
          "chain.nn_overrides must be a finite number"),
         ("chain.nn_overrides = 1-2:inf", ["roots", "--tau", "4.0"],
          "chain.nn_overrides must be a finite number"),
+        # a bond listed twice would keep its last value
+        ("chain.nn_overrides = 1-2:0.3,1-2:0.9", ["roots", "--tau", "4.0"],
+         "chain.nn_overrides lists bond 1-2 twice"),
+        # the direct reading builds the whole matrix and would drop the geometry
+        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
+         "chain.positions = 0,1,2,3,4,5", ["roots", "--tau", "4.0"],
+         "give either positions or nn_overrides, not both"),
+        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
+         "chain.model = explicit", ["roots", "--tau", "4.0"],
+         "give either positions or nn_overrides, not both"),
+        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
+         "chain.matrix_file = {matrix}", ["roots", "--tau", "4.0"],
+         "give either positions or nn_overrides, not both"),
         # every key is checked at load, also where the command does not read it
         ("solver.tol = abc", ["scan", "--format", "json", "--out", "{out}"],
          "solver.tol must be a finite number"),
@@ -217,6 +230,8 @@ class TestCommands:
     ], ids=["positions", "s0", "matrix_file", "roots-tau-inf", "tau-flag-nan",
             "tau-flag-inf", "tol-nan", "solver-tau-nan", "scan-tau-max-nan",
             "positions-nan", "positions-inf", "overrides-nan", "overrides-inf",
+            "overrides-bond-twice", "direct-positions", "direct-explicit",
+            "direct-matrix-file",
             "scan-json-tol-abc", "scan-json-q-0", "scan-json-variant-bogus",
             "roots-tol-abc", "roots-q-0", "roots-variant-bogus", "solve-tol-negative",
             "scan-format-xml"])
@@ -431,11 +446,14 @@ class TestCommands:
     @pytest.mark.parametrize("variant", ["k_excitation", "arbitrary", "global",
                                          "nonpreserving"])
     def test_simulate_diagonalizes_once(self, tmp_path, monkeypatch, variant):
-        # one TransferMap serves the tau scan, the solve and the protocol run
-        calls = []
-        eigendecompose = dynamics.eigendecompose
+        # one TransferMap serves the tau scan, the solve and the protocol run;
+        # the mirror-symmetric chain diagonalises its sector as two parity blocks
+        builds, blocks = [], []
+        sector_eigensystem, eigendecompose = dynamics.sector_eigensystem, dynamics.eigendecompose
+        monkeypatch.setattr(dynamics, "sector_eigensystem",
+                            lambda c, k: builds.append(k) or sector_eigensystem(c, k))
         monkeypatch.setattr(dynamics, "eigendecompose",
-                            lambda h: calls.append(h.shape) or eigendecompose(h))
+                            lambda h: blocks.append(len(h)) or eigendecompose(h))
         mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"
         text = (BASE_CFG.replace("chain.n = 6", "chain.n = 8")
                 .replace("solver.mode = preserving-general", f"solver.mode = {mode}")
@@ -444,7 +462,8 @@ class TestCommands:
         p.write_text(text)
         out = tmp_path / "report.json"
         assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
-        assert len(calls) == 1
+        assert builds == [1]
+        assert len(blocks) == 2 and sum(blocks) == binom(8, 1)
         assert json.loads(out.read_text())["fidelity"] >= 1 - 1e-8
 
     def test_simulate_n42(self, tmp_path):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 
 from spinpst import (ChainSpec, Partition, TransferMap, basis, build_couplings,
                      chain, dynamics, scale)
+from spinpst.config import RunConfig
 
 from _oracles import expm_propagator, pauli_xx_hamiltonian, restrict_to_sector, transfer_block
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestEigendecompose:
@@ -153,11 +158,14 @@ def single_tau_grams(tm, taus):
     return np.array([v.conj().T @ v for v in vs])
 
 
-def explicit_chain(n, scale_by, seed):
+def explicit_chain(n, scale_by, seed, mirror=False):
     rng = np.random.default_rng(seed)
     m = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+    m = m + m.T
+    if mirror:
+        m = (m + m[::-1, ::-1]) / 2
     return build_couplings(ChainSpec(n_sites=n, coupling_model="explicit",
-                                     matrix=scale_by * (m + m.T)))
+                                     matrix=scale_by * m))
 
 
 class TestInterpolatedBlocks:
@@ -205,11 +213,11 @@ class TestInterpolatedBlocks:
 
     @given(n=st.integers(6, 7), k=st.integers(1, 2), n_s=st.integers(2, 3),
            step=st.sampled_from([0.001, 0.01, 0.07]), tau_lo=st.floats(0.0, 30.0),
-           seed=st.integers(0, 2 ** 32 - 1))
+           seed=st.integers(0, 2 ** 32 - 1), mirror=st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_scan_rows_match_expm_oracle(self, n, k, n_s, step, tau_lo, seed):
+    def test_scan_rows_match_expm_oracle(self, n, k, n_s, step, tau_lo, seed, mirror):
         n_er = n - n_s
-        c = explicit_chain(n, 1.5, seed)
+        c = explicit_chain(n, 1.5, seed, mirror)
         part = Partition(n_sites=n, n_s=n_s, n_r=n_s, n_er=n_er)
         res = scale.scan(c, part, k, tau_lo, tau_lo + step * (self.B + 20), step)
         h_full = pauli_xx_hamiltonian(c.d)
@@ -220,3 +228,81 @@ class TestInterpolatedBlocks:
             v = expm_propagator(h_full, res.taus[i])[np.ix_(er_masks, s_masks)]
             want = np.sort(np.linalg.svd(v, compute_uv=False))
             assert np.abs(res.roots[i] - want).max() < 1e-12
+
+
+def diagonalised_blocks(couplings, k):
+    """The sector eigensystem and the sizes of the blocks it diagonalised."""
+    sizes = []
+    eigendecompose = dynamics.eigendecompose
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "eigendecompose",
+                   lambda h: sizes.append(len(h)) or eigendecompose(h))
+        eig = dynamics.sector_eigensystem(couplings, k)
+    return eig, sizes
+
+
+def mirror_positions(gaps, odd):
+    """Site coordinates symmetric about 0, exactly, from the gaps of one half."""
+    right = np.cumsum(gaps) - (0.0 if odd else gaps[0] / 2)
+    return tuple(np.concatenate([-right[::-1], [0.0] if odd else [], right]))
+
+
+def assert_split_eigensystem(couplings, k):
+    h = chain.hamiltonian_block(couplings, k)
+    eig, sizes = diagonalised_blocks(couplings, k)
+    assert len(sizes) == 2 and sum(sizes) == len(h)
+    u, lam = eig.eigenvectors, eig.eigenvalues
+    assert u.dtype == np.float64
+    assert np.abs(u.T @ u - np.eye(len(h))).max() < 1e-12
+    assert np.abs(h @ u - u * lam).max() < 1e-12
+    assert np.abs(lam - np.linalg.eigvalsh(h)).max() < 1e-12
+
+
+class TestMirrorSplit:
+    @given(n=st.integers(2, 9), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_palindromic_positions_split_every_sector(self, n, data):
+        gaps = data.draw(st.lists(st.floats(0.6, 1.6), min_size=n // 2,
+                                  max_size=n // 2))
+        c = build_couplings(ChainSpec(n_sites=n, positions=mirror_positions(gaps, n % 2)))
+        for k in range(n + 1):
+            assert_split_eigensystem(c, k)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_palindromic_overrides_split_every_sector(self, n):
+        ends = {1: 0.3005, n - 1: 0.3005}
+        if n >= 4:
+            ends |= {2: 0.5311, n - 2: 0.5311}
+        c = build_couplings(ChainSpec(n_sites=n, nn_overrides=ends))
+        for k in range(n + 1):
+            assert_split_eigensystem(c, k)
+
+    def test_fixed_states_and_dim_one_sectors(self):
+        # n=5, k=1: the middle site is fixed by the reflection; k=0, 5 have one state
+        c = build_couplings(ChainSpec(n_sites=5))
+        assert [diagonalised_blocks(c, k)[1] for k in (0, 1, 5)] == [[1, 0], [3, 2], [1, 0]]
+
+    def test_asymmetric_chain_takes_one_block(self):
+        c = build_couplings(ChainSpec(n_sites=6, positions=(0.0, 1.0, 2.1, 3.3, 4.2, 5.0)))
+        for k in range(7):
+            eig, sizes = diagonalised_blocks(c, k)
+            one = dynamics.eigendecompose(chain.hamiltonian_block(c, k))
+            assert sizes == [one.dim]
+            assert np.array_equal(eig.eigenvalues, one.eigenvalues)
+            assert np.array_equal(eig.eigenvectors, one.eigenvectors)
+
+    def test_n42_distance_reading_splits(self):
+        c = RunConfig.from_file(CONFIGS / "table2_n42_distance.cfg").couplings()
+        # its positions come from a cumsum: mirror-symmetric only to rounding
+        assert 0 < np.abs(c.d - c.d[::-1, ::-1]).max() <= dynamics.MIRROR_TOL * c.d.max()
+        eig, sizes = diagonalised_blocks(c, 2)
+        assert sizes == [441, 420]       # 21 mirror-fixed states and 420 pairs
+        h = chain.hamiltonian_block(c, 2)
+        assert np.abs(h @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues).max() < 1e-12
+
+    def test_mirror_ordinals_reverse_the_masks(self):
+        sector = basis.k_states(7, 3)
+        mirror = basis.mirror_ordinals(7, 3)
+        for m, j in zip(sector.states, mirror):
+            sites = {q for q in range(7) if m >> q & 1}
+            assert sector.states[j] == sum(1 << (6 - q) for q in sites)
