@@ -24,7 +24,7 @@ class InvalidSpecError(ValueError):
 class ChainSpec:
     """Geometry and coupling model of a 1-D spin-1/2 chain.
 
-    Exactly one geometry source applies:
+    Exactly one geometry source applies; giving two raises InvalidSpecError:
 
     * default: unit-spaced sites (homogeneous chain),
     * ``positions``: explicit, strictly increasing site coordinates,
@@ -45,6 +45,10 @@ class ChainSpec:
             raise InvalidSpecError(f"need at least 2 sites, got {self.n_sites}")
         if self.coupling_model not in ("dipole", "explicit"):
             raise InvalidSpecError(f"unknown coupling model {self.coupling_model!r}")
+        given = [name for name in ("positions", "nn_overrides", "matrix")
+                 if getattr(self, name) is not None]
+        if len(given) > 1:
+            raise InvalidSpecError(f"give either {given[0]} or {given[1]}, not both")
         if self.coupling_model == "explicit":
             if self.matrix is None:
                 raise InvalidSpecError("explicit coupling model requires a matrix")
@@ -60,8 +64,6 @@ class ChainSpec:
             if np.any(off < 0):
                 raise InvalidSpecError("couplings must be nonnegative")
         else:
-            if self.positions is not None and self.nn_overrides is not None:
-                raise InvalidSpecError("give either positions or nn_overrides, not both")
             if self.positions is not None:
                 p = tuple(float(x) for x in self.positions)
                 if len(p) != self.n_sites:

@@ -67,12 +67,13 @@ def _scan_range(cfg: RunConfig) -> tuple[float, float, float]:
 def cmd_scan(args) -> int:
     cfg = RunConfig.from_file(args.config)
     lo, hi, step = _scan_range(cfg)
-    result = scale.scan(cfg.couplings(), cfg.partition(), cfg["excitation.k"], lo, hi, step)
+    tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
+    result = scale.scan(tm, lo, hi, step)
     summary = {
         "tau0": result.tau0,
         "lambda_min": result.lambda_min,
-        "n_er": result.n_er,
-        "k": result.k,
+        "n_er": tm.partition.n_er,
+        "k": tm.k,
         "chain_id": cfg.chain_id(),
         "config_hash": cfg.config_hash(),
         "seed": args.seed,
@@ -92,16 +93,16 @@ def cmd_roots(args) -> int:
         raise ConfigError("roots needs --tau or the roots.tau key")
     if not math.isfinite(tau):
         raise ConfigError(f"--tau must be a finite number, got {tau}")
-    part, k = cfg.partition(), cfg["excitation.k"]
-    roots = scale.roots_at(cfg.couplings(), part, k, tau)
-    print(_json_dump({
+    tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
+    roots = scale.roots_at(tm, tau)
+    _write_or_print(_json_dump({
         "tau": tau,
         "roots": [float(r) for r in roots],
-        "n_er": part.n_er,
-        "k": k,
+        "n_er": tm.partition.n_er,
+        "k": tm.k,
         "chain_id": cfg.chain_id(),
         "config_hash": cfg.config_hash(),
-    }))
+    }), args.out or cfg["output.path"])
     return EXIT_OK
 
 
@@ -112,7 +113,7 @@ def _solve_from_config(cfg: RunConfig, args):
     grid = _scan_range(cfg) if tau is None else None
     tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
     if grid is not None:
-        tau = scale.scan(cfg.couplings(), tm.partition, tm.k, *grid, transfer_map=tm).tau0
+        tau = scale.scan(tm, *grid).tau0
     problem = RestoreProblem(v_hat=tm.v_hat(tau), mode=cfg["solver.mode"],
                              n_extra_zero_rows=cfg["solver.n_extra_zero_rows"],
                              q_layers=cfg["solver.q"],
@@ -165,7 +166,7 @@ def cmd_simulate(args) -> int:
     solution, tm = _solve_from_config(cfg, args)
     tau = solution.tau
     run = getattr(protocol, f"run_{variant}_pst")
-    report = run(cfg.couplings(), part, k, s, solution, tau, transfer_map=tm)
+    report = run(tm, s, solution, tau)
     payload = report.to_dict(chain_id=cfg.chain_id(), k=k, tau0=tau, seed=seed)
     payload["config_hash"] = cfg.config_hash()
     _write_or_print(_json_dump(payload), args.out or cfg["output.path"])
@@ -185,7 +186,7 @@ def _scan_row(lines: list[str], label: list, couplings, n_er: int, tau_max: floa
               lam_tol: float = 5e-4) -> bool:
     """Scan one published chain, append its table row, and say whether it matches."""
     part = Partition(n_sites=couplings.n_sites, n_s=3, n_r=3, n_er=n_er)
-    res = scale.scan(couplings, part, 2, 0.0, tau_max, 0.001)
+    res = scale.scan(TransferMap(couplings, part, 2), 0.0, tau_max, 0.001)
     tau_ref, lam_ref = published
     good = abs(res.tau0 - tau_ref) <= tau_tol and abs(res.lambda_min - lam_ref) <= lam_tol
     lines.append(_table_row([*label, f"{res.tau0:.3f}", f"{tau_ref:.3f}",
@@ -206,9 +207,8 @@ def cmd_reproduce(args) -> int:
         couplings = build_couplings(ChainSpec(n_sites=10))
         lines.append(_table_row(["n_er", "roots", "want", "status"]))
         for n_er, wants in PAPER_ROOTS.items():
-            part = Partition(n_sites=10, n_s=3, n_r=3, n_er=n_er)
-            tau0 = PAPER_TABLE_1A[n_er][0]
-            roots = scale.roots_at(couplings, part, 2, tau0)
+            tm = TransferMap(couplings, Partition(n_sites=10, n_s=3, n_r=3, n_er=n_er), 2)
+            roots = scale.roots_at(tm, PAPER_TABLE_1A[n_er][0])
             good = len(roots) == 3 and all(abs(r - w) <= 5e-4 for r, w in zip(roots, wants))
             ok &= good
             lines.append(_table_row([n_er, np.round(roots, 4), wants,
@@ -242,21 +242,21 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override solver.seed")
+    def common(p, seed=True):
+        p.add_argument("--config", required=True, help="flat key=value config file")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override solver.seed")
         # scans are serial; accepted and ignored so older command lines still parse
         p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
 
     p = sub.add_parser("scan", help="scan tau for the optimal registration time")
     common(p)
+    p.add_argument("--format", choices=["csv", "json"], default=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("roots", help="|λ| roots (singular values of V̂) at a fixed tau")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--tau", type=float, default=None)
     p.set_defaults(func=cmd_roots)
 

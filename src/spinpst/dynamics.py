@@ -151,7 +151,9 @@ class TransferMap:
     With real eigenvectors U, V_hat(tau)[r, s] = sum_a U_ER[r, a] U_S[s, a]
     exp(-i lambda_a tau), so one real Khatri-Rao factor K[a, (r, s)] =
     U_ER[r, a] U_S[s, a] turns each evaluation into a phase-vector product and
-    a batch of grid points into one GEMM.
+    a batch of grid points into one GEMM.  The map is the one handle on a
+    chain, a partition and k that the scan, the roots and the protocol
+    runners take.
     """
 
     def __init__(self, couplings: CouplingMatrix, partition: Partition, k: int):

@@ -21,8 +21,9 @@ a non-preserving one (``restore.family_space``):
   k-sector block, which must be unitary, since a unitary diagonal block of
   a unitary is exactly the condition that nothing leaks out of the sector.
 
-The variants differ only in the solution family they accept and the
-flagged patterns.  The gate-level composition over the 2**N space is kept
+Every runner takes the chain's ``TransferMap``, whose partition and k are
+the run's.  The variants differ only in the solution family they accept and
+the flagged patterns.  The gate-level composition over the 2**N space is kept
 in the test suite as an oracle.
 """
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import binom, embed_subsystem
-from .chain import CouplingMatrix, Partition
+from .chain import Partition
 from .dynamics import TransferMap
 from .restore import PRESERVING_MODES, RestoreSolution, family_space
 
@@ -120,16 +121,16 @@ def input_dimension(variant: str, partition: Partition, k: int,
     return 2 ** len(s0)
 
 
-def _check_solution(solution: RestoreSolution, tau0: float, k: int,
-                    partition: Partition, variant: str) -> None:
+def _check_solution(solution: RestoreSolution, tm: TransferMap, tau0: float,
+                    variant: str) -> None:
     if not solution.converged:
         raise ValueError("restoring solution did not converge")
     if abs(solution.tau - tau0) > 1e-9:
         raise ValueError(f"solution was computed at tau={solution.tau}, "
                          f"protocol runs at tau={tau0}")
-    if solution.k != k or solution.n_er != partition.n_er:
-        raise ValueError("solution provenance does not match the partition")
-    input_dimension(variant, partition, k, solution.mode)
+    if solution.k != tm.k or solution.n_er != tm.partition.n_er:
+        raise ValueError("solution provenance does not match the transfer map")
+    input_dimension(variant, tm.partition, tm.k, solution.mode)
 
 
 def _sector_block(w, n: int, k: int) -> np.ndarray:
@@ -146,24 +147,20 @@ def _sector_block(w, n: int, k: int) -> np.ndarray:
     return w
 
 
-def _run(variant: str, couplings: CouplingMatrix, partition: Partition, k: int,
-         s, w, tau0: float, transfer_map: TransferMap | None) -> ProtocolReport:
+def _run(variant: str, tm: TransferMap, s, w, tau0: float) -> ProtocolReport:
     """Post-selected output of one variant, computed in the chain k-sector."""
+    partition, k = tm.partition, tm.k
     dim = input_dimension(variant, partition, k)
     s = np.asarray(s, dtype=complex)
     if s.shape != (dim,):
         raise ValueError(f"expected {dim} input amplitudes, got shape {s.shape}")
     s = s / np.linalg.norm(s)
-    tm = transfer_map or TransferMap(couplings, partition, k)
-    built_for = (tm.partition.n_sites, tm.partition.n_s, tm.partition.n_er, tm.k)
-    if built_for != (partition.n_sites, partition.n_s, partition.n_er, k):
-        raise ValueError("transfer map was built for another partition or k")
     # the encoded input j sits on sender pattern j; the others carry nothing
     x = np.zeros(binom(partition.n_s, k), dtype=complex)
     x[:dim] = s
 
     if isinstance(w, RestoreSolution) or variant != "global":
-        _check_solution(w, tau0, k, partition, variant)
+        _check_solution(w, tm, tau0, variant)
         lam = w.lam
         b, recv, _ = family_space(w.mode, tm.v_hat(tau0))
         branch = (w.completed_unitary @ (b @ x))[recv[:dim]]
@@ -187,23 +184,18 @@ def _run(variant: str, couplings: CouplingMatrix, partition: Partition, k: int,
                           output_amplitudes=out, lambda_expected=complex(lam))
 
 
-def run_k_excitation_pst(couplings: CouplingMatrix, partition: Partition, k: int,
-                         s, solution: RestoreSolution, tau0: float,
-                         transfer_map: TransferMap | None = None) -> ProtocolReport:
+def run_k_excitation_pst(tm: TransferMap, s, solution: RestoreSolution,
+                         tau0: float) -> ProtocolReport:
     """Fixed-excitation protocol: sender amplitudes ``s`` to the receiver.
 
     Sector evolution to tau0, a preserving W_ER on the extended receiver,
     the flag on the receiver k-patterns, post-selection of the flagged
     branch.  Output amplitudes are in receiver k-basis order.
-    ``transfer_map`` is the chain's TransferMap, built if not given.
     """
-    return _run("k_excitation", couplings, partition, k, s, solution, tau0,
-                transfer_map)
+    return _run("k_excitation", tm, s, solution, tau0)
 
 
-def run_global_pst(couplings: CouplingMatrix, partition: Partition, k: int, s,
-                   w, tau0: float,
-                   transfer_map: TransferMap | None = None) -> ProtocolReport:
+def run_global_pst(tm: TransferMap, s, w, tau0: float) -> ProtocolReport:
     """Whole-line reference protocol: the flag on the ground S+TL subspace.
 
     ``s`` holds sender k-sector amplitudes.  ``w`` is a preserving
@@ -211,12 +203,11 @@ def run_global_pst(couplings: CouplingMatrix, partition: Partition, k: int, s,
     receiver, or the C(N, k)-square k-sector block of a whole-line unitary,
     rejected unless it is unitary to UNITARY_TOL.
     """
-    return _run("global", couplings, partition, k, s, w, tau0, transfer_map)
+    return _run("global", tm, s, w, tau0)
 
 
-def run_arbitrary_pst(couplings: CouplingMatrix, partition: Partition, k: int,
-                      input_state, solution: RestoreSolution, tau0: float,
-                      transfer_map: TransferMap | None = None) -> ProtocolReport:
+def run_arbitrary_pst(tm: TransferMap, input_state, solution: RestoreSolution,
+                      tau0: float) -> ProtocolReport:
     """Encoded protocol: an arbitrary S0 state through the k-excitation channel.
 
     Encode S0 value j into sender pattern j (and reset S0), evolve, restore
@@ -224,18 +215,15 @@ def run_arbitrary_pst(couplings: CouplingMatrix, partition: Partition, k: int,
     decode pattern j into R0 value j (and reset R), post-select the flag.
     Output amplitudes are over the R0 values.
     """
-    return _run("arbitrary", couplings, partition, k, input_state, solution, tau0,
-                transfer_map)
+    return _run("arbitrary", tm, input_state, solution, tau0)
 
 
-def run_nonpreserving_pst(couplings: CouplingMatrix, partition: Partition, k: int,
-                          s, solution: RestoreSolution, tau0: float,
-                          transfer_map: TransferMap | None = None) -> ProtocolReport:
+def run_nonpreserving_pst(tm: TransferMap, s, solution: RestoreSolution,
+                          tau0: float) -> ProtocolReport:
     """Protocol variant for a W_ER that mixes excitation sectors.
 
     A marker ancilla D joins at registration time and is set on the "all
     excitations inside ER" components before W_ER acts; the flag B then
     selects components with A ground, a receiver k-pattern, and D set.
     """
-    return _run("nonpreserving", couplings, partition, k, s, solution, tau0,
-                transfer_map)
+    return _run("nonpreserving", tm, s, solution, tau0)

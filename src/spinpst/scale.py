@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import CouplingMatrix, Partition
 from .dynamics import SCAN_CHUNK, TransferMap
 
 
@@ -42,8 +41,6 @@ class ScanResult:
     tau0: float
     tau_argmax: float
     lambda_min: float
-    n_er: int
-    k: int
 
 
 _EPS2 = np.finfo(float).eps ** 2
@@ -122,10 +119,9 @@ def _singular_values(grams: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(gram_eigenvalues(grams), 0.0, None))
 
 
-def roots_at(couplings: CouplingMatrix, partition: Partition, k: int,
-             tau: float) -> np.ndarray:
+def roots_at(tm: TransferMap, tau: float) -> np.ndarray:
     """All |lambda| roots at one registration time, ascending."""
-    v = TransferMap(couplings, partition, k).v_hat(tau).v_hat
+    v = tm.v_hat(tau).v_hat
     return _singular_values((v.conj().T @ v)[None])[0]
 
 
@@ -139,9 +135,7 @@ def _grid(tau_min: float, tau_max: float, step: float) -> np.ndarray:
     return tau_min + step * np.arange(n + 1)
 
 
-def scan(couplings: CouplingMatrix, partition: Partition, k: int,
-         tau_min: float, tau_max: float, step: float,
-         transfer_map: TransferMap | None = None) -> ScanResult:
+def scan(tm: TransferMap, tau_min: float, tau_max: float, step: float) -> ScanResult:
     """Scan the tau grid for the registration time maximizing the minimal root.
 
     At every grid point the sorted |lambda| roots come from the Gram
@@ -149,7 +143,6 @@ def scan(couplings: CouplingMatrix, partition: Partition, k: int,
     ties in the maximum are broken toward smaller tau.
     """
     taus = _grid(tau_min, tau_max, step)
-    tm = transfer_map or TransferMap(couplings, partition, k)
     roots = np.empty((len(taus), tm.n_s_k))
     for lo in range(0, len(taus), SCAN_CHUNK):
         grams = tm.gram_batch(taus[lo:lo + SCAN_CHUNK])
@@ -159,5 +152,4 @@ def scan(couplings: CouplingMatrix, partition: Partition, k: int,
     i_det = min(i_max + 1, len(taus) - 1)
     return ScanResult(taus=taus, roots=roots,
                       tau0=float(taus[i_det]), tau_argmax=float(taus[i_max]),
-                      lambda_min=float(mins[i_max]),
-                      n_er=partition.n_er, k=k)
+                      lambda_min=float(mins[i_max]))

@@ -31,11 +31,11 @@ def _status(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}  {detail}")
 
 
-def test_criterion_01_table_1a_scan(chain10, part10):
+def test_criterion_01_table_1a_scan(tmap10):
     t0 = time.time()
     results = {}
     for n_er in (4, 5, 6):
-        res = scale.scan(chain10, part10(n_er), 2, 0.0, 20.0, 0.001)
+        res = scale.scan(tmap10(n_er), 0.0, 20.0, 0.001)
         results[n_er] = res
     elapsed = time.time() - t0
     ok = True
@@ -54,12 +54,12 @@ def test_criterion_01_table_1a_scan(chain10, part10):
     assert elapsed < 120
 
 
-def test_criterion_02_root_lists(chain10, part10):
+def test_criterion_02_root_lists(tmap10):
     ok = True
     details = []
     for n_er, wants in PAPER_ROOTS.items():
         tau0 = PAPER_TABLE_1A[n_er][0]
-        roots = scale.roots_at(chain10, part10(n_er), 2, tau0)
+        roots = scale.roots_at(tmap10(n_er), tau0)
         good = len(roots) == 3 and all(abs(r - w) <= 5e-4
                                        for r, w in zip(roots, wants))
         ok &= good
@@ -75,7 +75,7 @@ def test_criterion_03_long_chains():
     for n, (tau_ref, lam_ref) in PAPER_TABLE_2.items():
         couplings = build_couplings(ChainSpec(n_sites=n))
         part = Partition(n_sites=n, n_s=3, n_r=3, n_er=5)
-        res = scale.scan(couplings, part, 2, 0.0, TABLE_2_WINDOWS[n], 0.001)
+        res = scale.scan(TransferMap(couplings, part, 2), 0.0, TABLE_2_WINDOWS[n], 0.001)
         good = (abs(res.tau0 - tau_ref) < 1e-9 and
                 abs(res.lambda_min - lam_ref) <= 5e-4)
         ok &= good
@@ -91,7 +91,8 @@ def test_criterion_03_long_chains():
         ("direct", ChainSpec(n_sites=42, coupling_model="explicit",
                              matrix=direct_override_matrix(42, N42_OVERRIDES))),
     ):
-        res = scale.scan(build_couplings(spec), part, 2, 0.0, TABLE_2_WINDOWS[42], 0.001)
+        res = scale.scan(TransferMap(build_couplings(spec), part, 2), 0.0,
+                         TABLE_2_WINDOWS[42], 0.001)
         hits[label] = (res.tau0, res.lambda_min,
                        abs(res.tau0 - tau_ref) <= 0.05 and
                        abs(res.lambda_min - lam_ref) <= 5e-3)
@@ -127,16 +128,14 @@ def test_criterion_04_scale_factor_uniqueness(vhat_at):
             "; ".join(details))
 
 
-def test_criterion_05_protocol_fidelity(chain10, part10, tmap10, solution5, rng):
+def test_criterion_05_protocol_fidelity(tmap10, solution5, rng):
     t0 = time.time()
     worst_fid = 1.0
     probs = []
     for _ in range(100):
         s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         s /= np.linalg.norm(s)
-        rep = protocol.run_k_excitation_pst(chain10, part10(5), 2, s,
-                                            solution5, 14.391,
-                                            transfer_map=tmap10(5))
+        rep = protocol.run_k_excitation_pst(tmap10(5), s, solution5, 14.391)
         worst_fid = min(worst_fid, rep.fidelity)
         probs.append(rep.success_probability)
     elapsed = time.time() - t0
@@ -158,7 +157,7 @@ def test_criterion_06_encoded_qubit_transfer(chain10, rng):
                                        seed=2002))
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi /= np.linalg.norm(psi)
-    rep = protocol.run_arbitrary_pst(chain10, part, 2, psi, sol, 14.391)
+    rep = protocol.run_arbitrary_pst(tm, psi, sol, 14.391)
     _status("criterion 6: encoded arbitrary-state transfer", True,
             f"fid deficit={1 - rep.fidelity:.2e} prob={rep.success_probability:.4f}")
     assert rep.fidelity >= 1 - 1e-8
@@ -192,7 +191,7 @@ def test_criterion_07_oracle_equivalence(rng):
                                        seed=3003))
     s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     s /= np.linalg.norm(s)
-    rep = protocol.run_k_excitation_pst(c8, part8, 2, s, sol, 9.0)
+    rep = protocol.run_k_excitation_pst(tm, s, sol, 9.0)
     full = np.zeros(256, dtype=complex)
     for j, mask in enumerate([0b011, 0b101, 0b110]):
         full[mask] = s[j]

@@ -155,7 +155,7 @@ def test_scan_csv_matches_per_value_format():
     special = [[0.0, 1e-16, 0.999999999], [1.2065321e-13, 0.4672960566944291, 1.0]]
     roots[:2] = roots[CSV_BATCH_ROWS - 1:CSV_BATCH_ROWS + 1] = special
     result = ScanResult(taus=taus, roots=roots, tau0=57.267, tau_argmax=taus[-2],
-                        lambda_min=float(roots[:, 0].max()), n_er=5, k=2)
+                        lambda_min=float(roots[:, 0].max()))
     assert _scan_csv(result) == _scan_csv_reference(result)
 
 
@@ -297,6 +297,22 @@ class TestCommands:
         assert main(["roots", "--config", str(p), "--tau", "4.0"]) == 2
         assert "coupling matrix must be exactly symmetric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        ("chain.positions = 0,1,2,3,4,9", "give either positions or matrix, not both"),
+        ("chain.nn_overrides = 1-2:0.3", "give either nn_overrides or matrix, not both"),
+    ], ids=["positions", "nn-overrides"])
+    def test_explicit_matrix_beside_geometry_exits_2(self, tmp_path, capsys, extra, message):
+        # the matrix would hold and the geometry be dropped
+        sites = np.arange(6.0)
+        gaps = np.abs(sites[:, None] - sites[None, :]) + np.eye(6)
+        matrix = tmp_path / "d.csv"
+        np.savetxt(matrix, (1.0 - np.eye(6)) / gaps ** 3, delimiter=",")
+        p = tmp_path / "bad.cfg"
+        p.write_text(BASE_CFG.replace("chain.model = dipole", "chain.model = explicit\n"
+                                      f"chain.matrix_file = {matrix}\n{extra}"))
+        assert main(["roots", "--config", str(p), "--tau", "4.0"]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["scan", "roots", "solve", "fit-circuit", "simulate"])
     def test_threads_flag_parses_but_is_not_listed(self, capsys, command):
         args = build_parser().parse_args([command, "--config", "run.cfg", "--threads", "1"])
@@ -376,6 +392,19 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["roots"]) == 2
         assert all(0 <= r <= 1 for r in payload["roots"])
+
+    def test_roots_out_writes_the_file(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "roots.json"
+        assert main(["roots", "--config", str(cfg_file), "--tau", "4.0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert len(json.loads(out.read_text())["roots"]) == 2
+
+    @pytest.mark.parametrize("argv", [["solve", "--format", "json"], ["roots", "--seed", "3"]],
+                             ids=["solve-format", "roots-seed"])
+    def test_flags_a_command_does_not_read_exit_2(self, cfg_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", str(cfg_file), *argv[1:]])
+        assert exc.value.code == 2
 
     def test_simulate_reports_unit_fidelity(self, cfg_file, tmp_path):
         out = tmp_path / "report.json"

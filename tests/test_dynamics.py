@@ -219,7 +219,7 @@ class TestInterpolatedBlocks:
         n_er = n - n_s
         c = explicit_chain(n, 1.5, seed, mirror)
         part = Partition(n_sites=n, n_s=n_s, n_r=n_s, n_er=n_er)
-        res = scale.scan(c, part, k, tau_lo, tau_lo + step * (self.B + 20), step)
+        res = scale.scan(TransferMap(c, part, k), tau_lo, tau_lo + step * (self.B + 20), step)
         h_full = pauli_xx_hamiltonian(c.d)
         sector = [m for m in range(2 ** n) if bin(m).count("1") == k]
         s_masks = [m for m in sector if m >> n_s == 0]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,42 +35,43 @@ def part8():
 
 
 @pytest.fixture(scope="module")
-def solution8(chain8, part8):
-    tm = TransferMap(chain8, part8, 2)
-    return solve_general(RestoreProblem(v_hat=tm.v_hat(9.0),
+def tm8(chain8, part8):
+    return TransferMap(chain8, part8, 2)
+
+
+@pytest.fixture(scope="module")
+def solution8(tm8):
+    return solve_general(RestoreProblem(v_hat=tm8.v_hat(9.0),
                                         mode="preserving-general",
                                         seed=13))
 
 
 class TestKExcitationProtocol:
-    def test_basis_vector_exact(self, chain10, part10, solution5):
-        rep = protocol.run_k_excitation_pst(chain10, part10(5), 2,
-                                            np.array([1.0, 0, 0]), solution5,
+    def test_basis_vector_exact(self, tmap10, solution5):
+        rep = protocol.run_k_excitation_pst(tmap10(5), np.array([1.0, 0, 0]), solution5,
                                             14.391)
         assert rep.fidelity == pytest.approx(1.0, abs=1e-10)
         out = rep.output_amplitudes
         assert abs(out[0]) == pytest.approx(1.0, abs=1e-10)
         assert np.abs(out[1:]).max() < 1e-8
 
-    def test_fidelity_and_probability(self, chain10, part10, solution5, rng):
+    def test_fidelity_and_probability(self, tmap10, solution5, rng):
         for _ in range(10):
             s = random_state(rng, 3)
-            rep = protocol.run_k_excitation_pst(chain10, part10(5), 2, s,
-                                                solution5, 14.391)
+            rep = protocol.run_k_excitation_pst(tmap10(5), s, solution5, 14.391)
             assert rep.fidelity >= 1 - 1e-8
             assert rep.success_probability == pytest.approx(
                 abs(solution5.lam) ** 2, abs=1e-8)
             assert rep.success_probability == pytest.approx(0.356, abs=1e-3)
 
-    def test_output_phase_uniform(self, chain10, part10, solution5, rng):
+    def test_output_phase_uniform(self, tmap10, solution5, rng):
         s = random_state(rng, 3)
-        rep = protocol.run_k_excitation_pst(chain10, part10(5), 2, s, solution5,
-                                            14.391)
+        rep = protocol.run_k_excitation_pst(tmap10(5), s, solution5, 14.391)
         ratios = rep.output_amplitudes / s
         phases = np.angle(ratios / ratios[0])
         assert np.abs(phases).max() < 1e-8
 
-    def test_identity_wer_gives_vhat_columns(self, chain8, part8, rng):
+    def test_identity_wer_gives_vhat_columns(self, chain8, part8, tm8, rng):
         # with W_ER = identity and no post-selection the receiver block of the
         # evolved state equals V-hat @ s; cross-check against a full-space
         # Kronecker/expm oracle
@@ -87,19 +89,18 @@ class TestKExcitationProtocol:
         full0[list(sender.chain_masks)] = s
         full_t = expm_propagator(h_full, 5.0) @ full0
 
-        tm = TransferMap(chain8, part8, 2)
-        vs = tm.v_hat(5.0).v_hat @ s
+        vs = tm8.v_hat(5.0).v_hat @ s
         er_masks = [m for m in k_states(4, 2).states]
         for i, em in enumerate(er_masks):
             mask = em << 4
             assert full_t[mask] == pytest.approx(vs[i], abs=1e-10)
             assert evolved[cb.index_of(mask)] == pytest.approx(vs[i], abs=1e-10)
 
-    def test_sector_equals_full_space_pipeline(self, chain8, part8, solution8, rng):
+    def test_sector_equals_full_space_pipeline(self, chain8, tm8, solution8, rng):
         # the whole fixed-k pipeline agrees amplitude-wise with a brute-force
         # full-space simulation at N=8
         s = random_state(rng, 3)
-        rep = protocol.run_k_excitation_pst(chain8, part8, 2, s, solution8, 9.0)
+        rep = protocol.run_k_excitation_pst(tm8, s, solution8, 9.0)
 
         h_full = pauli_xx_hamiltonian(chain8.d)
         full = np.zeros(256, dtype=complex)
@@ -114,17 +115,27 @@ class TestKExcitationProtocol:
         out = np.array([full[m] for m in recv]) / math.sqrt(prob)
         assert np.abs(out - rep.output_amplitudes).max() < 1e-10
 
-    def test_rejects_mismatched_tau(self, chain10, part10, solution5):
+    def test_rejects_mismatched_tau(self, tmap10, solution5):
         with pytest.raises(ValueError, match="tau"):
-            protocol.run_k_excitation_pst(chain10, part10(5), 2,
-                                          np.array([1.0, 0, 0]), solution5, 12.0)
+            protocol.run_k_excitation_pst(tmap10(5), np.array([1.0, 0, 0]), solution5, 12.0)
 
-    def test_rejects_nonpreserving_solution(self, chain10, part10,
-                                            solution5_nonpreserving):
+    def test_rejects_nonpreserving_solution(self, tmap10, solution5_nonpreserving):
         with pytest.raises(ValueError, match="preserving"):
-            protocol.run_k_excitation_pst(chain10, part10(5), 2,
-                                          np.array([1.0, 0, 0]),
+            protocol.run_k_excitation_pst(tmap10(5), np.array([1.0, 0, 0]),
                                           solution5_nonpreserving, 14.391)
+
+    @pytest.mark.parametrize("make, match", [
+        # an n_er=4 solution at the run's tau, on the n_er=5 map
+        (lambda vhat_at, sol: solve_general(RestoreProblem(v_hat=vhat_at(4, 14.391),
+                                                           mode="preserving-general")),
+         "provenance does not match"),
+        (lambda vhat_at, sol: replace(sol, restart_records=()), "did not converge"),
+    ], ids=["n_er-4-solution", "no-converged-restart"])
+    def test_rejects_foreign_or_unconverged_solution(self, tmap10, vhat_at, solution5,
+                                                     make, match):
+        with pytest.raises(ValueError, match=match):
+            protocol.run_k_excitation_pst(tmap10(5), np.array([1.0, 0, 0]),
+                                          make(vhat_at, solution5), 14.391)
 
 
 def _mirror(n: int) -> np.ndarray:
@@ -136,22 +147,22 @@ def _mirror(n: int) -> np.ndarray:
 
 
 class TestGlobalProtocol:
-    def test_agrees_with_sector_variant(self, chain8, part8, solution8, rng):
+    def test_agrees_with_sector_variant(self, tm8, solution8, rng):
         s = random_state(rng, 3)
-        rep_k = protocol.run_k_excitation_pst(chain8, part8, 2, s, solution8, 9.0)
-        rep_g = protocol.run_global_pst(chain8, part8, 2, s, solution8, 9.0)
+        rep_k = protocol.run_k_excitation_pst(tm8, s, solution8, 9.0)
+        rep_g = protocol.run_global_pst(tm8, s, solution8, 9.0)
         assert rep_g.success_probability == pytest.approx(
             rep_k.success_probability, abs=1e-10)
         assert np.abs(rep_g.output_amplitudes - rep_k.output_amplitudes).max() < 1e-10
 
-    def test_perfect_mirror_unit_probability(self, chain8, part8):
+    def test_perfect_mirror_unit_probability(self, tm8):
         # artificial garbage-free whole-line unitary: the site mirror at tau=0
         # maps every sender pattern exactly onto the mirror receiver pattern,
         # so success probability 1; the mirror reverses the pattern order, so
         # a mirror-symmetric input has overlap exactly one
         block = restrict_to_sector(_mirror(8), k_states(8, 2).states)
         s = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-        rep = protocol.run_global_pst(chain8, part8, 2, s, block, 0.0)
+        rep = protocol.run_global_pst(tm8, s, block, 0.0)
         assert rep.success_probability == pytest.approx(1.0, abs=1e-12)
         assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -163,19 +174,13 @@ class TestGlobalProtocol:
          "leaks"),
         (_mirror, "k-sector block"),            # the whole 2**n matrix
     ], ids=["non-unitary", "leaking", "whole-line-matrix"])
-    def test_rejects_non_unitary_or_leaking_block(self, chain8, part8, make, match):
+    def test_rejects_non_unitary_or_leaking_block(self, tm8, make, match):
         with pytest.raises(ValueError, match=match):
-            protocol.run_global_pst(chain8, part8, 2, np.array([1.0, 0, 0]), make(8), 9.0)
+            protocol.run_global_pst(tm8, np.array([1.0, 0, 0]), make(8), 9.0)
 
-    def test_rejects_long_input(self, chain8, part8, solution8):
+    def test_rejects_long_input(self, tm8, solution8):
         with pytest.raises(ValueError, match="expected 3 input amplitudes"):
-            protocol.run_global_pst(chain8, part8, 2, np.ones(4), solution8, 9.0)
-
-    def test_rejects_foreign_transfer_map(self, chain8, part8, solution8):
-        tm = TransferMap(chain8, Partition(n_sites=8, n_s=3, n_r=3, n_er=5), 2)
-        with pytest.raises(ValueError, match="transfer map"):
-            protocol.run_global_pst(chain8, part8, 2, np.array([1.0, 0, 0]),
-                                    solution8, 9.0, transfer_map=tm)
+            protocol.run_global_pst(tm8, np.ones(4), solution8, 9.0)
 
 
 @pytest.fixture(scope="module")
@@ -186,32 +191,31 @@ def setup10(chain10):
     sol = solve_general(RestoreProblem(v_hat=tm.v_hat(14.391),
                                        mode="preserving-general",
                                        seed=33))
-    return part, sol
+    return tm, sol
 
 
 @pytest.fixture(scope="module")
 def circuit_np4(chain10):
     part = Partition(n_sites=10, n_s=3, n_r=3, n_er=4)
     tm = TransferMap(chain10, part, 2)
-    return part, fit_circuit(RestoreProblem(v_hat=tm.v_hat(12.493),
+    return tm, fit_circuit(RestoreProblem(v_hat=tm.v_hat(12.493),
                                             mode="circuit-nonpreserving",
                                             q_layers=2, n_extra_zero_rows=0,
                                             seed=77, restarts=30))
 
 
 class TestArbitraryProtocol:
-    def test_random_qubit_through_chain(self, chain10, setup10, rng):
-        part, sol = setup10
+    def test_random_qubit_through_chain(self, setup10, rng):
+        tm, sol = setup10
         psi = random_state(rng, 2)
-        rep = protocol.run_arbitrary_pst(chain10, part, 2, psi, sol, 14.391)
+        rep = protocol.run_arbitrary_pst(tm, psi, sol, 14.391)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(abs(sol.lam) ** 2,
                                                         abs=1e-6)
 
-    def test_ground_in_ground_out(self, chain10, setup10):
-        part, sol = setup10
-        rep = protocol.run_arbitrary_pst(chain10, part, 2,
-                                         np.array([1.0, 0.0]), sol, 14.391)
+    def test_ground_in_ground_out(self, setup10):
+        tm, sol = setup10
+        rep = protocol.run_arbitrary_pst(tm, np.array([1.0, 0.0]), sol, 14.391)
         assert rep.fidelity >= 1 - 1e-8
         assert abs(rep.output_amplitudes[0]) == pytest.approx(1.0, abs=1e-8)
 
@@ -219,22 +223,21 @@ class TestArbitraryProtocol:
         part = Partition(n_sites=10, n_s=3, n_r=3, n_er=5,
                          s0_sites=(4, 5), r0_sites=(6, 7))
         with pytest.raises(ValueError, match="exceed"):
-            protocol.run_arbitrary_pst(chain10, part, 2, np.ones(4) / 2.0,
+            protocol.run_arbitrary_pst(TransferMap(chain10, part, 2), np.ones(4) / 2.0,
                                        solution5, 14.391)
 
-    def test_needs_s0_r0(self, chain10, part10, solution5):
+    def test_needs_s0_r0(self, tmap10, solution5):
         with pytest.raises(ValueError, match="S0"):
-            protocol.run_arbitrary_pst(chain10, part10(5), 2,
-                                       np.array([1.0, 0.0]), solution5, 14.391)
+            protocol.run_arbitrary_pst(tmap10(5), np.array([1.0, 0.0]), solution5, 14.391)
 
-    def test_matches_sector_pipeline_composition(self, chain10, setup10, rng):
+    def test_matches_sector_pipeline_composition(self, setup10, rng):
         # oracle: encoding maps |j> to sender pattern chi_j, so the encoded
         # run must reproduce the fixed-k protocol on s = (psi_0, psi_1, 0)
-        part, sol = setup10
+        tm, sol = setup10
         psi = random_state(rng, 2)
-        rep_arb = protocol.run_arbitrary_pst(chain10, part, 2, psi, sol, 14.391)
+        rep_arb = protocol.run_arbitrary_pst(tm, psi, sol, 14.391)
         s = np.array([psi[0], psi[1], 0.0])
-        rep_k = protocol.run_k_excitation_pst(chain10, part, 2, s, sol, 14.391)
+        rep_k = protocol.run_k_excitation_pst(tm, s, sol, 14.391)
         assert rep_arb.success_probability == pytest.approx(
             rep_k.success_probability, abs=1e-10)
         assert np.abs(rep_arb.output_amplitudes -
@@ -242,35 +245,32 @@ class TestArbitraryProtocol:
 
 
 class TestNonpreservingProtocol:
-    def test_table_value(self, chain10, part10, solution5_nonpreserving, rng):
+    def test_table_value(self, tmap10, solution5_nonpreserving, rng):
         s = random_state(rng, 3)
-        rep = protocol.run_nonpreserving_pst(chain10, part10(5), 2, s,
-                                             solution5_nonpreserving, 14.391)
+        rep = protocol.run_nonpreserving_pst(tmap10(5), s, solution5_nonpreserving, 14.391)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(0.356, abs=1e-3)
 
-    def test_flag_branch_fully_on_marker_patterns(self, chain10, part10,
-                                                  solution5_nonpreserving, rng):
+    def test_flag_branch_fully_on_marker_patterns(self, tmap10, solution5_nonpreserving,
+                                                  rng):
         # the B=1 branch is supported entirely on D=1 receiver patterns, so
         # the reported output amplitudes carry the whole post-selected norm
         s = random_state(rng, 3)
-        rep = protocol.run_nonpreserving_pst(chain10, part10(5), 2, s,
-                                             solution5_nonpreserving, 14.391)
+        rep = protocol.run_nonpreserving_pst(tmap10(5), s, solution5_nonpreserving, 14.391)
         assert np.linalg.norm(rep.output_amplitudes) == pytest.approx(1.0,
                                                                       abs=1e-8)
 
-    def test_rejects_preserving_solution(self, chain10, part10, solution5, rng):
+    def test_rejects_preserving_solution(self, tmap10, solution5, rng):
         with pytest.raises(ValueError, match="non-preserving"):
-            protocol.run_nonpreserving_pst(chain10, part10(5), 2,
-                                           random_state(rng, 3), solution5,
+            protocol.run_nonpreserving_pst(tmap10(5), random_state(rng, 3), solution5,
                                            14.391)
 
-    def test_circuit_solution_drives_pipeline(self, chain10, circuit_np4, rng):
+    def test_circuit_solution_drives_pipeline(self, circuit_np4, rng):
         # a fitted sector-mixing circuit carries its own (smaller) lambda;
         # the protocol still post-selects a perfect copy at |lambda|**2
-        part, sol = circuit_np4
+        tm, sol = circuit_np4
         s = random_state(rng, 3)
-        rep = protocol.run_nonpreserving_pst(chain10, part, 2, s, sol, 12.493)
+        rep = protocol.run_nonpreserving_pst(tm, s, sol, 12.493)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(abs(sol.lam) ** 2,
                                                         abs=1e-8)
@@ -289,17 +289,17 @@ def _number_preserving_unitary(rng, n: int) -> np.ndarray:
 @pytest.mark.parametrize("case", ["k_excitation", "arbitrary", "nonpreserving",
                                   "circuit-nonpreserving", "global",
                                   "global-line-unitary"])
-def test_runners_match_full_space_oracle(case, chain10, part10, solution5,
+def test_runners_match_full_space_oracle(case, chain10, tmap10, solution5,
                                          solution5_nonpreserving, setup10,
                                          circuit_np4, rng):
     # every k-sector runner equals the gate-level 2**N composition at N=10
-    part, w, tau0 = {
-        "k_excitation": (part10(5), solution5, 14.391),
+    tm, w, tau0 = {
+        "k_excitation": (tmap10(5), solution5, 14.391),
         "arbitrary": (*setup10, 14.391),
-        "nonpreserving": (part10(5), solution5_nonpreserving, 14.391),
+        "nonpreserving": (tmap10(5), solution5_nonpreserving, 14.391),
         "circuit-nonpreserving": (*circuit_np4, 12.493),
-        "global": (part10(5), solution5, 14.391),
-        "global-line-unitary": (part10(5), None, 14.391),
+        "global": (tmap10(5), solution5, 14.391),
+        "global-line-unitary": (tmap10(5), None, 14.391),
     }[case]
     if w is None:
         w = _number_preserving_unitary(rng, 10)
@@ -308,34 +308,35 @@ def test_runners_match_full_space_oracle(case, chain10, part10, solution5,
     s = random_state(rng, 2 if variant == "arbitrary" else 3)
     w_runner = (restrict_to_sector(w, k_states(10, 2).states)
                 if isinstance(w, np.ndarray) else w)
-    rep = getattr(protocol, f"run_{variant}_pst")(chain10, part, 2, s, w_runner, tau0)
-    prob, out = full_space_protocol(variant, chain10, part, 2, s, w, tau0)
+    rep = getattr(protocol, f"run_{variant}_pst")(tm, s, w_runner, tau0)
+    prob, out = full_space_protocol(variant, chain10, tm.partition, 2, s, w, tau0)
     assert abs(rep.success_probability - prob) <= 1e-12
     assert np.abs(rep.output_amplitudes - out).max() <= 1e-12
     assert rep.fidelity >= 1 - 1e-8 or case == "global-line-unitary"
 
 
 @pytest.fixture(scope="module")
-def chain42():
+def tmaps42():
+    """The N=42 chain's map, and its map with the encoded protocol's S0 and R0."""
     couplings = build_couplings(ChainSpec(n_sites=42, nn_overrides=N42_OVERRIDES))
-    return couplings, TransferMap(couplings, Partition(n_sites=42, n_s=3, n_r=3, n_er=5), 2)
+    return {encoded: TransferMap(couplings, Partition(n_sites=42, n_s=3, n_r=3, n_er=5,
+                                                      s0_sites=s0, r0_sites=r0), 2)
+            for encoded, s0, r0 in ((False, (), ()), (True, (4,), (38,)))}
 
 
 @pytest.mark.parametrize("variant", protocol.VARIANTS)
-def test_n42_distance_reading(variant, chain42, rng):
+def test_n42_distance_reading(variant, tmaps42, rng):
     # Table 2's N=42 chain at tau0 = 57.267: every variant runs in the k-sector
     # and post-selects a perfect copy with probability sigma_min(V_hat)**2
-    couplings, tm = chain42
+    tm = tmaps42[variant == "arbitrary"]
     tau0 = 57.267
     v = tm.v_hat(tau0)
     sigma_min = np.linalg.svd(v.v_hat, compute_uv=False).min()
     assert sigma_min == pytest.approx(0.467, abs=5e-3)
     mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"
     sol = solve_general(RestoreProblem(v_hat=v, mode=mode, seed=0))
-    s0, r0, dim = ((4,), (38,), 2) if variant == "arbitrary" else ((), (), 3)
-    part = Partition(n_sites=42, n_s=3, n_r=3, n_er=5, s0_sites=s0, r0_sites=r0)
-    rep = getattr(protocol, f"run_{variant}_pst")(couplings, part, 2, random_state(rng, dim),
-                                                  sol, tau0, transfer_map=tm)
+    dim = 2 if variant == "arbitrary" else 3
+    rep = getattr(protocol, f"run_{variant}_pst")(tm, random_state(rng, dim), sol, tau0)
     assert rep.fidelity >= 1 - 1e-8
     assert rep.success_probability == pytest.approx(sigma_min ** 2, abs=1e-6)
 

@@ -83,18 +83,18 @@ class TestLambdaPolynomial:
 
 class TestRealRoots:
     @pytest.mark.parametrize("n_er", [4, 5, 6])
-    def test_published_root_lists(self, chain10, part10, n_er):
+    def test_published_root_lists(self, tmap10, n_er):
         tau0 = PAPER_TABLE_1A[n_er][0]
-        roots = scale.roots_at(chain10, part10(n_er), 2, tau0)
+        roots = scale.roots_at(tmap10(n_er), tau0)
         assert len(roots) == 3
         for got, want in zip(roots, PAPER_ROOTS[n_er]):
             assert got == pytest.approx(want, abs=5e-4)
 
     @pytest.mark.parametrize("n_er", [4, 5, 6])
-    def test_roots_at_match_polynomial_oracle(self, chain10, part10, tmap10, n_er):
+    def test_roots_at_match_polynomial_oracle(self, tmap10, n_er):
         tau0 = PAPER_TABLE_1A[n_er][0]
         poly = real_roots(lambda_polynomial(gram(tmap10(n_er).v_hat(tau0)).g))
-        roots = scale.roots_at(chain10, part10(n_er), 2, tau0)
+        roots = scale.roots_at(tmap10(n_er), tau0)
         assert len(poly) == 3 and np.abs(roots - poly).max() < 1e-9
 
     def test_unitary_submatrix_roots_in_range(self, rng):
@@ -190,16 +190,15 @@ def oracle_scan_rows(tm, taus):
 
 class TestScan:
     @pytest.mark.parametrize("n_er", [4, 5, 6])
-    def test_table_1a_grid_matches_lapack_oracle(self, chain10, part10, tmap10, n_er):
-        res = scale.scan(chain10, part10(n_er), 2, 0.0, 20.0, 0.001,
-                         transfer_map=tmap10(n_er))
+    def test_table_1a_grid_matches_lapack_oracle(self, tmap10, n_er):
+        res = scale.scan(tmap10(n_er), 0.0, 20.0, 0.001)
         assert np.abs(res.roots - oracle_scan_rows(tmap10(n_er), res.taus)).max() < 1e-14
 
     @pytest.mark.parametrize("n_s, k", [(4, 2), (3, 3)], ids=["s6", "s1"])
     def test_rows_match_lapack_oracle_other_sector_sizes(self, chain10, n_s, k):
         part = Partition(n_sites=10, n_s=n_s, n_r=n_s, n_er=5)
         tm = TransferMap(chain10, part, k)
-        res = scale.scan(chain10, part, k, 0.0, 5.0, 0.001, transfer_map=tm)
+        res = scale.scan(tm, 0.0, 5.0, 0.001)
         n_roots = res.roots.shape[1]
         assert n_roots == {2: 6, 3: 1}[k]
         # V_hat is a block of a unitary, so ||G||_2 <= 1; at s=6 a small root
@@ -208,37 +207,37 @@ class TestScan:
         assert np.abs(res.roots ** 2 - want ** 2).max() <= 8 * n_roots * EPS
 
     @pytest.mark.parametrize("n_er", [4, 5, 6])
-    def test_table_1a(self, chain10, part10, n_er):
-        res = scale.scan(chain10, part10(n_er), 2, 0.0, 20.0, 0.001)
+    def test_table_1a(self, tmap10, n_er):
+        res = scale.scan(tmap10(n_er), 0.0, 20.0, 0.001)
         tau_ref, lam_ref = PAPER_TABLE_1A[n_er]
         assert res.tau0 == pytest.approx(tau_ref, abs=1e-9)
         assert res.lambda_min == pytest.approx(lam_ref, abs=5e-4)
         assert res.tau0 == pytest.approx(res.tau_argmax + 0.001, abs=1e-9)
 
-    def test_single_point_range(self, chain10, part10):
-        res = scale.scan(chain10, part10(5), 2, 0.0, 0.0, 0.001)
+    def test_single_point_range(self, tmap10):
+        res = scale.scan(tmap10(5), 0.0, 0.0, 0.001)
         assert res.tau0 == 0.0
         assert res.lambda_min < 1e-12
 
-    def test_grid_stops_at_tau_max(self, chain10, part10):
+    def test_grid_stops_at_tau_max(self, tmap10):
         # 1.0 is not a multiple of 0.35: the grid ends at 0.7, not at 1.05
-        res = scale.scan(chain10, part10(5), 2, 0.0, 1.0, 0.35)
+        res = scale.scan(tmap10(5), 0.0, 1.0, 0.35)
         assert np.array_equal(res.taus, [0.0, 0.35, 0.7])
         assert res.tau0 <= 1.0
         # (12.6 - 12.4) / 0.001 rounds to 199.9999999999993; 12.6 stays on the grid
-        assert len(scale.scan(chain10, part10(5), 2, 12.4, 12.6, 0.001).taus) == 201
+        assert len(scale.scan(tmap10(5), 12.4, 12.6, 0.001).taus) == 201
 
-    def test_bell_shape_near_peak(self, chain10, part10):
-        res = scale.scan(chain10, part10(5), 2, 0.0, 20.0, 0.001)
+    def test_bell_shape_near_peak(self, tmap10):
+        res = scale.scan(tmap10(5), 0.0, 20.0, 0.001)
         mins = res.roots[:, 0]
         i0 = int(np.argmax(mins))
         for dt in (-0.05, 0.05):
             j = i0 + int(round(dt / 0.001))
             assert mins[j] >= 0.9 * mins[i0]
 
-    def test_rows_at_block_and_chunk_edges_match_single_tau(self, chain10, part10, tmap10):
+    def test_rows_at_block_and_chunk_edges_match_single_tau(self, tmap10):
         chunk, b = SCAN_CHUNK, GRAM_BLOCK
-        res = scale.scan(chain10, part10(5), 2, 10.0, 13.0, 0.001)
+        res = scale.scan(tmap10(5), 10.0, 13.0, 0.001)
         for i in (0, b - 1, b, chunk - 1, chunk, len(res.taus) - 1):
             want = lapack_singular_values(gram(tmap10(5).v_hat(res.taus[i])).g)
             assert np.abs(res.roots[i] - want).max() < 1e-13
@@ -246,7 +245,7 @@ class TestScan:
     def test_rows_match_expm_oracle(self):
         # N=8, sender sites 1-3, extended receiver sites 5-8; site q is bit q-1
         c = build_couplings(ChainSpec(n_sites=8))
-        res = scale.scan(c, Partition(n_sites=8, n_s=3, n_r=3, n_er=4), 2,
+        res = scale.scan(TransferMap(c, Partition(n_sites=8, n_s=3, n_r=3, n_er=4), 2),
                          0.0, 12.0, 0.001)
         h_full = pauli_xx_hamiltonian(c.d)
         pairs = [m for m in range(256) if bin(m).count("1") == 2]
@@ -258,23 +257,23 @@ class TestScan:
             want = np.sort(np.linalg.svd(v, compute_uv=False))
             assert np.abs(res.roots[i] - want).max() < 1e-12
 
-    def test_empty_range_rejected(self, chain10, part10):
+    def test_empty_range_rejected(self, tmap10):
         with pytest.raises(ValueError):
-            scale.scan(chain10, part10(5), 2, 1.0, 0.0, 0.001)
+            scale.scan(tmap10(5), 1.0, 0.0, 0.001)
         with pytest.raises(ValueError):
-            scale.scan(chain10, part10(5), 2, 0.0, 1.0, -0.1)
+            scale.scan(tmap10(5), 0.0, 1.0, -0.1)
 
-    def test_scan_roots_match_polynomial_route(self, chain10, part10, tmap10):
+    def test_scan_roots_match_polynomial_route(self, tmap10):
         # dual route: batched Gram spectra vs determinant polynomial + companion
-        res = scale.scan(chain10, part10(5), 2, 14.0, 14.5, 0.1)
+        res = scale.scan(tmap10(5), 14.0, 14.5, 0.1)
         for tau, row in zip(res.taus, res.roots):
             direct = real_roots(lambda_polynomial(gram(tmap10(5).v_hat(tau)).g))
             assert np.allclose(row, direct, atol=1e-9)
 
-    def test_roots_at_is_the_scan_route(self, chain10, part10):
-        res = scale.scan(chain10, part10(5), 2, 14.0, 14.5, 0.1)
+    def test_roots_at_is_the_scan_route(self, tmap10):
+        res = scale.scan(tmap10(5), 14.0, 14.5, 0.1)
         for tau, row in zip(res.taus, res.roots):
-            assert np.abs(scale.roots_at(chain10, part10(5), 2, tau) - row).max() < 1e-13
+            assert np.abs(scale.roots_at(tmap10(5), tau) - row).max() < 1e-13
 
 
 class TestFeasibility:
