@@ -2,7 +2,7 @@
 
 from .basis import EmbeddingMap, SectorBasis, binom, embed_subsystem, k_states
 from .chain import (ChainSpec, CouplingMatrix, InvalidSpecError, Partition,
-                    build_couplings, direct_override_matrix, hamiltonian_block)
+                    build_couplings, hamiltonian_block)
 from .dynamics import (SectorEigensystem, TransferBlock, TransferMap,
                        eigendecompose, propagator, sector_eigensystem)
 from .protocol import (ProtocolReport, amplification_runs, run_arbitrary_pst,

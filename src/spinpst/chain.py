@@ -22,20 +22,19 @@ class InvalidSpecError(ValueError):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Geometry and coupling model of a 1-D spin-1/2 chain.
+    """Geometry or coupling matrix of a 1-D spin-1/2 chain.
 
-    Exactly one geometry source applies; giving two raises InvalidSpecError:
+    Exactly one source applies; giving two raises InvalidSpecError:
 
-    * default: unit-spaced sites (homogeneous chain),
+    * default: unit-spaced sites (homogeneous dipolar chain),
     * ``positions``: explicit, strictly increasing site coordinates,
     * ``nn_overrides``: nearest-neighbor coupling values keyed by the 1-based
       left site of the bond; converted to inter-site distances r = D**(-1/3)
       so that all long-range couplings stay dipole-consistent,
-    * ``matrix``: explicit full coupling matrix (``coupling_model="explicit"``).
+    * ``matrix``: the explicit model, a full coupling matrix used as given.
     """
 
     n_sites: int
-    coupling_model: str = "dipole"              # "dipole" | "explicit"
     positions: tuple[float, ...] | None = None
     nn_overrides: dict[int, float] | None = None
     matrix: np.ndarray | None = None
@@ -43,45 +42,31 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 2:
             raise InvalidSpecError(f"need at least 2 sites, got {self.n_sites}")
-        if self.coupling_model not in ("dipole", "explicit"):
-            raise InvalidSpecError(f"unknown coupling model {self.coupling_model!r}")
         given = [name for name in ("positions", "nn_overrides", "matrix")
                  if getattr(self, name) is not None]
         if len(given) > 1:
             raise InvalidSpecError(f"give either {given[0]} or {given[1]}, not both")
-        if self.coupling_model == "explicit":
-            if self.matrix is None:
-                raise InvalidSpecError("explicit coupling model requires a matrix")
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (self.n_sites, self.n_sites):
-                raise InvalidSpecError(f"coupling matrix shape {m.shape} does not "
-                                       f"match n_sites={self.n_sites}")
-            if not np.allclose(m, m.T):
-                raise InvalidSpecError("coupling matrix must be symmetric")
-            if np.any(np.diag(m) != 0):
-                raise InvalidSpecError("coupling matrix must have zero diagonal")
-            off = m[~np.eye(self.n_sites, dtype=bool)]
-            if np.any(off < 0):
-                raise InvalidSpecError("couplings must be nonnegative")
-        else:
-            if self.positions is not None:
-                p = tuple(float(x) for x in self.positions)
-                if len(p) != self.n_sites:
-                    raise InvalidSpecError("positions length must equal n_sites")
-                if any(b <= a for a, b in zip(p, p[1:])):
-                    raise InvalidSpecError("positions must be strictly increasing")
-            if self.nn_overrides is not None:
-                for i, d in self.nn_overrides.items():
-                    if not 1 <= i <= self.n_sites - 1:
-                        raise InvalidSpecError(f"override bond {i}-{i + 1} out of range")
-                    if d <= 0:
-                        raise InvalidSpecError(f"override coupling for bond {i}-{i + 1} "
-                                               "must be positive")
+        if self.matrix is not None and CouplingMatrix(self.matrix).n_sites != self.n_sites:
+            raise InvalidSpecError(f"coupling matrix shape {np.shape(self.matrix)} does not "
+                                   f"match n_sites={self.n_sites}")
+        if self.positions is not None:
+            p = tuple(float(x) for x in self.positions)
+            if len(p) != self.n_sites:
+                raise InvalidSpecError("positions length must equal n_sites")
+            if any(b <= a for a, b in zip(p, p[1:])):
+                raise InvalidSpecError("positions must be strictly increasing")
+        if self.nn_overrides is not None:
+            for i, d in self.nn_overrides.items():
+                if not 1 <= i <= self.n_sites - 1:
+                    raise InvalidSpecError(f"override bond {i}-{i + 1} out of range")
+                if d <= 0:
+                    raise InvalidSpecError(f"override coupling for bond {i}-{i + 1} "
+                                           "must be positive")
 
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Symmetric nonnegative coupling constants with zero diagonal."""
+    """Square, exactly symmetric, nonnegative coupling constants with zero diagonal."""
 
     d: np.ndarray
 
@@ -94,6 +79,8 @@ class CouplingMatrix:
             raise InvalidSpecError("coupling matrix must be exactly symmetric")
         if np.any(np.diag(d) != 0):
             raise InvalidSpecError("coupling matrix diagonal must be zero")
+        if np.any(d < 0):
+            raise InvalidSpecError("couplings must be nonnegative")
 
     @property
     def n_sites(self) -> int:
@@ -158,12 +145,13 @@ class Partition:
 def build_couplings(spec: ChainSpec) -> CouplingMatrix:
     """Assemble the coupling matrix for a chain specification.
 
-    Dipole model: D_ij = 1 / r_ij**3 from site positions.  Nearest-neighbor
+    A given matrix is copied as is.  Otherwise the dipole model gives
+    D_ij = 1 / r_ij**3 from site positions.  Nearest-neighbor
     overrides are realized as adjusted inter-site distances, keeping every
     long-range coupling consistent with the dipole law.
     """
     n = spec.n_sites
-    if spec.coupling_model == "explicit":
+    if spec.matrix is not None:
         return CouplingMatrix(d=np.asarray(spec.matrix, dtype=float).copy())
     if spec.positions is not None:
         pos = np.asarray(spec.positions, dtype=float)
@@ -182,19 +170,6 @@ def build_couplings(spec: ChainSpec) -> CouplingMatrix:
     np.fill_diagonal(d, 0.0)
     d = (d + d.T) / 2.0  # exact symmetry despite rounding
     return CouplingMatrix(d=d)
-
-
-def direct_override_matrix(n_sites: int, nn_overrides: dict[int, float]) -> np.ndarray:
-    """Unit-spaced dipole matrix with listed nearest-neighbor entries replaced.
-
-    Alternative reading of "adjusted coupling constants": the overrides patch
-    D_{i,i+1} directly while all other pairs keep the unit-spacing dipole value.
-    """
-    ChainSpec(n_sites=n_sites, nn_overrides=nn_overrides)   # checks the bonds and signs
-    d = build_couplings(ChainSpec(n_sites=n_sites)).d
-    for i, v in nn_overrides.items():
-        d[i - 1, i] = d[i, i - 1] = v
-    return d
 
 
 def hamiltonian_block(couplings: CouplingMatrix, k: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingMatrix, Partition, build_couplings, direct_override_matrix
+from .chain import ChainSpec, CouplingMatrix, Partition, build_couplings
 from .protocol import VARIANTS
 from .restore import CIRCUIT_MODES, GENERAL_MODES
 
@@ -108,7 +108,8 @@ KEYS = {
     "chain.model": (_one_of("coupling model", "dipole", "explicit"), "dipole"),
     "chain.positions": (_numbers, None),
     "chain.nn_overrides": (_overrides, None),
-    "chain.nn_override_mode": (_one_of("override mode", "distance", "direct"), "distance"),
+    # overrides are always distances; the key stays so that older configs load
+    "chain.nn_override_mode": (_one_of("override mode", "distance"), "distance"),
     "chain.matrix_file": (str, None),
     "partition.n_s": (_at_least(1), None),
     "partition.n_r": (_at_least(1), None),          # partition.n_s when absent
@@ -152,17 +153,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _chain_spec(values: dict) -> ChainSpec:
-    """The chain the chain.* keys describe, in either reading of the overrides."""
-    n, overrides = values["chain.n"], values["chain.nn_overrides"]
-    if values["chain.nn_override_mode"] == "direct":
-        if not overrides:
-            raise ValueError("direct override mode needs chain.nn_overrides")
-        if (values["chain.positions"] is not None or values["chain.model"] == "explicit"
-                or values["chain.matrix_file"] is not None):
-            raise ValueError("give either positions or nn_overrides, not both: direct "
-                             "override mode builds the whole coupling matrix")
-        return ChainSpec(n_sites=n, coupling_model="explicit",
-                         matrix=direct_override_matrix(n, overrides))
+    """The chain the chain.* keys describe; the explicit model reads its matrix file."""
     matrix = None
     if values["chain.model"] == "explicit":
         path = values["chain.matrix_file"]
@@ -172,9 +163,8 @@ def _chain_spec(values: dict) -> ChainSpec:
             matrix = np.loadtxt(path, delimiter=",", dtype=float)
         except ValueError as exc:
             raise ValueError(f"chain.matrix_file {path!r}: {exc}") from exc
-    return ChainSpec(n_sites=n, coupling_model=values["chain.model"],
-                     positions=values["chain.positions"], nn_overrides=overrides,
-                     matrix=matrix)
+    return ChainSpec(n_sites=values["chain.n"], positions=values["chain.positions"],
+                     nn_overrides=values["chain.nn_overrides"], matrix=matrix)
 
 
 @dataclass(frozen=True)

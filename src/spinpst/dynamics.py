@@ -32,7 +32,7 @@ from .chain import CouplingMatrix, Partition, hamiltonian_block
 
 HERMITICITY_TOL = 1e-10
 # Largest mirror asymmetry max|D - JDJ| / max|D| whose sector blocks split by
-# parity.  The N=42 distance reading's positions come from a cumsum and sit
+# parity.  The adjusted N=42 chain's positions come from a cumsum and sit
 # at 24 eps, so 8 eps would miss it.
 MIRROR_TOL = 64 * np.finfo(float).eps
 # Grid points per interpolated block in TransferMap.gram_batch; a divisor of
@@ -113,7 +113,7 @@ def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
     H_sym is the Hamiltonian of the couplings (D + JDJ)/2, and
     exp(-iH tau) - exp(-iH_sym tau) is an integral over [0, tau] of unitary
     factors around H - H_sym, so ||V_hat - V_hat_sym||_2 <= tau ||H - H_sym||_2.
-    For the N=42 distance reading (k=2, max|D - JDJ| = 24 eps max|D|) that
+    For the adjusted N=42 chain (k=2, max|D - JDJ| = 24 eps max|D|) that
     bound is 1.7e-13 at tau = 65, and the split and the one-block transfer
     blocks differ there by 5.3e-15.  Any other chain is diagonalised as one
     block.

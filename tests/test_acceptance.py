@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
-                     build_couplings, direct_override_matrix, fit_circuit,
-                     protocol, scale, solve_general)
+                     build_couplings, fit_circuit, protocol, scale, solve_general)
 from spinpst.basis import k_states
 from spinpst.paper import (N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A, PAPER_TABLE_2,
                            PAPER_TABLE_2_N42, TABLE_2_WINDOWS)
@@ -72,36 +71,21 @@ def test_criterion_03_long_chains():
     t0 = time.time()
     ok = True
     details = []
-    for n, (tau_ref, lam_ref) in PAPER_TABLE_2.items():
-        couplings = build_couplings(ChainSpec(n_sites=n))
+    chains = [(n, ChainSpec(n_sites=n), published) for n, published in PAPER_TABLE_2.items()]
+    # the 42-site chain with adjusted end bonds, read as inter-site distances
+    chains.append((42, ChainSpec(n_sites=42, nn_overrides=N42_OVERRIDES), PAPER_TABLE_2_N42))
+    for n, spec, (tau_ref, lam_ref) in chains:
         part = Partition(n_sites=n, n_s=3, n_r=3, n_er=5)
-        res = scale.scan(TransferMap(couplings, part, 2), 0.0, TABLE_2_WINDOWS[n], 0.001)
+        res = scale.scan(TransferMap(build_couplings(spec), part, 2), 0.0,
+                         TABLE_2_WINDOWS[n], 0.001)
         good = (abs(res.tau0 - tau_ref) < 1e-9 and
                 abs(res.lambda_min - lam_ref) <= 5e-4)
         ok &= good
         details.append(f"N={n}: {res.tau0:.3f}/{res.lambda_min:.4f}")
         assert good, (n, res.tau0, res.lambda_min)
-
-    # adjusted 42-site chain under both coupling interpretations
-    tau_ref, lam_ref = PAPER_TABLE_2_N42
-    part = Partition(n_sites=42, n_s=3, n_r=3, n_er=5)
-    hits = {}
-    for label, spec in (
-        ("distance", ChainSpec(n_sites=42, nn_overrides=N42_OVERRIDES)),
-        ("direct", ChainSpec(n_sites=42, coupling_model="explicit",
-                             matrix=direct_override_matrix(42, N42_OVERRIDES))),
-    ):
-        res = scale.scan(TransferMap(build_couplings(spec), part, 2), 0.0,
-                         TABLE_2_WINDOWS[42], 0.001)
-        hits[label] = (res.tau0, res.lambda_min,
-                       abs(res.tau0 - tau_ref) <= 0.05 and
-                       abs(res.lambda_min - lam_ref) <= 5e-3)
-        details.append(f"N=42[{label}]: {res.tau0:.3f}/{res.lambda_min:.4f}")
     elapsed = time.time() - t0
-    n42_ok = any(v[2] for v in hits.values())
-    _status("criterion 3: long-chain table", ok and n42_ok and elapsed < 600,
+    _status("criterion 3: long-chain table", ok and elapsed < 600,
             "; ".join(details) + f" ({elapsed:.1f}s)")
-    assert n42_ok, f"neither interpretation matched: {hits}"
     assert elapsed < 600
 
 

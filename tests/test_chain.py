@@ -25,9 +25,10 @@ class TestBuildCouplings:
         assert np.allclose(inner, 1.0)
 
     def test_explicit_passthrough(self):
-        m = np.array([[0.0, 0.7], [0.7, 0.0]])
-        spec = chain.ChainSpec(n_sites=2, coupling_model="explicit", matrix=m)
-        assert np.array_equal(chain.build_couplings(spec).d, m)
+        # a given matrix is the explicit model, never dropped for the dipole rows
+        for m in (np.array([[0.0, 0.7], [0.7, 0.0]]), 2.0 * (np.ones((4, 4)) - np.eye(4))):
+            spec = chain.ChainSpec(n_sites=len(m), matrix=m)
+            assert np.array_equal(chain.build_couplings(spec).d, m)
 
     def test_positions_geometry(self):
         spec = chain.ChainSpec(n_sites=3, positions=(0.0, 1.0, 3.0))
@@ -47,14 +48,12 @@ class TestBuildCouplings:
             chain.ChainSpec(n_sites=3, positions=(0.0, 2.0, 1.0))
         with pytest.raises(chain.InvalidSpecError):
             chain.ChainSpec(n_sites=3, nn_overrides={1: -0.2})
-        with pytest.raises(chain.InvalidSpecError):
-            chain.ChainSpec(n_sites=2, coupling_model="explicit",
-                            matrix=np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-    def test_direct_override_matrix(self):
-        d = chain.direct_override_matrix(5, {1: 0.3})
-        assert d[0, 1] == 0.3
-        assert d[0, 2] == pytest.approx(0.125)   # long range untouched
+        near = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])   # allclose, not exactly symmetric
+        for m in (np.array([[0.0, 1.0], [0.5, 0.0]]), near, np.ones((2, 3)),
+                  np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([[0.0, -1.0], [-1.0, 0.0]]),
+                  np.zeros((3, 3))):
+            with pytest.raises(chain.InvalidSpecError):
+                chain.ChainSpec(n_sites=2, matrix=m)
 
 
 class TestHamiltonianBlock:
@@ -94,8 +93,7 @@ class TestHamiltonianBlock:
         rng = np.random.default_rng(n)
         m = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
         for c in (chain.build_couplings(chain.ChainSpec(n_sites=n)),
-                  chain.build_couplings(chain.ChainSpec(n_sites=n, coupling_model="explicit",
-                                                        matrix=m + m.T))):
+                  chain.build_couplings(chain.ChainSpec(n_sites=n, matrix=m + m.T))):
             for k in range(n + 1):
                 assert np.array_equal(chain.hamiltonian_block(c, k),
                                       hamiltonian_block_loop(c.d, k))

@@ -63,7 +63,6 @@ REPRODUCE_2 = (
     '30            homog         37.393        37.393        0.1364        0.136         PASS        \n'
     '40            homog         52.846        52.846        0.0795        0.079         PASS        \n'
     '42            adj-dist      57.267        57.267        0.4673        0.467         PASS        \n'
-    '42            adj-direct    57.416        57.267        0.4151        0.467         FAIL        \n'
 )
 
 
@@ -165,7 +164,8 @@ class TestCommands:
         rc = main(["scan", "--config", str(cfg_file), "--out", str(out)])
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
-        assert {"tau0", "lambda_min", "n_er", "k", "chain_id", "config_hash"} <= summary.keys()
+        assert summary.keys() == {"tau0", "lambda_min", "n_er", "k", "chain_id",
+                                  "config_hash", "csv"}
         lines = out.read_text().splitlines()
         n_s_k = 2  # C(2,1)
         assert lines[0].split(",") == ["tau", "root_1", "root_2", "min_root"]
@@ -204,16 +204,9 @@ class TestCommands:
         # a bond listed twice would keep its last value
         ("chain.nn_overrides = 1-2:0.3,1-2:0.9", ["roots", "--tau", "4.0"],
          "chain.nn_overrides lists bond 1-2 twice"),
-        # the direct reading builds the whole matrix and would drop the geometry
-        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
-         "chain.positions = 0,1,2,3,4,5", ["roots", "--tau", "4.0"],
-         "give either positions or nn_overrides, not both"),
-        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
-         "chain.model = explicit", ["roots", "--tau", "4.0"],
-         "give either positions or nn_overrides, not both"),
-        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
-         "chain.matrix_file = {matrix}", ["roots", "--tau", "4.0"],
-         "give either positions or nn_overrides, not both"),
+        # overrides are always inter-site distances
+        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct",
+         ["roots", "--tau", "4.0"], "chain.nn_override_mode must be one of distance"),
         # every key is checked at load, also where the command does not read it
         ("solver.tol = abc", ["scan", "--format", "json", "--out", "{out}"],
          "solver.tol must be a finite number"),
@@ -230,8 +223,7 @@ class TestCommands:
     ], ids=["positions", "s0", "matrix_file", "roots-tau-inf", "tau-flag-nan",
             "tau-flag-inf", "tol-nan", "solver-tau-nan", "scan-tau-max-nan",
             "positions-nan", "positions-inf", "overrides-nan", "overrides-inf",
-            "overrides-bond-twice", "direct-positions", "direct-explicit",
-            "direct-matrix-file",
+            "overrides-bond-twice", "override-mode-direct",
             "scan-json-tol-abc", "scan-json-q-0", "scan-json-variant-bogus",
             "roots-tol-abc", "roots-q-0", "roots-variant-bogus", "solve-tol-negative",
             "scan-format-xml"])
@@ -285,8 +277,7 @@ class TestCommands:
         assert not out.exists()
 
     def test_coupling_matrix_error_exits_2(self, tmp_path, capsys):
-        # symmetric to np.allclose, which ChainSpec checks, but not exactly,
-        # which build_couplings checks
+        # symmetric to np.allclose but not exactly
         m = np.ones((6, 6)) - np.eye(6)
         m[0, 1] += 1e-12
         matrix = tmp_path / "d.csv"
@@ -399,8 +390,9 @@ class TestCommands:
         assert capsys.readouterr().out == ""
         assert len(json.loads(out.read_text())["roots"]) == 2
 
-    @pytest.mark.parametrize("argv", [["solve", "--format", "json"], ["roots", "--seed", "3"]],
-                             ids=["solve-format", "roots-seed"])
+    @pytest.mark.parametrize("argv", [["solve", "--format", "json"], ["roots", "--seed", "3"],
+                                      ["scan", "--seed", "5"]],
+                             ids=["solve-format", "roots-seed", "scan-seed"])
     def test_flags_a_command_does_not_read_exit_2(self, cfg_file, argv):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--config", str(cfg_file), *argv[1:]])
@@ -527,6 +519,5 @@ class TestCommands:
         assert capsys.readouterr().out == REPRODUCE_1A
 
     def test_reproduce_2(self, capsys):
-        # the N=42 direct reading misses; the distance reading carries the table
         assert main(["reproduce", "2"]) == 0
         assert capsys.readouterr().out == REPRODUCE_2

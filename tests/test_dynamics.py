@@ -164,8 +164,7 @@ def explicit_chain(n, scale_by, seed, mirror=False):
     m = m + m.T
     if mirror:
         m = (m + m[::-1, ::-1]) / 2
-    return build_couplings(ChainSpec(n_sites=n, coupling_model="explicit",
-                                     matrix=scale_by * m))
+    return build_couplings(ChainSpec(n_sites=n, matrix=scale_by * m))
 
 
 class TestInterpolatedBlocks:
