@@ -204,9 +204,16 @@ class TestCommands:
         # a bond listed twice would keep its last value
         ("chain.nn_overrides = 1-2:0.3,1-2:0.9", ["roots", "--tau", "4.0"],
          "chain.nn_overrides lists bond 1-2 twice"),
-        # overrides are always inter-site distances
-        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct",
-         ["roots", "--tau", "4.0"], "chain.nn_override_mode must be one of distance"),
+        # overrides are always inter-site distances, whatever else the chain gives
+        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
+         "chain.positions = 0,1,2,3,4,5", ["roots", "--tau", "4.0"],
+         "chain.nn_override_mode must be one of distance"),
+        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
+         "chain.model = explicit", ["roots", "--tau", "4.0"],
+         "chain.nn_override_mode must be one of distance"),
+        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
+         "chain.matrix_file = {matrix}", ["roots", "--tau", "4.0"],
+         "chain.nn_override_mode must be one of distance"),
         # every key is checked at load, also where the command does not read it
         ("solver.tol = abc", ["scan", "--format", "json", "--out", "{out}"],
          "solver.tol must be a finite number"),
@@ -223,7 +230,8 @@ class TestCommands:
     ], ids=["positions", "s0", "matrix_file", "roots-tau-inf", "tau-flag-nan",
             "tau-flag-inf", "tol-nan", "solver-tau-nan", "scan-tau-max-nan",
             "positions-nan", "positions-inf", "overrides-nan", "overrides-inf",
-            "overrides-bond-twice", "override-mode-direct",
+            "overrides-bond-twice", "direct-positions", "direct-explicit",
+            "direct-matrix-file",
             "scan-json-tol-abc", "scan-json-q-0", "scan-json-variant-bogus",
             "roots-tol-abc", "roots-q-0", "roots-variant-bogus", "solve-tol-negative",
             "scan-format-xml"])
