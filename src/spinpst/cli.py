@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -43,18 +44,20 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _scan_csv(result: scale.ScanResult) -> str:
+def _scan_csv(result: scale.ScanResult) -> Iterator[str]:
+    """The scan CSV in pieces: the header, then CSV_BATCH_ROWS rows at a time.
+
+    A batch bounds the memory the text takes: each column is one %-format
+    of its values, and min_root repeats the root_1 cells.
+    """
     m = result.roots.shape[1]
-    parts = ["tau," + ",".join(f"root_{i + 1}" for i in range(m)) + ",min_root\n"]
-    table = np.column_stack([result.taus, result.roots])
-    # a batch of rows at a time, which bounds the peak memory: each column is
-    # one %-format of its values, and min_root repeats the root_1 cells
-    for lo in range(0, len(table), CSV_BATCH_ROWS):
+    yield "tau," + ",".join(f"root_{i + 1}" for i in range(m)) + ",min_root\n"
+    for lo in range(0, len(result.taus), CSV_BATCH_ROWS):
+        batch = slice(lo, lo + CSV_BATCH_ROWS)
         cols = [("%.9g\n" * len(col) % tuple(col)).split("\n")[:-1]
-                for col in table[lo:lo + CSV_BATCH_ROWS].T.tolist()]
+                for col in [result.taus[batch].tolist(), *result.roots[batch].T.tolist()]]
         cols.append(cols[1])
-        parts.append("\n".join(map(",".join, zip(*cols))) + "\n")
-    return "".join(parts)
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
 def _scan_range(cfg: RunConfig) -> tuple[float, float, float]:
@@ -79,7 +82,8 @@ def cmd_scan(args) -> int:
     }
     if (args.format or cfg["output.format"]) == "csv":
         out = args.out or cfg["output.path"] or "scan_output.csv"
-        Path(out).write_text(_scan_csv(result))
+        with Path(out).open("w") as fh:
+            fh.writelines(_scan_csv(result))
         summary["csv"] = out
     print(_json_dump(summary))
     return EXIT_OK

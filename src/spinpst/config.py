@@ -153,12 +153,15 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _chain_spec(values: dict) -> ChainSpec:
-    """The chain the chain.* keys describe; the explicit model reads its matrix file."""
-    matrix = None
-    if values["chain.model"] == "explicit":
-        path = values["chain.matrix_file"]
-        if path is None:
-            raise ValueError("missing required key 'chain.matrix_file'")
+    """The chain the chain.* keys describe; only the explicit model has a matrix file."""
+    path, matrix = values["chain.matrix_file"], None
+    if values["chain.model"] != "explicit":
+        if path is not None:
+            raise ValueError("chain.matrix_file needs chain.model = explicit, "
+                             f"got chain.model = {values['chain.model']}")
+    elif path is None:
+        raise ValueError("missing required key 'chain.matrix_file'")
+    else:
         try:
             matrix = np.loadtxt(path, delimiter=",", dtype=float)
         except ValueError as exc:

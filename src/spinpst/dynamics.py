@@ -5,10 +5,11 @@ V(tau) = U exp(-i Lambda tau) U^dag.  The chain's sector blocks are real
 symmetric, so U is real.  A mirror-symmetric chain, as every published one
 is, splits its sector block into an even and an odd block under the site
 reflection, each about half the size, and diagonalises the two apart; U is
-still the one real matrix of eigenvectors in the sector basis.  The transfer
-block collects the propagator elements between "all excitations in the
-sender" and "all excitations in the extended receiver" states, both in
-sector-basis order.
+still the one real matrix of eigenvectors in the sector basis, kept as the
+two blocks it factors into.  The transfer block collects the propagator
+elements between "all excitations in the sender" and "all excitations in
+the extended receiver" states, both in sector-basis order, so it reads only
+those rows of U.
 
 A scan evaluates the block on a uniform tau grid, a block of grid points at
 a time.  Within a block the phases exp(-i lambda j delta) are an entire
@@ -47,14 +48,47 @@ SCAN_CHUNK = 2048
 
 @dataclass(frozen=True)
 class SectorEigensystem:
-    """Eigenvalues and eigenvectors of one k-sector Hamiltonian block."""
+    """Eigenvalues of one k-sector Hamiltonian block and the factor of its eigenvectors.
+
+    U, column a the eigenvector of eigenvalue a (ascending), is kept as the
+    blocks it was computed in.  One block is U itself.  A mirror split keeps
+    the even and the odd eigenvector blocks, their pair rows already divided
+    by sqrt2; ``block_row`` gives each sector ordinal its row of the even
+    block (the pair index, or n_pairs plus the fixed-state index), which for
+    a pair is also its row of the odd block, ``parity`` is +1 for the first
+    state of a pair, -1 for its mirror image and 0 for a fixed state, and
+    ``order`` sorts the columns [even | odd] by eigenvalue.  ``rows`` builds
+    any rows of U from these, bit for bit those of the assembled U, and
+    ``eigenvectors`` assembles all of U on each call.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    block_row: np.ndarray | None = None
+    parity: np.ndarray | None = None
+    order: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """All of U, assembled anew on each access."""
+        return self.rows(np.arange(self.dim))
+
+    def rows(self, ordinals) -> np.ndarray:
+        """U[ordinals, :] for a sequence of sector ordinals."""
+        ords = np.asarray(ordinals, dtype=int)
+        if len(self.blocks) == 1:
+            return self.blocks[0][ords]
+        even, odd = self.blocks
+        row, parity = self.block_row[ords], self.parity[ords]
+        pair = parity != 0
+        u = np.zeros((len(ords), self.dim))
+        u[:, :len(even)] = even[row]
+        u[pair, len(even):] = odd[row[pair]] * parity[pair, None]
+        return u[:, self.order]
 
 
 @dataclass(frozen=True)
@@ -87,7 +121,7 @@ def eigendecompose(h_block: np.ndarray) -> SectorEigensystem:
     if asym > HERMITICITY_TOL:
         raise ValueError(f"input is not Hermitian (max asymmetry {asym:.2e})")
     evals, evecs = np.linalg.eigh(h)
-    return SectorEigensystem(eigenvalues=evals, eigenvectors=evecs)
+    return SectorEigensystem(eigenvalues=evals, blocks=(evecs,))
 
 
 def propagator(eig: SectorEigensystem, tau: float) -> np.ndarray:
@@ -108,8 +142,9 @@ def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
     (|m> + |Jm>)/sqrt2 and the states fixed by J, and of (|m> - |Jm>)/sqrt2,
     H splits into an even and an odd block of about half the size each.
     Both are taken from the symmetrised H_sym = (H + JHJ)/2 by index pairs
-    and diagonalised apart; their eigenvectors are scattered back into one
-    real U in the sector basis, eigenvalues ascending as from one block.
+    and diagonalised apart; the eigensystem keeps their eigenvectors as the
+    factor of one real U in the sector basis, eigenvalues ascending as from
+    one block.
     H_sym is the Hamiltonian of the couplings (D + JDJ)/2, and
     exp(-iH tau) - exp(-iH_sym tau) is an integral over [0, tau] of unitary
     factors around H - H_sym, so ||V_hat - V_hat_sym||_2 <= tau ||H - H_sym||_2.
@@ -118,10 +153,10 @@ def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
     blocks differ there by 5.3e-15.  Any other chain is diagonalised as one
     block.
     """
-    h = hamiltonian_block(couplings, k)
     d = couplings.d
     if np.abs(d - d[::-1, ::-1]).max() > MIRROR_TOL * np.abs(d).max():
-        return eigendecompose(h)
+        return eigendecompose(hamiltonian_block(couplings, k))
+    h = hamiltonian_block(couplings, k)
     mirror = np.asarray(mirror_ordinals(couplings.n_sites, k))
     ordinal = np.arange(len(mirror))
     a, fixed = ordinal[ordinal < mirror], ordinal[ordinal == mirror]
@@ -131,18 +166,23 @@ def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
     same = h[np.ix_(a, a)] + h[np.ix_(b, b)]
     cross = h[np.ix_(a, b)] + h[np.ix_(b, a)]
     pair_fixed = (h[np.ix_(a, fixed)] + h[np.ix_(b, fixed)]) / np.sqrt(2)
-    even = eigendecompose(np.block([[(same + cross) / 2, pair_fixed],
-                                    [pair_fixed.T, h[np.ix_(fixed, fixed)]]]))
-    odd = eigendecompose((same - cross) / 2)
-    n_pairs, n_even = len(a), even.dim
-    u = np.zeros((len(mirror), len(mirror)))
-    u[a, :n_even] = u[b, :n_even] = even.eigenvectors[:n_pairs] / np.sqrt(2)
-    u[fixed, :n_even] = even.eigenvectors[n_pairs:]
-    u[a, n_even:] = odd.eigenvectors / np.sqrt(2)
-    u[b, n_even:] = -u[a, n_even:]
+    even_h = np.block([[(same + cross) / 2, pair_fixed],
+                       [pair_fixed.T, h[np.ix_(fixed, fixed)]]])
+    odd_h = (same - cross) / 2
+    del h, same, cross      # only the two blocks stay alive through eigh
+    even, odd = eigendecompose(even_h), eigendecompose(odd_h)
+    n_pairs = len(a)
+    u_even, u_odd = even.blocks[0], odd.blocks[0]
+    u_even[:n_pairs] /= np.sqrt(2)
+    u_odd /= np.sqrt(2)
+    block_row = np.empty_like(mirror)
+    block_row[a] = block_row[b] = np.arange(n_pairs)
+    block_row[fixed] = n_pairs + np.arange(len(fixed))
     evals = np.concatenate([even.eigenvalues, odd.eigenvalues])
     order = np.argsort(evals, kind="stable")
-    return SectorEigensystem(eigenvalues=evals[order], eigenvectors=u[:, order])
+    return SectorEigensystem(eigenvalues=evals[order], blocks=(u_even, u_odd),
+                             block_row=block_row, parity=np.sign(mirror - ordinal),
+                             order=order)
 
 
 class TransferMap:
@@ -163,9 +203,8 @@ class TransferMap:
         n = partition.n_sites
         s_map = embed_subsystem(partition.sender_sites, n, k)
         er_map = embed_subsystem(partition.er_sites, n, k)
-        u = self.eig.eigenvectors
-        u_er = u[np.asarray(er_map.chain_ordinals), :]
-        u_s = u[np.asarray(s_map.chain_ordinals), :]
+        u_er = self.eig.rows(er_map.chain_ordinals)
+        u_s = self.eig.rows(s_map.chain_ordinals)
         self.n_er_k, self.n_s_k = len(u_er), len(u_s)
         self._khatri_rao = np.einsum("ra,sa->ars", u_er, u_s).reshape(self.eig.dim, -1)
 

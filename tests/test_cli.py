@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinpst
-from spinpst import binom, dynamics, scale
+from spinpst import TransferMap, binom, dynamics, scale
 from spinpst.cli import CSV_BATCH_ROWS, _scan_csv, build_parser, main
 from spinpst.config import ConfigError, RunConfig, parse_config_text
 from spinpst.scale import ScanResult
@@ -155,7 +155,19 @@ def test_scan_csv_matches_per_value_format():
     roots[:2] = roots[CSV_BATCH_ROWS - 1:CSV_BATCH_ROWS + 1] = special
     result = ScanResult(taus=taus, roots=roots, tau0=57.267, tau_argmax=taus[-2],
                         lambda_min=float(roots[:, 0].max()))
-    assert _scan_csv(result) == _scan_csv_reference(result)
+    assert "".join(_scan_csv(result)) == _scan_csv_reference(result)
+
+
+@pytest.mark.parametrize("n", [1, CSV_BATCH_ROWS, CSV_BATCH_ROWS + 1])
+def test_scan_csv_streams_whole_batches(n):
+    taus = 0.001 * np.arange(n)
+    roots = np.sort(np.random.default_rng(n).random((n, 3)), axis=1)
+    result = ScanResult(taus=taus, roots=roots, tau0=taus[-1], tau_argmax=taus[-1],
+                        lambda_min=float(roots[:, 0].max()))
+    pieces = list(_scan_csv(result))
+    # the header, then one piece per batch of rows
+    assert len(pieces) == 1 + -(-n // CSV_BATCH_ROWS)
+    assert "".join(pieces) == _scan_csv_reference(result)
 
 
 class TestCommands:
@@ -171,6 +183,14 @@ class TestCommands:
         assert lines[0].split(",") == ["tau", "root_1", "root_2", "min_root"]
         assert len(lines[0].split(",")) == n_s_k + 2
         assert len(lines) == 1 + 801
+
+    def test_scan_out_writes_the_streamed_bytes(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", str(cfg_file), "--out", str(out)]) == 0
+        cfg = RunConfig.from_file(cfg_file)
+        tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
+        result = scale.scan(tm, cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.step"])
+        assert out.read_bytes() == _scan_csv_reference(result).encode()
 
     def test_scan_empty_range_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -227,6 +247,9 @@ class TestCommands:
         # and before the scan that finds the registration time
         ("solver.tol = -1", ["solve"], "solver.tol must be > 0"),
         ("output.format = xml", ["scan", "--out", "{out}"], "output.format must be one of"),
+        # the dipole model would run without ever opening the file
+        ("chain.matrix_file = /nonexistent/d.csv", ["roots", "--tau", "4.0"],
+         "chain.matrix_file needs chain.model = explicit"),
     ], ids=["positions", "s0", "matrix_file", "roots-tau-inf", "tau-flag-nan",
             "tau-flag-inf", "tol-nan", "solver-tau-nan", "scan-tau-max-nan",
             "positions-nan", "positions-inf", "overrides-nan", "overrides-inf",
@@ -234,7 +257,7 @@ class TestCommands:
             "direct-matrix-file",
             "scan-json-tol-abc", "scan-json-q-0", "scan-json-variant-bogus",
             "roots-tol-abc", "roots-q-0", "roots-variant-bogus", "solve-tol-negative",
-            "scan-format-xml"])
+            "scan-format-xml", "matrix-file-without-explicit"])
     @pytest.mark.usefixtures("no_eigendecomposition")
     def test_malformed_value_exits_2(self, tmp_path, capsys, extra, argv, message):
         matrix = tmp_path / "d.csv"

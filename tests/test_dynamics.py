@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -305,3 +306,57 @@ class TestMirrorSplit:
         for m, j in zip(sector.states, mirror):
             sites = {q for q in range(7) if m >> q & 1}
             assert sector.states[j] == sum(1 << (6 - q) for q in sites)
+
+
+def assert_same_bits(x, y):
+    assert x.shape == y.shape and x.dtype == y.dtype
+    assert x.tobytes() == y.tobytes()
+
+
+class TestEigenvectorRows:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_rows_of_split_sectors_are_the_assembled_rows(self, n, rng):
+        c = build_couplings(ChainSpec(n_sites=n))
+        for k in range(n + 1):
+            eig, sizes = diagonalised_blocks(c, k)
+            assert len(sizes) == 2
+            u = eig.eigenvectors
+            for size in (0, 1, 5, 2 * eig.dim):
+                ords = rng.integers(0, eig.dim, size)
+                assert_same_bits(eig.rows(ords), u[ords])
+            assert_same_bits(eig.rows(list(range(eig.dim))), u)
+
+    def test_rows_of_one_block_sectors_are_the_assembled_rows(self, rng):
+        c = build_couplings(ChainSpec(n_sites=6, positions=(0.0, 1.0, 2.1, 3.3, 4.2, 5.0)))
+        for k in range(7):
+            eig, sizes = diagonalised_blocks(c, k)
+            assert sizes == [eig.dim]
+            ords = rng.integers(0, eig.dim, 2 * eig.dim)
+            assert_same_bits(eig.rows(ords), eig.eigenvectors[ords])
+
+    @pytest.mark.parametrize("positions", [None, (0.0, 1.0, 2.1, 3.3, 4.2, 5.0, 6.1, 7.0)],
+                             ids=["mirror", "asymmetric"])
+    def test_khatri_rao_factor_matches_the_assembled_rows(self, positions):
+        c = build_couplings(ChainSpec(n_sites=8, positions=positions))
+        for n_s, n_er, k in [(2, 3, 1), (3, 4, 2), (3, 5, 3)]:
+            part = Partition(n_sites=8, n_s=n_s, n_r=n_s, n_er=n_er)
+            tm = TransferMap(c, part, k)
+            u = tm.eig.eigenvectors
+            u_er = u[list(basis.embed_subsystem(part.er_sites, 8, k).chain_ordinals)]
+            u_s = u[list(basis.embed_subsystem(part.sender_sites, 8, k).chain_ordinals)]
+            want = np.einsum("ra,sa->ars", u_er, u_s).reshape(tm.eig.dim, -1)
+            assert np.array_equal(tm._khatri_rao, want)
+
+    def test_n42_transfer_map_keeps_no_dense_copy(self):
+        # numpy reports its allocations to tracemalloc, so the counts repeat
+        cfg = RunConfig.from_file(CONFIGS / "table2_n42_distance.cfg")
+        couplings, partition = cfg.couplings(), cfg.partition()
+        tracemalloc.start()
+        try:
+            tm = TransferMap(couplings, partition, 2)
+            alive, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense = tm.eig.dim ** 2 * 8          # one dim x dim float64 matrix
+        assert peak < 2.5 * dense
+        assert alive < 0.75 * dense
