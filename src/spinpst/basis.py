@@ -77,10 +77,6 @@ class EmbeddingMap:
     subsystem sites excited and every other site in the ground state.
     """
 
-    sub_sites: tuple[int, ...]          # 1-based chain sites forming the subsystem
-    chain_n: int
-    k: int
-    sub_basis: SectorBasis
     chain_ordinals: tuple[int, ...]     # chain k-sector ordinal per subsystem ordinal
     chain_masks: tuple[int, ...]        # chain bitmask per subsystem ordinal
 
@@ -100,13 +96,8 @@ def embed_subsystem(sub_sites, chain_n: int, k: int) -> EmbeddingMap:
         raise ValueError("subsystem sites must be distinct")
     if len(sub_sites) < k:
         raise ValueError(f"subsystem of {len(sub_sites)} sites cannot hold k={k} excitations")
-    sub = k_states(len(sub_sites), k)
     chain = k_states(chain_n, k)
-    masks = []
-    for m in sub.states:
-        cm = _mask(sub_sites[q] - 1 for q in range(len(sub_sites)) if (m >> q) & 1)
-        masks.append(cm)
-    ordinals = tuple(chain.index_of(cm) for cm in masks)
-    return EmbeddingMap(sub_sites=sub_sites, chain_n=chain_n, k=k,
-                        sub_basis=sub, chain_ordinals=ordinals,
-                        chain_masks=tuple(masks))
+    masks = tuple(_mask(sub_sites[q] - 1 for q in range(len(sub_sites)) if (m >> q) & 1)
+                  for m in k_states(len(sub_sites), k).states)
+    return EmbeddingMap(chain_ordinals=tuple(chain.index_of(m) for m in masks),
+                        chain_masks=masks)

@@ -3,10 +3,11 @@
 All four variants run in the chain k-sector, at any chain length.  The flag
 ancilla B marks the receiver k-patterns and post-selection keeps only the
 branch where all k excitations sit there, so the report needs only the
-amplitudes that reach those patterns.  For a restoring solution they are
-W_ER applied to V_hat(tau0) s in the solution family's space: the ER
-k-sector for a preserving W_ER, the 2**n_er extended-receiver register for
-a non-preserving one (``restore.family_space``):
+amplitudes that reach those patterns.  Every variant runs from a restoring
+solution; the amplitudes are its W_ER applied to V_hat(tau0) s in the
+family's space: the ER k-sector for a preserving W_ER, the 2**n_er
+extended-receiver register for a non-preserving one
+(``restore.family_space``):
 
 - ``k_excitation``: a preserving W_ER never maps an ER component with
   fewer than k excitations (the rest outside ER) onto a receiver k-pattern;
@@ -17,9 +18,8 @@ a non-preserving one (``restore.family_space``):
   the decode maps receiver pattern j to R0 value j, so both only relabel;
   the flag covers the first 2**n_s0 receiver patterns;
 - ``global``: in the k-sector the flag on the ground S+TL subspace is the
-  flag on the receiver patterns; a whole-line unitary acts through its
-  k-sector block, which must be unitary, since a unitary diagonal block of
-  a unitary is exactly the condition that nothing leaks out of the sector.
+  flag on the receiver patterns, and a preserving W_ER acts as the identity
+  outside the extended receiver, so the run is the ``k_excitation`` one.
 
 Every runner takes the chain's ``TransferMap``, whose partition and k are
 the run's.  The variants differ only in the solution family they accept and
@@ -34,13 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import binom, embed_subsystem
+from .basis import binom
 from .chain import Partition
 from .dynamics import TransferMap
 from .restore import PRESERVING_MODES, RestoreSolution, family_space
 
 VARIANTS = ("k_excitation", "arbitrary", "nonpreserving", "global")
-UNITARY_TOL = 1e-10
 AMPLIFICATION_EPSILON = 0.01    # all-failure probability the reported M reaches
 
 
@@ -121,8 +120,9 @@ def input_dimension(variant: str, partition: Partition, k: int,
     return 2 ** len(s0)
 
 
-def _check_solution(solution: RestoreSolution, tm: TransferMap, tau0: float,
-                    variant: str) -> None:
+def _run(variant: str, tm: TransferMap, s, solution: RestoreSolution,
+         tau0: float) -> ProtocolReport:
+    """Post-selected output of one variant, computed in the chain k-sector."""
     if not solution.converged:
         raise ValueError("restoring solution did not converge")
     if abs(solution.tau - tau0) > 1e-9:
@@ -130,58 +130,23 @@ def _check_solution(solution: RestoreSolution, tm: TransferMap, tau0: float,
                          f"protocol runs at tau={tau0}")
     if solution.k != tm.k or solution.n_er != tm.partition.n_er:
         raise ValueError("solution provenance does not match the transfer map")
-    input_dimension(variant, tm.partition, tm.k, solution.mode)
-
-
-def _sector_block(w, n: int, k: int) -> np.ndarray:
-    """A whole-line unitary's k-sector block, rejected unless it is unitary."""
-    w = np.asarray(w, dtype=complex)
-    dim = binom(n, k)
-    if w.shape != (dim, dim):
-        raise ValueError(f"a whole-line unitary is given as its {dim} x {dim} "
-                         f"k-sector block, got shape {w.shape}")
-    dev = np.abs(w @ w.conj().T - np.eye(dim)).max()
-    if dev > UNITARY_TOL:
-        raise ValueError(f"k-sector block is not unitary (deviation {dev:.2e}): "
-                         "the whole-line unitary leaks out of the sector")
-    return w
-
-
-def _run(variant: str, tm: TransferMap, s, w, tau0: float) -> ProtocolReport:
-    """Post-selected output of one variant, computed in the chain k-sector."""
-    partition, k = tm.partition, tm.k
-    dim = input_dimension(variant, partition, k)
+    dim = input_dimension(variant, tm.partition, tm.k, solution.mode)
     s = np.asarray(s, dtype=complex)
     if s.shape != (dim,):
         raise ValueError(f"expected {dim} input amplitudes, got shape {s.shape}")
     s = s / np.linalg.norm(s)
     # the encoded input j sits on sender pattern j; the others carry nothing
-    x = np.zeros(binom(partition.n_s, k), dtype=complex)
+    x = np.zeros(tm.n_s_k, dtype=complex)
     x[:dim] = s
-
-    if isinstance(w, RestoreSolution) or variant != "global":
-        _check_solution(w, tm, tau0, variant)
-        lam = w.lam
-        b, recv, _ = family_space(w.mode, tm.v_hat(tau0))
-        branch = (w.completed_unitary @ (b @ x))[recv[:dim]]
-    else:
-        block = _sector_block(w, partition.n_sites, k)
-        lam = 1.0
-        u, evals = tm.eig.eigenvectors, tm.eig.eigenvalues
-        chain = np.zeros(binom(partition.n_sites, k), dtype=complex)
-        sender = embed_subsystem(partition.sender_sites, partition.n_sites, k)
-        chain[np.asarray(sender.chain_ordinals)] = x
-        chain = block @ (u @ (np.exp(-1j * evals * tau0) * (u.conj().T @ chain)))
-        recv = embed_subsystem(partition.receiver_sites, partition.n_sites, k)
-        branch = chain[np.asarray(recv.chain_ordinals)]
-
+    b, recv, _ = family_space(solution.mode, tm.v_hat(tau0))
+    branch = (solution.completed_unitary @ (b @ x))[recv[:dim]]
     prob = float(np.vdot(branch, branch).real)
     out = branch / math.sqrt(prob) if prob > 0.0 else np.zeros(dim, dtype=complex)
     # |<s, out>| of two unit vectors, whose rounding can exceed 1; np.minimum
     # keeps a NaN from a NaN input
     return ProtocolReport(variant=variant, success_probability=prob,
                           fidelity=float(np.minimum(abs(np.vdot(s, out)), 1.0)),
-                          output_amplitudes=out, lambda_expected=complex(lam))
+                          output_amplitudes=out, lambda_expected=complex(solution.lam))
 
 
 def run_k_excitation_pst(tm: TransferMap, s, solution: RestoreSolution,
@@ -195,15 +160,15 @@ def run_k_excitation_pst(tm: TransferMap, s, solution: RestoreSolution,
     return _run("k_excitation", tm, s, solution, tau0)
 
 
-def run_global_pst(tm: TransferMap, s, w, tau0: float) -> ProtocolReport:
+def run_global_pst(tm: TransferMap, s, solution: RestoreSolution,
+                   tau0: float) -> ProtocolReport:
     """Whole-line reference protocol: the flag on the ground S+TL subspace.
 
-    ``s`` holds sender k-sector amplitudes.  ``w`` is a preserving
-    RestoreSolution, whose W_ER acts as the identity outside the extended
-    receiver, or the C(N, k)-square k-sector block of a whole-line unitary,
-    rejected unless it is unitary to UNITARY_TOL.
+    ``s`` holds sender k-sector amplitudes.  The preserving W_ER acts as the
+    identity outside the extended receiver, so in the k-sector the flag is
+    the one on the receiver patterns and the output is the k-excitation one.
     """
-    return _run("global", tm, s, w, tau0)
+    return _run("global", tm, s, solution, tau0)
 
 
 def run_arbitrary_pst(tm: TransferMap, input_state, solution: RestoreSolution,

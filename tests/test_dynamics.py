@@ -36,6 +36,11 @@ class TestEigendecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             dynamics.eigendecompose(np.array([[0, 1], [0, 0]], dtype=complex))
+        # the check runs by row blocks; an asymmetry past the first block counts
+        h = np.zeros((150, 150))
+        h[140, 3] = 1e-9
+        with pytest.raises(ValueError, match=r"not Hermitian \(max asymmetry 1.00e-09\)"):
+            dynamics.eigendecompose(h)
 
 
 class TestPropagator:
@@ -350,13 +355,19 @@ class TestEigenvectorRows:
     def test_n42_transfer_map_keeps_no_dense_copy(self):
         # numpy reports its allocations to tracemalloc, so the counts repeat
         cfg = RunConfig.from_file(CONFIGS / "table2_n42_distance.cfg")
-        couplings, partition = cfg.couplings(), cfg.partition()
-        tracemalloc.start()
-        try:
-            tm = TransferMap(couplings, partition, 2)
-            alive, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        dense = tm.eig.dim ** 2 * 8          # one dim x dim float64 matrix
-        assert peak < 2.5 * dense
-        assert alive < 0.75 * dense
+        partition = cfg.partition()
+        positions = np.arange(42.0)
+        positions[5] += 0.01                 # site 6: no mirror split, one block
+        asymmetric = build_couplings(ChainSpec(n_sites=42, positions=tuple(positions)))
+        for couplings, split in ((cfg.couplings(), True), (asymmetric, False)):
+            tracemalloc.start()
+            try:
+                tm = TransferMap(couplings, partition, 2)
+                alive, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(tm.eig.blocks) == (2 if split else 1)
+            dense = tm.eig.dim ** 2 * 8      # one dim x dim float64 matrix
+            assert peak < 2.5 * dense
+            if split:
+                assert alive < 0.75 * dense

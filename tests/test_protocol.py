@@ -12,11 +12,10 @@ from spinpst.basis import embed_subsystem, k_states
 from spinpst.paper import N42_OVERRIDES
 from spinpst.protocol import amplification_runs
 
-from _oracles import (I2, SX, exact_value_controlled_pattern_flips, expm_propagator,
+from _oracles import (exact_value_controlled_pattern_flips, expm_propagator,
                       full_space_protocol, parity_flip_matches,
                       pattern_controlled_value_flips, pauli_xx_hamiltonian,
-                      restrict_to_sector, site_operator, value_controlled_pattern_flips,
-                      value_mask, wer_full_from_solution)
+                      value_controlled_pattern_flips, value_mask, wer_full_from_solution)
 
 
 def random_state(rng, dim):
@@ -119,10 +118,15 @@ class TestKExcitationProtocol:
         with pytest.raises(ValueError, match="tau"):
             protocol.run_k_excitation_pst(tmap10(5), np.array([1.0, 0, 0]), solution5, 12.0)
 
-    def test_rejects_nonpreserving_solution(self, tmap10, solution5_nonpreserving):
-        with pytest.raises(ValueError, match="preserving"):
-            protocol.run_k_excitation_pst(tmap10(5), np.array([1.0, 0, 0]),
-                                          solution5_nonpreserving, 14.391)
+    @pytest.mark.parametrize("variant", ["k_excitation", "global", "arbitrary"])
+    def test_rejects_nonpreserving_solution(self, variant, tmap10, setup10,
+                                            solution5_nonpreserving):
+        # the encoded variant runs on the map with S0 and R0, so only the
+        # solution family is wrong
+        tm = setup10[0] if variant == "arbitrary" else tmap10(5)
+        s = np.ones(2 if variant == "arbitrary" else 3)
+        with pytest.raises(ValueError, match=f"the {variant} protocol needs a preserving"):
+            getattr(protocol, f"run_{variant}_pst")(tm, s, solution5_nonpreserving, 14.391)
 
     @pytest.mark.parametrize("make, match", [
         # an n_er=4 solution at the run's tau, on the n_er=5 map
@@ -138,14 +142,6 @@ class TestKExcitationProtocol:
                                           make(vhat_at, solution5), 14.391)
 
 
-def _mirror(n: int) -> np.ndarray:
-    """Whole-line site mirror q -> n + 1 - q as a 2**n permutation matrix."""
-    perm = [sum(1 << (n - 1 - q) for q in range(n) if (m >> q) & 1) for m in range(2 ** n)]
-    w = np.zeros((2 ** n, 2 ** n))
-    w[perm, np.arange(2 ** n)] = 1.0
-    return w
-
-
 class TestGlobalProtocol:
     def test_agrees_with_sector_variant(self, tm8, solution8, rng):
         s = random_state(rng, 3)
@@ -154,29 +150,6 @@ class TestGlobalProtocol:
         assert rep_g.success_probability == pytest.approx(
             rep_k.success_probability, abs=1e-10)
         assert np.abs(rep_g.output_amplitudes - rep_k.output_amplitudes).max() < 1e-10
-
-    def test_perfect_mirror_unit_probability(self, tm8):
-        # artificial garbage-free whole-line unitary: the site mirror at tau=0
-        # maps every sender pattern exactly onto the mirror receiver pattern,
-        # so success probability 1; the mirror reverses the pattern order, so
-        # a mirror-symmetric input has overlap exactly one
-        block = restrict_to_sector(_mirror(8), k_states(8, 2).states)
-        s = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-        rep = protocol.run_global_pst(tm8, s, block, 0.0)
-        assert rep.success_probability == pytest.approx(1.0, abs=1e-12)
-        assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("make, match", [
-        (lambda n: 0.5 * np.eye(math.comb(n, 2)), "not unitary"),
-        # a rotation exp(-0.3i X_1) moves part of every k-state out of the sector
-        (lambda n: restrict_to_sector(site_operator(
-            math.cos(0.3) * I2 - 1j * math.sin(0.3) * SX, 1, n), k_states(n, 2).states),
-         "leaks"),
-        (_mirror, "k-sector block"),            # the whole 2**n matrix
-    ], ids=["non-unitary", "leaking", "whole-line-matrix"])
-    def test_rejects_non_unitary_or_leaking_block(self, tm8, make, match):
-        with pytest.raises(ValueError, match=match):
-            protocol.run_global_pst(tm8, np.array([1.0, 0, 0]), make(8), 9.0)
 
     def test_rejects_long_input(self, tm8, solution8):
         with pytest.raises(ValueError, match="expected 3 input amplitudes"):
@@ -276,19 +249,8 @@ class TestNonpreservingProtocol:
                                                         abs=1e-8)
 
 
-def _number_preserving_unitary(rng, n: int) -> np.ndarray:
-    """Random whole-line unitary that keeps every excitation sector."""
-    w = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for k in range(n + 1):
-        idx = np.asarray(k_states(n, k).states)
-        z = rng.standard_normal((len(idx),) * 2) + 1j * rng.standard_normal((len(idx),) * 2)
-        w[np.ix_(idx, idx)] = np.linalg.qr(z)[0]
-    return w
-
-
 @pytest.mark.parametrize("case", ["k_excitation", "arbitrary", "nonpreserving",
-                                  "circuit-nonpreserving", "global",
-                                  "global-line-unitary"])
+                                  "circuit-nonpreserving", "global"])
 def test_runners_match_full_space_oracle(case, chain10, tmap10, solution5,
                                          solution5_nonpreserving, setup10,
                                          circuit_np4, rng):
@@ -299,20 +261,14 @@ def test_runners_match_full_space_oracle(case, chain10, tmap10, solution5,
         "nonpreserving": (tmap10(5), solution5_nonpreserving, 14.391),
         "circuit-nonpreserving": (*circuit_np4, 12.493),
         "global": (tmap10(5), solution5, 14.391),
-        "global-line-unitary": (tmap10(5), None, 14.391),
     }[case]
-    if w is None:
-        w = _number_preserving_unitary(rng, 10)
-    variant = {"circuit-nonpreserving": "nonpreserving",
-               "global-line-unitary": "global"}.get(case, case)
+    variant = "nonpreserving" if case == "circuit-nonpreserving" else case
     s = random_state(rng, 2 if variant == "arbitrary" else 3)
-    w_runner = (restrict_to_sector(w, k_states(10, 2).states)
-                if isinstance(w, np.ndarray) else w)
-    rep = getattr(protocol, f"run_{variant}_pst")(tm, s, w_runner, tau0)
+    rep = getattr(protocol, f"run_{variant}_pst")(tm, s, w, tau0)
     prob, out = full_space_protocol(variant, chain10, tm.partition, 2, s, w, tau0)
     assert abs(rep.success_probability - prob) <= 1e-12
     assert np.abs(rep.output_amplitudes - out).max() <= 1e-12
-    assert rep.fidelity >= 1 - 1e-8 or case == "global-line-unitary"
+    assert rep.fidelity >= 1 - 1e-8
 
 
 @pytest.fixture(scope="module")
