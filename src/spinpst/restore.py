@@ -10,8 +10,10 @@ their rows follow in closed form from the SVD of the transfer columns, with
 lambda = sigma_min.  The circuit modes parameterize W_ER by gate angles and
 minimize the stacked real/imaginary residuals from random restarts, all
 restarts in one Levenberg-Marquardt solve with the restarts on a leading
-array axis.  Each circuit is a list of two-level gates and permutations;
-per iteration, one forward and one backward sweep over the stacked circuits
+array axis.  Each gate of a circuit is one batched product on the stacked
+states: a dense k-sector matrix per preserving pair gate, whose 2x2 block is
+n . sigma in closed form, and a 2x2 block on one register bit per
+non-preserving rotation.  Per iteration, one forward and one backward sweep
 give every restart's residuals and exact Jacobian (adjoint
 differentiation), and one batched solve gives every restart's damped step.
 In every mode lambda is the derived quantity a_0 . b_0, never a free
@@ -20,6 +22,7 @@ variable.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,6 +42,7 @@ DEFAULT_RESTARTS_CIRCUIT = 1000
 LM_MU0 = 1e-3              # initial damping relative to max diag J^T J
 LM_XTOL = 1e-14            # a restart stops when |step| <= LM_XTOL (|x| + LM_XTOL)
 LM_MAX_ITERATIONS = 500
+LM_MAX_ITERATIONS_OVER = 100   # the cap when the constraints outnumber the angles
 
 
 class FeasibilityError(ValueError):
@@ -304,139 +308,145 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
 # circuit families
 # ---------------------------------------------------------------------------
 
-# Each circuit is a list of entries in application order: a _TwoLevel acts
-# with the 2x2 block g on the index pairs (pairs[0][i], pairs[1][i]) and as
-# the identity elsewhere; a _Permutation maps a state r to r[perm].  Indices
-# are those of the family's space: k-sector ordinals for the preserving
-# family, register masks for the non-preserving one.  The angles belong to
-# the entries marked ``tuned``, gate after gate in application order, which
-# is the order of the flat parameter vector.  The circuits act on stacks: r
-# has shape (restarts, dimension, columns), and a tuned entry holds one
-# block per restart, shape (restarts, 2, 2).
+# A circuit is a sequence of gates, each one batched product on the stacked
+# states r, shape (restarts, dimension, columns), in the family's space.  A
+# gate (split, block) multiplies r viewed as (restarts, split, m, rest) by an
+# m x m block: a fixed one, or for a tuned gate (block = its index) one per
+# restart from its angles.  A gate (perm, None) maps r to r[perm[0]] and its
+# transpose to r[perm[1]].  A tuned gate changes only its index pairs, so its
+# derivatives are 2x2 blocks on them.
 
-class _TwoLevel(NamedTuple):
-    pairs: np.ndarray   # (2, n_pairs) indices
-    g: np.ndarray       # (restarts, 2, 2) blocks, or one fixed (2, 2) block
-    tuned: bool         # False for the fixed trailing Hadamards
-
-
-class _Permutation(NamedTuple):
-    perm: np.ndarray
-    inverse: np.ndarray
+class _Circuit(NamedTuple):
+    dim: int
+    gates: tuple          # (split, block) or (perm, None) per gate
+    tuned: np.ndarray     # (n_tuned, 1, 1) position of each tuned gate in ``gates``
+    pairs: np.ndarray     # (n_tuned, n_pairs, 2) index pairs of each tuned gate
+    scatter: np.ndarray | None   # preserving: flat (gate, row, column) of the pair blocks
 
 
 _SZ = np.array([1.0, -1.0])   # diagonal of sigma_z
+_PAULI = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])   # sigma_x, _y, _z
 
 
 @lru_cache(maxsize=None)
-def _rotation_pairs(n: int, qubit: int) -> np.ndarray:
-    return np.stack(_bit_split(n, qubit))
-
-
-@lru_cache(maxsize=None)
-def _exchange_pairs(n: int, k: int, i: int, j: int) -> np.ndarray:
-    """k-sector ordinals of the pairs (bit i = 0, bit j = 1) and (1, 0)."""
-    sector = k_states(n, k)
-    flip = (1 << (i - 1)) | (1 << (j - 1))
-    lo = [m for m in sector.states if m & flip == 1 << (j - 1)]
-    return np.array([[sector.index_of(m) for m in lo],
-                     [sector.index_of(m ^ flip) for m in lo]], dtype=np.intp)
-
-
-@lru_cache(maxsize=None)
-def _cnot_cascade(n: int) -> _Permutation:
-    """All CNOTs C_ij, i < j, of one nonpreserving layer as one permutation."""
-    perm = np.arange(2 ** n)
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            perm = perm[_cnot_perm(n, i, j)]
-    return _Permutation(perm, np.argsort(perm))
-
-
-def _ry_blocks(angle: np.ndarray) -> np.ndarray:
-    """ry for an array of angles, shape (..., 2, 2); d ry/d angle = ry(angle + pi) / 2."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.stack([c, -s, s, c], axis=-1).reshape(*angle.shape, 2, 2)
-
-
-def _exchange_blocks(alpha: np.ndarray,
-                     beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair-gate blocks on (|i=0, j=1>, |i=1, j=0>) and their d/d(alpha, beta).
-
-    The excitation-preserving gate C_ij R_i C_ji R_i^dag C_ij is R sigma_x
-    R^dag with R = rz(beta) ry(alpha) rz(-beta) on that pair and the identity
-    on |00> and |11>; R_ab = z_a ry_ab conj(z_b) with z the diagonal of
-    rz(beta), so d R / d beta = -i/2 (s_a - s_b) R_ab for s = (1, -1) the
-    diagonal of sigma_z.
-    """
-    z = np.exp(-0.5j * beta[..., None] * _SZ)
-    phase = z[..., :, None] * z.conj()[..., None, :]
-    r = phase * _ry_blocks(alpha)
-    dr = np.stack([phase * _ry_blocks(alpha + np.pi) / 2.0,
-                   -0.5j * (_SZ[:, None] - _SZ[None, :]) * r], axis=-3)
-    r_dag = r.conj().swapaxes(-1, -2)
-    k = dr[..., ::-1] @ r_dag[..., None, :, :]        # dR sigma_x R^dag
-    return r[..., ::-1] @ r_dag, k + k.conj().swapaxes(-1, -2)
-
-
-def _rotation_blocks(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rz(alpha) ry(beta) rz(gamma) for rows (alpha, beta, gamma), with d/d of each."""
-    za = np.exp(-0.5j * p[..., 0, None] * _SZ)
-    zg = np.exp(-0.5j * p[..., 2, None] * _SZ)
-    outer = za[..., :, None] * zg[..., None, :]
-    u = outer * _ry_blocks(p[..., 1])
-    du = np.stack([-0.5j * _SZ[:, None] * u,
-                   outer * _ry_blocks(p[..., 1] + np.pi) / 2.0,
-                   -0.5j * _SZ[None, :] * u], axis=-3)
-    return u, du
-
-
-def _gate_list(mode: str, params: np.ndarray, q_layers: int, n: int, k: int,
-               a_qubits: tuple[int, ...]) -> tuple[list, np.ndarray]:
-    """The circuits of the stacked ``params`` (restarts, n_params) as entries,
-    and their derivative blocks.
+def _circuit(mode: str, q_layers: int, n: int, k: int,
+             a_qubits: tuple[int, ...]) -> _Circuit:
+    """The gate sequence of a family's circuit.
 
     Preserving: layer q applies the pair gate U_{j, j+1 mod n} for j = 1..n,
-    j = 1 first, on the k-sector.  Nonpreserving, on the 2**n register:
-    layer q applies rz(alpha) ry(beta) rz(gamma) on every qubit, then CNOTs
-    C_ij over all pairs i < j ((1, 2) first); the layers end with Hadamards
-    on ``a_qubits``.  The derivative blocks have shape (restarts, tuned
-    entries, angles per entry, 2, 2), so they flatten to the parameter
-    order.
+    j = 1 first, each a dense k-sector matrix; its pairs are the sector
+    ordinals of (bit i = 0, bit j = 1) and (1, 0).  Nonpreserving, on the
+    2**n register: layer q applies rz(alpha) ry(beta) rz(gamma) on every
+    qubit l, a 2x2 block on bit l - 1, then CNOTs C_ij over all pairs i < j
+    ((1, 2) first) as one permutation; the layers end with Hadamards on
+    ``a_qubits``.
     """
     if mode == "circuit-preserving":
-        p = params.reshape(len(params), -1, 2)
-        h, dh = _exchange_blocks(p[..., 0], p[..., 1])
-        pairs = [_exchange_pairs(n, k, j, j % n + 1) for j in range(1, n + 1)] * q_layers
-        return [_TwoLevel(pr, h[:, t], True) for t, pr in enumerate(pairs)], dh
-    u, du = _rotation_blocks(params.reshape(len(params), -1, 3))
+        sector, pairs = k_states(n, k), []
+        for i in range(1, n + 1):
+            j = i % n + 1
+            flip = (1 << (i - 1)) | (1 << (j - 1))
+            pairs.append([(sector.index_of(m), sector.index_of(m ^ flip))
+                          for m in sector.states if m & flip == 1 << (j - 1)])
+        pairs = np.array(pairs * q_layers, dtype=np.intp).reshape(n * q_layers, -1, 2)
+        dim, t = len(sector), np.arange(len(pairs))[:, None, None]
+        scatter = (t[..., None] * dim + pairs[..., None]) * dim + pairs[..., None, :]
+        return _Circuit(dim, tuple((1, g) for g in range(len(pairs))), t, pairs, scatter)
+    perm = np.arange(2 ** n)
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        perm = perm[_cnot_perm(n, i, j)]
     gates = []
     for q in range(q_layers):
-        gates += [_TwoLevel(_rotation_pairs(n, l), u[:, q * n + l - 1], True)
-                  for l in range(1, n + 1)]
-        gates.append(_cnot_cascade(n))
-    gates += [_TwoLevel(_rotation_pairs(n, a), HADAMARD, False) for a in a_qubits]
-    return gates, du
+        gates += [(2 ** (n - l), q * n + l - 1) for l in range(1, n + 1)]
+        gates.append(((perm, np.argsort(perm)), None))
+    tuned = np.array([t for t, (_, g) in enumerate(gates) if g is not None])
+    pairs = np.array([_bit_split(n, l) for l in range(1, n + 1)] * q_layers).swapaxes(1, 2)
+    gates += [(2 ** (n - a), HADAMARD) for a in a_qubits]
+    return _Circuit(2 ** n, tuple(gates), tuned[:, None, None], pairs, None)
 
 
-def _apply_gates(gates: list, r: np.ndarray,
-                 transpose: bool = False) -> tuple[np.ndarray, list]:
-    """G_L ... G_1 r for the stacked r (overwritten), or G_1^T ... G_L^T r.
+def _exchange_blocks(p: np.ndarray) -> np.ndarray:
+    """Pair-gate blocks on (|i=0, j=1>, |i=1, j=0>) for rows (alpha, beta), and
+    their d/d(alpha, beta), shape (..., 3, 2, 2).
 
-    Also returns, for each tuned entry in application order, the rows of its
-    input at its index pairs, shape (restarts, 2, n_pairs, columns).
+    The excitation-preserving gate C_ij R_i C_ji R_i^dag C_ij is R sigma_x
+    R^dag on that pair, R = rz(beta) ry(alpha) rz(-beta), and the identity on
+    |00> and |11>.  R turns the Bloch x axis by alpha about (-sin beta, cos
+    beta, 0), so the block is the involution n . sigma with n = (cos alpha +
+    sin^2 beta (1 - cos alpha), -sin beta cos beta (1 - cos alpha), -cos beta
+    sin alpha); its derivatives are dn/d(alpha, beta) . sigma.
     """
-    taken = []
-    for gate in (reversed(gates) if transpose else gates):
-        if isinstance(gate, _Permutation):
-            r = r[:, gate.inverse if transpose else gate.perm]
+    c, s = np.cos(p), np.sin(p)
+    ca, cb, sa, sb = c[..., 0], c[..., 1], s[..., 0], s[..., 1]
+    v, sc = 1.0 - ca, sb * cb
+    n = np.empty((*ca.shape, 3, 3))   # rows n, dn/dalpha, dn/dbeta; columns x, y, z
+    n[..., 0, 0], n[..., 0, 1], n[..., 0, 2] = ca + sb * sb * v, -sc * v, -cb * sa
+    n[..., 1, 0], n[..., 1, 1], n[..., 1, 2] = -cb * cb * sa, -sc * sa, -cb * ca
+    n[..., 2, 0], n[..., 2, 1], n[..., 2, 2] = 2.0 * sc * v, (sb * sb - cb * cb) * v, sb * sa
+    return (n.reshape(-1, 3) @ _PAULI).reshape(*n.shape[:-1], 2, 2)
+
+
+def _rotation_blocks(p: np.ndarray) -> np.ndarray:
+    """rz(alpha) ry(beta) rz(gamma) for rows (alpha, beta, gamma), and its d/d
+    of each, shape (..., 4, 2, 2); d ry/d beta = ry(beta + pi) / 2."""
+    z = np.exp(-0.5j * p[..., ::2, None] * _SZ)   # diagonals of rz(alpha), rz(gamma)
+    outer = z[..., 0, :, None] * z[..., 1, None, :]
+    c, s = np.cos(p[..., 1] / 2.0), np.sin(p[..., 1] / 2.0)
+    ry = np.empty((*c.shape, 2, 2))
+    ry[..., 0, 0] = ry[..., 1, 1] = c
+    ry[..., 0, 1], ry[..., 1, 0] = -s, s
+    out = np.empty((*c.shape, 4, 2, 2), dtype=complex)
+    u = np.multiply(outer, ry, out=out[..., 0, :, :])
+    np.multiply(-0.5j * _SZ[:, None], u, out=out[..., 1, :, :])
+    np.multiply(outer, ry[..., ::-1] * (0.5 * _SZ), out=out[..., 2, :, :])
+    np.multiply(u, -0.5j * _SZ, out=out[..., 3, :, :])
+    return out
+
+
+def _products(circuit: _Circuit, mats: list, states: np.ndarray,
+              transpose: bool = False) -> None:
+    """states[t + 1] = G_t states[t] for every gate t, or with ``transpose``
+    states[t] = G_t^T states[t + 1] from the last gate down to the second.
+    ``states`` is (gates + 1, restarts, rows, columns): a product reads one
+    contiguous slab and writes the next."""
+    stack = states.shape[1]
+    for t in range(len(mats) - 1, 0, -1) if transpose else range(len(mats)):
+        src, dst = (states[t + 1], states[t]) if transpose else (states[t], states[t + 1])
+        split, g = circuit.gates[t][0], mats[t]
+        if g is None:
+            np.take(src, split[transpose], axis=1, out=dst, mode="clip")
             continue
-        g = gate.g.swapaxes(-1, -2) if transpose else gate.g
-        sub = r[:, gate.pairs]
-        r[:, gate.pairs] = (g @ sub.reshape(len(r), 2, -1)).reshape(sub.shape)
-        if gate.tuned:
-            taken.append(sub)
-    return r, taken[::-1] if transpose else taken
+        g = g.swapaxes(-1, -2) if transpose else g
+        view = (stack, split, g.shape[-1], -1)
+        src, dst = src.reshape(view), dst.reshape(view)
+        if g.shape[-1] == 2:   # a qubit's block column by column: no product per restart
+            np.multiply(g[..., :1], src[:, :, :1], out=dst)
+            dst += g[..., 1:] * src[:, :, 1:]
+        else:
+            np.matmul(g, src, out=dst)
+
+
+def _forward(mode: str, circuit: _Circuit, params: np.ndarray,
+             b: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """The forward sweep r_t = G_t r_(t-1) from r_0 = b at the stacked
+    ``params`` (restarts, n_params): the states (gates + 1, restarts, rows,
+    columns), each gate's matrix (the preserving ones from one scatter of
+    the pair blocks into identities), and the tuned gates' derivative blocks
+    (restarts, tuned gates, angles per gate, 2, 2) in parameter order."""
+    stack = len(params)
+    if mode == "circuit-preserving":
+        blocks = _exchange_blocks(params.reshape(stack, -1, 2))
+        tuned = np.broadcast_to(np.eye(circuit.dim, dtype=complex),
+                                (stack, len(circuit.gates), circuit.dim, circuit.dim)).copy()
+        tuned.reshape(stack, -1)[:, circuit.scatter] = blocks[:, :, None, 0]
+    else:
+        blocks = _rotation_blocks(params.reshape(stack, -1, 3))
+        tuned = blocks[:, :, 0]
+    mats = [tuned[:, g, None] if isinstance(g, int) else g for _, g in circuit.gates]
+    r = np.empty((len(mats) + 1, stack, *b.shape), dtype=complex)
+    r[0] = b
+    _products(circuit, mats, r)
+    return r, mats, blocks[:, :, 1:]
 
 
 def _circuit_sweep(problem: RestoreProblem, params: np.ndarray,
@@ -448,36 +458,44 @@ def _circuit_sweep(problem: RestoreProblem, params: np.ndarray,
     (restarts,), (restarts, n_residuals) and (restarts, n_residuals,
     n_params).  ``b`` and ``positions`` are the transfer columns and the
     constrained rows in the family's space.  Adjoint differentiation: the
-    forward sweep r_t = G_t r_(t-1) from r_0 = b gives e = W[positions] @ b;
-    the backward sweep carries l_t = E G_L ... G_(t+1), E the identity rows
-    at ``positions``, and each angle of G_t contributes d e = l_t dG_t
-    r_(t-1), which needs only the rows of l_t^T and r_(t-1) at the gate's
-    index pairs.
+    forward sweep gives e = W[positions] @ b; the backward sweep carries
+    l_t = E G_L ... G_(t+1), E the identity rows at ``positions``; an angle
+    of G_t contributes d e = l_t dG_t r_(t-1), which needs only the rows of
+    l_t^T and r_(t-1) at the gate's pairs, one gather from each sweep.
     """
-    gates, dg = _gate_list(problem.mode, params, problem.q_layers,
-                           problem.n_er, problem.v_hat.k, a_qubits)
-    stack = len(params)
-    r, r_in = _apply_gates(gates, np.repeat(b[None], stack, axis=0))
-    e = r[:, positions]
-    ell = np.zeros((stack, len(b), len(positions)), dtype=complex)   # l_L^T
-    ell[:, positions, np.arange(len(positions))] = 1.0
-    _, ell_out = _apply_gates(gates, ell, transpose=True)
-    m = np.einsum("rgaim,rgbin->rgabmn", np.stack(ell_out, axis=1), np.stack(r_in, axis=1))
-    de = np.einsum("rgpab,rgabmn->rgpmn", dg, m).reshape(stack, -1, *e.shape[1:])
-    return e[:, 0, 0], _lambda_residuals(e), _lambda_residuals(de).swapaxes(-1, -2)
+    circuit = _circuit(problem.mode, problem.q_layers, problem.n_er,
+                       problem.v_hat.k, a_qubits)
+    r, mats, dg = _forward(problem.mode, circuit, params, b)
+    stack, n_pos = len(params), len(positions)
+    e = r[-1][:, positions]
+    ell = np.zeros((len(mats) + 1, stack, len(b), n_pos), dtype=complex)   # l_t^T
+    ell[-1][:, positions, np.arange(n_pos)] = 1.0
+    _products(circuit, mats, ell, transpose=True)
+    # rows (pair i, side a) of each tuned gate's r_(t-1) and l_t^T, (a, column) flattened
+    n_tuned, n_pairs = circuit.pairs.shape[:2]
+    rows = (circuit.tuned * stack + np.arange(stack)[:, None, None, None]) * len(b) + circuit.pairs
+    r_in, ell_out = (np.take(a.reshape(-1, a.shape[-1]), rows + t * stack * len(b), axis=0)
+                     .reshape(stack, n_tuned, n_pairs, 2 * a.shape[-1])
+                     for t, a in enumerate((r, ell)))
+    # m[..., a, :, c, :] = (l^T rows of side a)^T (r rows of side c), summed over the pairs
+    m = (ell_out.swapaxes(-1, -2) @ r_in).reshape(stack, n_tuned, 1, 2, n_pos, 2, -1)
+    d = dg[..., None, None]
+    de = d[..., 0, 0, :, :] * m[..., 0, :, 0, :] + d[..., 0, 1, :, :] * m[..., 0, :, 1, :]
+    de += d[..., 1, 0, :, :] * m[..., 1, :, 0, :] + d[..., 1, 1, :, :] * m[..., 1, :, 1, :]
+    de = _lambda_residuals(de.reshape(stack, -1, *e.shape[1:]))
+    return e[:, 0, 0], _lambda_residuals(e), de.swapaxes(-1, -2)
 
 
 def _circuit_unitary(mode: str, params: np.ndarray, q_layers: int, n: int, k: int,
                      a_qubits: tuple[int, ...]) -> np.ndarray:
     """W_ER of one circuit in its family's space: the identity swept through
-    its gate list (the k-block for the preserving family)."""
-    gates, _ = _gate_list(mode, params[None], q_layers, n, k, a_qubits)
-    dim = len(k_states(n, k)) if mode in PRESERVING_MODES else 2 ** n
-    return _apply_gates(gates, np.eye(dim, dtype=complex)[None])[0][0]
+    its gates (the k-block for the preserving family)."""
+    circuit = _circuit(mode, q_layers, n, k, a_qubits)
+    return _forward(mode, circuit, params[None], np.eye(circuit.dim))[0][-1, 0]
 
 
-def _levenberg_marquardt(sweep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                         np.ndarray]:
+def _levenberg_marquardt(sweep, x: np.ndarray,
+                         max_iterations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimize |f(x)|^2 for every row of x at once; returns (x, lambda, f).
 
     ``sweep(x)`` gives (lambda, f, J) for the stacked rows of x.  Each row
@@ -486,7 +504,7 @@ def _levenberg_marquardt(sweep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     from the gain ratio rho of actual to predicted cost reduction (Nielsen
     1999): an accepted step (rho > 0) scales mu by max(1/3, 1 - (2 rho - 1)^3),
     a rejected one by nu, which then doubles.  A row stops when its step is
-    below LM_XTOL relative to |x|, or after LM_MAX_ITERATIONS; the damped
+    below LM_XTOL relative to |x|, or after ``max_iterations``; the damped
     normal equations of all running rows go to one batched solve.
     """
     x = x.copy()
@@ -496,12 +514,12 @@ def _levenberg_marquardt(sweep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     nu = np.full(len(x), 2.0)
     active = np.arange(len(x))
     eye = np.eye(x.shape[1])
-    for _ in range(LM_MAX_ITERATIONS):
+    for _ in range(max_iterations):
         if not active.size:
             break
         jt = jac[active].swapaxes(1, 2)
         grad = (jt @ f[active, :, None])[..., 0]
-        step = -np.linalg.solve(jt @ jac[active] + mu[active, None, None] * eye,
+        step = -np.linalg.solve(jt @ jt.swapaxes(1, 2) + mu[active, None, None] * eye,
                                 grad[..., None])[..., 0]
         trial = x[active] + step
         lam_t, f_t, jac_t = sweep(trial)
@@ -537,7 +555,8 @@ def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
     with the largest |lambda|, its W_ER built by sweeping the identity
     through the same gates.  Everything runs in the family's space
     (``family_space``).  An ``n_extra_zero_rows`` outside 0..(free k-sector
-    rows) raises FeasibilityError.
+    rows) raises FeasibilityError.  When the real constraints outnumber the
+    angles, the fit warns and stops after LM_MAX_ITERATIONS_OVER iterations.
     """
     if problem.mode not in CIRCUIT_MODES:
         raise ValueError(f"fit_circuit does not handle mode {problem.mode!r}")
@@ -552,7 +571,8 @@ def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
     per_layer = 2 if problem.mode == "circuit-preserving" else 3
     n_params = per_layer * problem.q_layers * problem.n_er
     n_constraints = 2 * ((n + n_extra) * n - 1)
-    if n_constraints > n_params:
+    over = n_constraints > n_params
+    if over:
         warnings.warn(
             f"{n_constraints} real constraints exceed {n_params} parameters; "
             "the fit may only reach a least-squares residual", stacklevel=2)
@@ -562,7 +582,8 @@ def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
     x0 = np.array([np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, n_params)
                    for s in seeds])
     x, lam, f = _levenberg_marquardt(
-        lambda p: _circuit_sweep(problem, p, a_qubits, b, positions), x0)
+        lambda p: _circuit_sweep(problem, p, a_qubits, b, positions), x0,
+        LM_MAX_ITERATIONS_OVER if over else LM_MAX_ITERATIONS)
     res = np.abs(f).max(axis=1)
     records = tuple(RestartRecord(i, bool(res[i] <= problem.tol), float(res[i]),
                                   float(abs(lam[i]))) for i in range(len(x)))

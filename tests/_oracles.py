@@ -4,15 +4,17 @@ Everything here is built from first principles (Pauli matrices, Kronecker
 products, dense matrix exponentials, hand-expanded determinants, a damped
 least-squares search over restoring rows, loop-built sector Hamiltonians,
 gate-by-gate circuit unitaries) and never calls the code paths it checks.
-The paper's forms that the package replaced live here too: the |lambda|^2
-polynomial from determinants with its companion-matrix roots (the package
-takes the Gram spectrum), the Gram spectrum from LAPACK's Hermitian
-eigensolver (the package runs its own Jacobi kernel), the dimensionality
-feasibility test, transfer blocks cut from a full sector propagator, the
-full-space Hamiltonian as the direct sum of the package's sector blocks, and
-the gate-level composition of the four protocol variants over the 2**N space
-with their value/pattern cascades (the package runs them in the k-sector),
-and the excitation-sorted full basis with its size guard.
+The paper's forms that the package replaced live here too: the pair gate
+R sigma_x R^dag from stacked 2x2 products (the package writes it as n .
+sigma), the |lambda|^2 polynomial from determinants with its
+companion-matrix roots (the package takes the Gram spectrum), the Gram
+spectrum from LAPACK's Hermitian eigensolver (the package runs its own
+Jacobi kernel), the dimensionality feasibility test, transfer blocks cut
+from a full sector propagator, the full-space Hamiltonian as the direct sum
+of the package's sector blocks, and the gate-level composition of the four
+protocol variants over the 2**N space with their value/pattern cascades
+(the package runs them in the k-sector), and the excitation-sorted full
+basis with its size guard.
 """
 
 from __future__ import annotations
@@ -471,6 +473,33 @@ def u_pair(state: np.ndarray, i: int, j: int, alpha: float, beta: float,
     out = apply_cnot(out, j, i, n)
     out = apply_single(out, r, i, n)
     return apply_cnot(out, i, j, n)
+
+
+def exchange_blocks_product_form(alpha: np.ndarray,
+                                 beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair gate's block R sigma_x R^dag on (|i=0, j=1>, |i=1, j=0>), with
+    R = rz(beta) ry(alpha) rz(-beta), and its d/d(alpha, beta), from stacked
+    2x2 products, shapes (..., 2, 2) and (..., 2, 2, 2).
+
+    R_ab = z_a ry_ab conj(z_b) with z the diagonal of rz(beta), so d R / d
+    alpha = z_a ry(alpha + pi)_ab conj(z_b) / 2 and d R / d beta = -i/2
+    (s_a - s_b) R_ab for s = (1, -1) the diagonal of sigma_z; d(R sigma_x
+    R^dag) = K + K^dag with K = dR sigma_x R^dag.  The package writes the
+    block as n . sigma in closed form.
+    """
+    def ry_blocks(angle):
+        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+        return np.stack([c, -s, s, c], axis=-1).reshape(*angle.shape, 2, 2)
+
+    sz = np.array([1.0, -1.0])
+    z = np.exp(-0.5j * beta[..., None] * sz)
+    phase = z[..., :, None] * z.conj()[..., None, :]
+    r = phase * ry_blocks(alpha)
+    dr = np.stack([phase * ry_blocks(alpha + np.pi) / 2.0,
+                   -0.5j * (sz[:, None] - sz[None, :]) * r], axis=-3)
+    r_dag = r.conj().swapaxes(-1, -2)
+    k = dr[..., ::-1] @ r_dag[..., None, :, :]
+    return r[..., ::-1] @ r_dag, k + k.conj().swapaxes(-1, -2)
 
 
 def build_circuit_preserving(params, q_layers: int, n_er: int) -> np.ndarray:

@@ -3,15 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spinpst import RestoreProblem, fit_circuit, solve_general
+from spinpst import RestoreProblem, fit_circuit, restore, solve_general
 from spinpst.basis import k_states
 from spinpst.dynamics import TransferBlock
 from spinpst.restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
-                             _circuit_sweep, _circuit_unitary, _lambda_residuals,
-                             family_space)
+                             _circuit_sweep, _circuit_unitary, _exchange_blocks,
+                             _lambda_residuals, family_space)
 
 from _oracles import (build_circuit_nonpreserving, build_circuit_preserving,
-                      finite_difference_jacobian, full_basis, gram, lambda_polynomial,
+                      exchange_blocks_product_form, finite_difference_jacobian,
+                      full_basis, gram, lambda_polynomial,
                       least_squares_lambda, pack_rows, random_unitary, real_roots,
                       restoring_columns, restoring_jacobian, restoring_residuals,
                       u_pair, unpack_rows)
@@ -276,6 +277,30 @@ class TestCircuitBuilders:
             build_circuit_nonpreserving(np.zeros(7), 2, 4, a_qubits=(1,))
 
 
+class TestPairGateClosedForm:
+    """The pair gate as n . sigma against the paper's product R sigma_x R^dag."""
+
+    @staticmethod
+    def _agree(p):
+        blocks = _exchange_blocks(p)
+        h, dh = exchange_blocks_product_form(p[..., 0], p[..., 1])
+        assert blocks.shape == (*p.shape[:-1], 3, 2, 2)
+        assert np.abs(blocks[..., 0, :, :] - h).max() <= 1e-14
+        assert np.abs(blocks[..., 1:, :, :] - dh).max() <= 1e-14
+        # n . sigma with |n| = 1 is a Hermitian involution
+        h = blocks[..., 0, :, :]
+        assert np.abs(h - h.conj().swapaxes(-1, -2)).max() <= 1e-15
+        assert np.abs(h @ h - np.eye(2)).max() <= 4e-15
+
+    def test_matches_product_form_on_stacks(self, rng):
+        self._agree(rng.uniform(0, 2 * np.pi, (16, 12, 2)))
+
+    def test_matches_product_form_at_quarter_turns(self):
+        turns = np.array([0.0, 0.5, 1.0, 1.5]) * np.pi
+        alpha, beta = np.meshgrid(turns, turns, indexing="ij")
+        self._agree(np.stack([alpha, beta], axis=-1))
+
+
 class TestFitCircuit:
     def test_preserving_fit_small_budget(self, vhat_at):
         problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493),
@@ -422,6 +447,22 @@ class TestCircuitFitDeterminism:
         four = fit_circuit(dataclasses.replace(problem, restarts=4)).restart_records
         assert eight[:4] == four
 
+    @pytest.mark.parametrize("mode, q, a_qubits", [("circuit-preserving", 3, ()),
+                                                   ("circuit-nonpreserving", 2, (1,))],
+                             ids=["circuit-preserving", "circuit-nonpreserving"])
+    def test_stacked_sweep_equals_single_row_sweeps(self, vhat_at, mode, q, a_qubits):
+        # the batched products and the one gather per sweep treat each row alone
+        v = vhat_at(4, tau=12.493)
+        problem = RestoreProblem(v_hat=v, mode=mode, q_layers=q, n_extra_zero_rows=0)
+        b, recv, _ = family_space(mode, v)
+        per_gate = 2 if mode == "circuit-preserving" else 3
+        x = np.random.default_rng(8).uniform(0, 2 * np.pi, (8, per_gate * q * 4))
+        stacked = _circuit_sweep(problem, x, a_qubits, b, recv)
+        for i in range(len(x)):
+            single = _circuit_sweep(problem, x[i:i + 1], a_qubits, b, recv)
+            for got, want in zip(stacked, single):   # lambda, residuals, Jacobian
+                assert np.array_equal(got[i], want[0])
+
 
 class TestStackedSolver:
     @pytest.mark.parametrize("mode, q", BENCH_FITS)
@@ -434,8 +475,15 @@ class TestStackedSolver:
         assert [r.index for r in records] == list(range(8))
         assert all(r.converged and r.residual <= 1e-13 for r in records)
 
-    def test_over_constrained_fit_stops_and_raises(self, vhat_at):
-        # q=1 and all 3 free rows: 34 real constraints on 8 angles
+    def test_over_constrained_fit_stops_and_raises(self, vhat_at, monkeypatch):
+        # q=1 and all 3 free rows: 34 real constraints on 8 angles, so every
+        # restart stops at the lower iteration cap
+        sweep, sweeps = restore._circuit_sweep, []
+
+        def counted(*args):
+            sweeps.append(1)
+            return sweep(*args)
+        monkeypatch.setattr(restore, "_circuit_sweep", counted)
         problem = RestoreProblem(v_hat=vhat_at(4, tau=12.493),
                                  mode="circuit-preserving", q_layers=1,
                                  n_extra_zero_rows=3, seed=0, restarts=4)
@@ -443,6 +491,7 @@ class TestStackedSolver:
             with pytest.raises(ConvergenceError) as info:
                 fit_circuit(problem)
         assert 1e-3 < info.value.best_residual < 1.0
+        assert len(sweeps) == restore.LM_MAX_ITERATIONS_OVER + 1
 
     @pytest.mark.parametrize("mode", CIRCUIT_MODES)
     @pytest.mark.parametrize("q", [1, 2, 3])
