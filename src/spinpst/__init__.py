@@ -1,6 +1,6 @@
 """Perfect state transfer on spin-1/2 chains via restoring and post-selection."""
 
-from .basis import EmbeddingMap, SectorBasis, binom, embed_subsystem, k_states
+from .basis import SectorBasis, binom, embed_subsystem, k_states
 from .chain import (ChainSpec, CouplingMatrix, InvalidSpecError, Partition,
                     build_couplings, hamiltonian_block)
 from .dynamics import (SectorEigensystem, TransferBlock, TransferMap,

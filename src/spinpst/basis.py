@@ -2,14 +2,18 @@
 
 Basis states are occupation bitmasks: site ``q`` (1-based) excited <=> bit
 ``q-1`` set.  The k-sector is ordered lexicographically by the sorted tuple
-of excited sites, i.e. (1,2) < (1,3) < ... < (2,3) < ...
+of excited sites, i.e. (1,2) < (1,3) < ... < (2,3) < ...  Only this module
+knows that order: every other module takes sector ordinals from
+``SectorBasis.ordinals``, ``mirror_ordinals`` or ``embed_subsystem``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 def binom(n: int, k: int) -> int:
@@ -19,75 +23,63 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _mask(sites_0based) -> int:
-    m = 0
-    for q in sites_0based:
-        m |= 1 << q
-    return m
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
     """Ordered enumeration of the k-excitation states of an n-site register."""
 
     n: int
     k: int
-    states: tuple[int, ...]
-    _index: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._index:
-            object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.states)})
+    states: np.ndarray      # int64 bitmasks in sector order
 
     def __len__(self) -> int:
         return len(self.states)
 
-    def index_of(self, mask: int) -> int:
-        """Ordinal of an occupation bitmask within this sector."""
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise KeyError(f"mask {mask:#x} is not a {self.k}-excitation state "
-                           f"of {self.n} sites") from None
+    def ordinals(self, masks) -> np.ndarray:
+        """Sector ordinals of occupation bitmasks, in the shape of ``masks``.
+
+        A mask that is not a k-excitation state of n sites raises KeyError.
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        order = np.argsort(self.states)
+        ranked = self.states[order]
+        pos = np.searchsorted(ranked, masks).clip(max=len(order) - 1)
+        foreign = masks[ranked[pos] != masks]
+        if foreign.size:
+            raise KeyError(f"mask {int(foreign[0]):#x} is not a {self.k}-excitation state "
+                           f"of {self.n} sites")
+        return order[pos]
 
 
 def k_states(n: int, k: int) -> SectorBasis:
     """Enumerate the C(n, k) k-excitation bitmasks in lexicographic order."""
-    if not 0 <= k <= n:
-        raise ValueError(f"excitation count k={k} out of range for n={n}")
-    states = tuple(_mask(c) for c in itertools.combinations(range(n), k))
-    return SectorBasis(n=n, k=k, states=states)
+    if not 0 <= k <= n <= 63:      # the bitmasks are int64
+        raise ValueError(f"k-sector needs 0 <= k <= n <= 63, got n={n}, k={k}")
+    sites = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    return SectorBasis(n=n, k=k, states=(1 << sites).sum(axis=1))
 
 
-def mirror_ordinals(n: int, k: int) -> tuple[int, ...]:
+def _place(sector: SectorBasis, sites) -> np.ndarray:
+    """Each state of ``sector`` with its bit q moved to bit ``sites[q]``."""
+    bits = (sector.states[:, None] >> np.arange(sector.n)) & 1
+    return (bits << np.asarray(sites, dtype=np.int64)).sum(axis=1)
+
+
+def mirror_ordinals(n: int, k: int) -> np.ndarray:
     """Ordinal of the mirror image of each k-sector state of an n-site chain.
 
     The site reflection q -> n + 1 - q reverses a state's bitmask; it is an
     involution on the sector and carries no sign in the spin basis.
     """
     sector = k_states(n, k)
-    return tuple(sector.index_of(int(format(m, f"0{n}b")[::-1], 2)) for m in sector.states)
+    return sector.ordinals(_place(sector, range(n - 1, -1, -1)))
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
-    """Map from a subsystem's k-sector ordinals to chain k-sector ordinals.
+def embed_subsystem(sub_sites, chain_n: int, k: int) -> np.ndarray:
+    """Chain k-sector ordinal of each k-sector state of a subsystem.
 
-    The image of subsystem state j is the chain state with the corresponding
-    subsystem sites excited and every other site in the ground state.
-    """
-
-    chain_ordinals: tuple[int, ...]     # chain k-sector ordinal per subsystem ordinal
-    chain_masks: tuple[int, ...]        # chain bitmask per subsystem ordinal
-
-    def __len__(self) -> int:
-        return len(self.chain_ordinals)
-
-
-def embed_subsystem(sub_sites, chain_n: int, k: int) -> EmbeddingMap:
-    """Build the injection of a subsystem's k-sector into the chain k-sector.
-
-    ``sub_sites`` are 1-based chain sites, in increasing order.
+    ``sub_sites`` are 1-based chain sites, in increasing order.  The image of
+    subsystem state j is the chain state with the corresponding subsystem
+    sites excited and every other site in the ground state.
     """
     sub_sites = tuple(sub_sites)
     if any(not 1 <= q <= chain_n for q in sub_sites):
@@ -96,8 +88,5 @@ def embed_subsystem(sub_sites, chain_n: int, k: int) -> EmbeddingMap:
         raise ValueError("subsystem sites must be distinct")
     if len(sub_sites) < k:
         raise ValueError(f"subsystem of {len(sub_sites)} sites cannot hold k={k} excitations")
-    chain = k_states(chain_n, k)
-    masks = tuple(_mask(sub_sites[q] - 1 for q in range(len(sub_sites)) if (m >> q) & 1)
-                  for m in k_states(len(sub_sites), k).states)
-    return EmbeddingMap(chain_ordinals=tuple(chain.index_of(m) for m in masks),
-                        chain_masks=masks)
+    masks = _place(k_states(len(sub_sites), k), [q - 1 for q in sub_sites])
+    return k_states(chain_n, k).ordinals(masks)

@@ -180,17 +180,15 @@ def hamiltonian_block(couplings: CouplingMatrix, k: int) -> np.ndarray:
     symmetric float64 matrix.
     """
     n = couplings.n_sites
-    states = np.fromiter(k_states(n, k).states, dtype=np.int64)
-    bits = ((states[:, None] >> np.arange(n)) & 1).astype(bool)
+    sector = k_states(n, k)
+    bits = ((sector.states[:, None] >> np.arange(n)) & 1).astype(bool)
     # every state has k occupied and n - k empty sites, in increasing order
-    occ = np.nonzero(bits)[1].reshape(len(states), k)[:, :, None]
-    empty = np.nonzero(~bits)[1].reshape(len(states), n - k)[:, None, :]
-    target = (states[:, None, None] ^ (1 << occ)) | (1 << empty)
-    # every hop target is a k-excitation state, so the search finds it
-    order = np.argsort(states)
-    found = np.searchsorted(states[order], target)
-    source = np.broadcast_to(np.arange(len(states))[:, None, None], target.shape)
+    occ = np.nonzero(bits)[1].reshape(len(sector), k)[:, :, None]
+    empty = np.nonzero(~bits)[1].reshape(len(sector), n - k)[:, None, :]
+    target = (sector.states[:, None, None] ^ (1 << occ)) | (1 << empty)
+    source = np.broadcast_to(np.arange(len(sector))[:, None, None], target.shape)
+    rows = sector.ordinals(target)
     # two states one hop apart fix the hop, so each entry is written once
-    h = np.zeros((len(states), len(states)))
-    h[order[found], source] = couplings.d[occ, empty] / 2.0
+    h = np.zeros((len(sector), len(sector)))
+    h[rows, source] = couplings.d[occ, empty] / 2.0
     return h

@@ -160,7 +160,7 @@ def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
     if np.abs(d - d[::-1, ::-1]).max() > MIRROR_TOL * np.abs(d).max():
         return eigendecompose(hamiltonian_block(couplings, k))
     h = hamiltonian_block(couplings, k)
-    mirror = np.asarray(mirror_ordinals(couplings.n_sites, k))
+    mirror = mirror_ordinals(couplings.n_sites, k)
     ordinal = np.arange(len(mirror))
     a, fixed = ordinal[ordinal < mirror], ordinal[ordinal == mirror]
     b = mirror[a]
@@ -204,10 +204,8 @@ class TransferMap:
         self.k = k
         self.eig = sector_eigensystem(couplings, k)
         n = partition.n_sites
-        s_map = embed_subsystem(partition.sender_sites, n, k)
-        er_map = embed_subsystem(partition.er_sites, n, k)
-        u_er = self.eig.rows(er_map.chain_ordinals)
-        u_s = self.eig.rows(s_map.chain_ordinals)
+        u_er = self.eig.rows(embed_subsystem(partition.er_sites, n, k))
+        u_s = self.eig.rows(embed_subsystem(partition.sender_sites, n, k))
         self.n_er_k, self.n_s_k = len(u_er), len(u_s)
         self._khatri_rao = np.einsum("ra,sa->ars", u_er, u_s).reshape(self.eig.dim, -1)
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import k_states
+from .basis import binom, k_states
 from .dynamics import TransferBlock
 from .gates import HADAMARD, _bit_split, _cnot_perm
 
@@ -116,7 +116,7 @@ class RestoreSolution:
     a circuit W_ER on the whole 2**n_er register (``_register_unitary``),
     the identity outside the k-sector for the preserving family, and None
     for the general modes.  Only the benchmark checks under ``bench/`` read
-    it; it goes when they next change (ROADMAP item 5).
+    it; it goes when they next change (ROADMAP item 1).
     """
 
     mode: str
@@ -150,8 +150,8 @@ class RestoreSolution:
             "lambda": {"abs": abs(self.lam), "arg": float(np.angle(self.lam))},
             "residual": self.residual,
             "seed": self.seed,
-            "rows": [[[float(z.real), float(z.imag)] for z in row]
-                     for row in self.constrained_rows],
+            "rows": np.stack([self.constrained_rows.real, self.constrained_rows.imag],
+                             axis=-1).tolist(),
         }
         if self.circuit_params is not None:
             out["circuit_params"] = [float(x) for x in self.circuit_params]
@@ -165,7 +165,7 @@ class RestoreSolution:
 def _register_columns(v: TransferBlock) -> np.ndarray:
     """Transfer columns V placed at the k-sector rows of the 2**n_er register."""
     b = np.zeros((2 ** v.n_er, v.columns), dtype=complex)
-    b[np.fromiter(k_states(v.n_er, v.k).states, dtype=np.int64), :] = v.v_hat
+    b[k_states(v.n_er, v.k).states, :] = v.v_hat
     return b
 
 
@@ -183,14 +183,13 @@ def family_space(mode: str, v: TransferBlock) -> tuple[np.ndarray, list[int], li
     of the register in excitation order.
     """
     n_er, k = v.n_er, v.k
-    recv = [m << (n_er - v.n_s) for m in k_states(v.n_s, k).states]
+    recv = (k_states(v.n_s, k).states << (n_er - v.n_s)).tolist()
     if mode in PRESERVING_MODES:
-        sector = k_states(n_er, k)
-        recv = [sector.index_of(m) for m in recv]
-        rest = [i for i in range(len(sector)) if i not in recv]
+        recv = k_states(n_er, k).ordinals(recv).tolist()
+        rest = [i for i in range(binom(n_er, k)) if i not in recv]
         return np.asarray(v.v_hat, dtype=complex), recv, rest
     sectors = range(n_er + 1) if mode == "nonpreserving-general" else (k,)
-    rest = [m for j in sectors for m in k_states(n_er, j).states if m not in recv]
+    rest = [m for j in sectors for m in k_states(n_er, j).states.tolist() if m not in recv]
     return _register_columns(v), recv, rest
 
 
@@ -202,7 +201,7 @@ def _register_unitary(mode: str, w: np.ndarray, n_er: int, k: int) -> np.ndarray
     """
     if mode not in PRESERVING_MODES:
         return w
-    states = np.fromiter(k_states(n_er, k).states, dtype=np.int64)
+    states = k_states(n_er, k).states
     full = np.eye(2 ** n_er, dtype=complex)
     full[np.ix_(states, states)] = w
     return full
@@ -346,9 +345,9 @@ def _circuit(mode: str, q_layers: int, n: int, k: int,
         for i in range(1, n + 1):
             j = i % n + 1
             flip = (1 << (i - 1)) | (1 << (j - 1))
-            pairs.append([(sector.index_of(m), sector.index_of(m ^ flip))
-                          for m in sector.states if m & flip == 1 << (j - 1)])
-        pairs = np.array(pairs * q_layers, dtype=np.intp).reshape(n * q_layers, -1, 2)
+            m = sector.states[sector.states & flip == 1 << (j - 1)]
+            pairs.append(sector.ordinals(np.stack([m, m ^ flip], axis=-1)))
+        pairs = np.array(pairs * q_layers, dtype=np.intp)
         dim, t = len(sector), np.arange(len(pairs))[:, None, None]
         scatter = (t[..., None] * dim + pairs[..., None]) * dim + pairs[..., None, :]
         return _Circuit(dim, tuple((1, g) for g in range(len(pairs))), t, pairs, scatter)
@@ -505,14 +504,15 @@ def _levenberg_marquardt(sweep, x: np.ndarray,
     1999): an accepted step (rho > 0) scales mu by max(1/3, 1 - (2 rho - 1)^3),
     a rejected one by nu, which then doubles.  A row stops when its step is
     below LM_XTOL relative to |x|, or after ``max_iterations``; the damped
-    normal equations of all running rows go to one batched solve.
+    normal equations of all running rows go to one batched solve.  With no
+    residuals every x already solves the problem, and no row takes a step.
     """
     x = x.copy()
     lam, f, jac = sweep(x)
     cost = 0.5 * (f * f).sum(axis=1)
     mu = LM_MU0 * (jac * jac).sum(axis=1).max(axis=1)
     nu = np.full(len(x), 2.0)
-    active = np.arange(len(x))
+    active = np.arange(len(x) if f.shape[1] else 0)
     eye = np.eye(x.shape[1])
     for _ in range(max_iterations):
         if not active.size:
@@ -584,7 +584,7 @@ def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
     x, lam, f = _levenberg_marquardt(
         lambda p: _circuit_sweep(problem, p, a_qubits, b, positions), x0,
         LM_MAX_ITERATIONS_OVER if over else LM_MAX_ITERATIONS)
-    res = np.abs(f).max(axis=1)
+    res = np.abs(f).max(axis=1, initial=0.0)
     records = tuple(RestartRecord(i, bool(res[i] <= problem.tol), float(res[i]),
                                   float(abs(lam[i]))) for i in range(len(x)))
     converged = [r for r in records if r.converged]

@@ -49,7 +49,7 @@ def full_basis(n: int) -> tuple[int, ...]:
         raise ValueError(f"full basis guarded to n <= {FULL_SPACE_GUARD}, got n={n}")
     out: list[int] = []
     for k in range(n + 1):
-        out.extend(k_states(n, k).states)
+        out.extend(k_states(n, k).states.tolist())
     return tuple(out)
 
 
@@ -257,9 +257,8 @@ def transfer_block(v_k: np.ndarray, partition: Partition, k: int,
     if v_k.shape != (dim, dim):
         raise ValueError(f"propagator shape {v_k.shape} does not match "
                          f"sector dimension {dim}")
-    s_map = embed_subsystem(partition.sender_sites, n, k)
-    er_map = embed_subsystem(partition.er_sites, n, k)
-    v_hat = v_k[np.ix_(er_map.chain_ordinals, s_map.chain_ordinals)]
+    v_hat = v_k[np.ix_(embed_subsystem(partition.er_sites, n, k),
+                       embed_subsystem(partition.sender_sites, n, k))]
     return TransferBlock(v_hat=v_hat, tau=tau, n_sites=n,
                          n_s=partition.n_s, n_er=partition.n_er, k=k)
 
@@ -657,7 +656,7 @@ def evolve_full(amps: np.ndarray, couplings: CouplingMatrix, tau: float) -> np.n
     flat = amps.reshape(2 ** n, -1)
     out = flat.copy()
     for k in range(n + 1):
-        idx = np.fromiter(k_states(n, k).states, dtype=np.int64)
+        idx = k_states(n, k).states
         sub = flat[idx]
         if np.linalg.norm(sub) < 1e-15:
             continue

@@ -541,6 +541,27 @@ class TestCommands:
         assert "circuit_params" in payload
         assert len(payload["circuit_params"]) == 2 * 2 * 3
 
+    @pytest.mark.parametrize("n_er", [2, 3])
+    @pytest.mark.parametrize("mode", ["circuit-preserving", "circuit-nonpreserving"])
+    def test_fit_circuit_without_constraints(self, tmp_path, mode, n_er):
+        # k = n_s and no extra rows: one transfer column and no restoring
+        # constraint, so every circuit restores it with lambda = e_00
+        p = tmp_path / "fit.cfg"
+        p.write_text(f"chain.n = 6\npartition.n_s = 2\npartition.n_r = 2\n"
+                     f"partition.n_er = {n_er}\nexcitation.k = 2\nsolver.mode = {mode}\n"
+                     "solver.q = 2\nsolver.restarts = 4\nsolver.tau = 3\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit-circuit", "--config", str(p), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["residual"] == 0.0
+        cfg = RunConfig.from_file(p)
+        v = TransferMap(cfg.couplings(), cfg.partition(), 2).v_hat(3.0)
+        sol = spinpst.fit_circuit(spinpst.RestoreProblem(v_hat=v, mode=mode, q_layers=2,
+                                                         restarts=4))
+        assert sol.converged and sol.residual == 0.0
+        w = sol.completed_unitary
+        assert np.abs(w @ w.conj().T - np.eye(len(w))).max() < 1e-12
+        assert sol.lam_abs <= np.linalg.svd(v.v_hat, compute_uv=False).min() + 1e-12
+
     def test_reproduce_roots(self, capsys):
         assert main(["reproduce", "roots"]) == 0
         assert capsys.readouterr().out == REPRODUCE_ROOTS

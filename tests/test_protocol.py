@@ -79,21 +79,20 @@ class TestKExcitationProtocol:
         sender = embed_subsystem(part8.sender_sites, 8, 2)
         cb = k_states(8, 2)
         state = np.zeros(len(cb), dtype=complex)
-        state[list(sender.chain_ordinals)] = s
+        state[sender] = s
         eig = sector_eigensystem(chain8, 2)
         evolved = propagator(eig, 5.0) @ state
 
         h_full = pauli_xx_hamiltonian(chain8.d)
         full0 = np.zeros(256, dtype=complex)
-        full0[list(sender.chain_masks)] = s
+        full0[cb.states[sender]] = s
         full_t = expm_propagator(h_full, 5.0) @ full0
 
         vs = tm8.v_hat(5.0).v_hat @ s
-        er_masks = [m for m in k_states(4, 2).states]
-        for i, em in enumerate(er_masks):
-            mask = em << 4
+        er_masks = k_states(4, 2).states << 4
+        for i, mask in enumerate(er_masks):
             assert full_t[mask] == pytest.approx(vs[i], abs=1e-10)
-            assert evolved[cb.index_of(mask)] == pytest.approx(vs[i], abs=1e-10)
+            assert evolved[cb.ordinals(mask)] == pytest.approx(vs[i], abs=1e-10)
 
     def test_sector_equals_full_space_pipeline(self, chain8, tm8, solution8, rng):
         # the whole fixed-k pipeline agrees amplitude-wise with a brute-force
@@ -365,7 +364,7 @@ class TestLabelOperator:
         part = Partition(n_sites=8, n_s=3, n_r=3, n_er=4)
         r_masks = [sum(1 << (q - 1) for q in (6, 7, 8) if (m >> (q - 6)) & 1)
                    for m in k_states(3, 2).states]
-        sector = np.fromiter(k_states(n, k).states, dtype=np.int64)
+        sector = k_states(n, k).states
         subset = parity_flip_matches(r_masks, sector)
         exact = np.isin(sector, r_masks)
         assert np.array_equal(subset, exact)

@@ -354,7 +354,7 @@ class TestFitCircuit:
                                  mode="circuit-preserving", q_layers=3,
                                  n_extra_zero_rows=0, seed=21, restarts=5)
         sol = fit_circuit(problem)
-        er = np.fromiter(k_states(4, 2).states, dtype=np.int64)
+        er = k_states(4, 2).states
         want = build_circuit_preserving(sol.circuit_params, 3, 4)
         assert np.abs(sol.completed_unitary - want[np.ix_(er, er)]).max() < 1e-12
         rows = want[np.ix_(er[list(sol.row_positions)], er)]
@@ -385,7 +385,8 @@ class TestCircuitJacobian:
         b, recv, rest = family_space(mode, v)
         positions = recv + rest[:n_extra]
         assert len(positions) == v.columns + n_extra
-        er = np.fromiter(k_states(n_er, 2).states, dtype=np.int64)
+        assert all(type(i) is int for i in recv + rest)
+        er = k_states(n_er, 2).states
         # preserving rows are k-sector ordinals, non-preserving ones register masks
         masks = er[positions] if mode == "circuit-preserving" else positions
 
@@ -504,7 +505,7 @@ class TestStackedSolver:
             x = rng.uniform(0, 2 * np.pi, 2 * q * n_er)
             w = np.zeros((2 ** n_er, 2 ** n_er), dtype=complex)
             for k in range(n_er + 1):
-                sector = np.fromiter(k_states(n_er, k).states, dtype=np.int64)
+                sector = k_states(n_er, k).states
                 w[np.ix_(sector, sector)] = _circuit_unitary(mode, x, q, n_er, k, ())
             assert np.abs(w - build_circuit_preserving(x, q, n_er)).max() <= 1e-14
             return
