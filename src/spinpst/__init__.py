@@ -5,8 +5,7 @@ from .chain import (ChainSpec, CouplingMatrix, InvalidSpecError, Partition,
                     build_couplings, hamiltonian_block)
 from .dynamics import (SectorEigensystem, TransferBlock, TransferMap,
                        eigendecompose, propagator, sector_eigensystem)
-from .protocol import (ProtocolReport, amplification_runs, run_arbitrary_pst,
-                       run_global_pst, run_k_excitation_pst, run_nonpreserving_pst)
+from .protocol import ProtocolReport, amplification_runs, run as run_protocol
 from .restore import (ConvergenceError, FeasibilityError, RestoreProblem,
                       RestoreSolution, fit_circuit, solve_general)
 from .scale import ScanResult, roots_at, scan

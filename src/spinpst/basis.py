@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_SITES = 63      # the bitmasks are int64
+
 
 def binom(n: int, k: int) -> int:
     """Exact integer binomial coefficient C(n, k); raises for k outside [0, n]."""
@@ -52,8 +54,8 @@ class SectorBasis:
 
 def k_states(n: int, k: int) -> SectorBasis:
     """Enumerate the C(n, k) k-excitation bitmasks in lexicographic order."""
-    if not 0 <= k <= n <= 63:      # the bitmasks are int64
-        raise ValueError(f"k-sector needs 0 <= k <= n <= 63, got n={n}, k={k}")
+    if not 0 <= k <= n <= MAX_SITES:
+        raise ValueError(f"k-sector needs 0 <= k <= n <= {MAX_SITES}, got n={n}, k={k}")
     sites = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
     return SectorBasis(n=n, k=k, states=(1 << sites).sum(axis=1))
 

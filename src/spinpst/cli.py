@@ -33,15 +33,15 @@ EXIT_NO_CONVERGENCE = 4
 CSV_BATCH_ROWS = 1024
 
 
-def _write_or_print(text: str, path: str | None) -> None:
+def _emit(cfg: RunConfig, payload: dict, path: str | None) -> None:
+    """Write a command's JSON, with the config's chain id and hash, to ``path``
+    or, when there is none, to standard output."""
+    text = json.dumps({**payload, "chain_id": cfg.chain_id(),
+                       "config_hash": cfg.config_hash()}, indent=2, sort_keys=True)
     if path:
         Path(path).write_text(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+        print(text)
 
 
 def _scan_csv(result: scale.ScanResult) -> Iterator[str]:
@@ -77,15 +77,13 @@ def cmd_scan(args) -> int:
         "lambda_min": result.lambda_min,
         "n_er": tm.partition.n_er,
         "k": tm.k,
-        "chain_id": cfg.chain_id(),
-        "config_hash": cfg.config_hash(),
     }
-    if (args.format or cfg["output.format"]) == "csv":
-        out = args.out or cfg["output.path"] or "scan_output.csv"
+    if args.format == "csv":
+        out = args.out or "scan_output.csv"
         with Path(out).open("w") as fh:
             fh.writelines(_scan_csv(result))
         summary["csv"] = out
-    print(_json_dump(summary))
+    _emit(cfg, summary, None)
     return EXIT_OK
 
 
@@ -98,14 +96,12 @@ def cmd_roots(args) -> int:
         raise ConfigError(f"--tau must be a finite number, got {tau}")
     tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
     roots = scale.roots_at(tm, tau)
-    _write_or_print(_json_dump({
+    _emit(cfg, {
         "tau": tau,
         "roots": [float(r) for r in roots],
         "n_er": tm.partition.n_er,
         "k": tm.k,
-        "chain_id": cfg.chain_id(),
-        "config_hash": cfg.config_hash(),
-    }), args.out or cfg["output.path"])
+    }, args.out)
     return EXIT_OK
 
 
@@ -135,10 +131,7 @@ def cmd_solve(args) -> int:
         raise ConfigError("fit-circuit needs solver.mode = circuit-preserving "
                           "or circuit-nonpreserving")
     solution, _ = _solve_from_config(cfg, args)
-    payload = solution.to_dict()
-    payload["chain_id"] = cfg.chain_id()
-    payload["config_hash"] = cfg.config_hash()
-    _write_or_print(_json_dump(payload), args.out or cfg["output.path"])
+    _emit(cfg, solution.to_dict(), args.out)
     return EXIT_OK
 
 
@@ -167,12 +160,8 @@ def cmd_simulate(args) -> int:
     s = s / np.linalg.norm(s)
 
     solution, tm = _solve_from_config(cfg, args)
-    tau = solution.tau
-    run = getattr(protocol, f"run_{variant}_pst")
-    report = run(tm, s, solution, tau)
-    payload = report.to_dict(chain_id=cfg.chain_id(), k=k, tau0=tau, seed=seed)
-    payload["config_hash"] = cfg.config_hash()
-    _write_or_print(_json_dump(payload), args.out or cfg["output.path"])
+    report = protocol.run(variant, tm, s, solution, solution.tau)
+    _emit(cfg, report.to_dict(k=k, tau0=solution.tau, seed=seed), args.out)
     return EXIT_OK
 
 
@@ -226,9 +215,9 @@ def cmd_reproduce(args) -> int:
     else:
         raise ConfigError(f"unknown table {args.table!r}")
     text = "\n".join(lines) + "\n"
-    _write_or_print(text, args.out)
     if args.out:
-        sys.stdout.write(text)
+        Path(args.out).write_text(text)
+    sys.stdout.write(text)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -249,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan tau for the optimal registration time")
     common(p, seed=False)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("roots", help="|λ| roots (singular values of V̂) at a fixed tau")

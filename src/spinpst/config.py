@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import MAX_SITES
 from .chain import ChainSpec, CouplingMatrix, Partition, build_couplings
 from .protocol import VARIANTS
 from .restore import CIRCUIT_MODES, GENERAL_MODES
@@ -54,11 +55,13 @@ def _integer(text: str) -> int:
         raise ValueError(f"must be an integer, got {text!r}") from None
 
 
-def _at_least(lo: int):
+def _int_range(lo: int, hi: float = math.inf):
     def parse(text: str) -> int:
         x = _integer(text)
         if x < lo:
             raise ValueError(f"must be >= {lo}, got {text!r}")
+        if x > hi:
+            raise ValueError(f"must be <= {hi}, got {text!r}")
         return x
     return parse
 
@@ -104,16 +107,16 @@ def _overrides(text: str) -> dict[int, float]:
 
 
 KEYS = {
-    "chain.n": (_at_least(2), None),
+    "chain.n": (_int_range(2, MAX_SITES), None),
     "chain.model": (_one_of("coupling model", "dipole", "explicit"), "dipole"),
     "chain.positions": (_numbers, None),
     "chain.nn_overrides": (_overrides, None),
     # overrides are always distances; the key stays so that older configs load
     "chain.nn_override_mode": (_one_of("override mode", "distance"), "distance"),
     "chain.matrix_file": (str, None),
-    "partition.n_s": (_at_least(1), None),
-    "partition.n_r": (_at_least(1), None),          # partition.n_s when absent
-    "partition.n_er": (_at_least(1), None),
+    "partition.n_s": (_int_range(1), None),
+    "partition.n_r": (_int_range(1), None),          # partition.n_s when absent
+    "partition.n_er": (_int_range(1), None),
     "partition.s0": (_site_range, ()),
     "partition.r0": (_site_range, ()),
     "excitation.k": (_integer, None),
@@ -122,15 +125,13 @@ KEYS = {
     "scan.step": (_positive, 0.001),
     "roots.tau": (_finite, None),
     "solver.mode": (_one_of("mode", *GENERAL_MODES, *CIRCUIT_MODES), "preserving-general"),
-    "solver.restarts": (_at_least(1), None),
+    "solver.restarts": (_int_range(1), None),
     "solver.tol": (_positive, 1e-10),
-    "solver.seed": (_at_least(0), 0),
-    "solver.q": (_at_least(1), 2),
-    "solver.n_extra_zero_rows": (_at_least(0), None),
+    "solver.seed": (_int_range(0), 0),
+    "solver.q": (_int_range(1), 2),
+    "solver.n_extra_zero_rows": (_int_range(0), None),
     "solver.tau": (_finite, None),
     "simulate.variant": (_one_of("protocol variant", *VARIANTS), "k_excitation"),
-    "output.format": (_one_of("format", "csv", "json"), "csv"),
-    "output.path": (str, None),
 }
 REQUIRED = ("chain.n", "partition.n_s", "partition.n_er", "excitation.k")
 

@@ -1,6 +1,7 @@
 """End-to-end state-transfer protocols with ancilla labeling and post-selection.
 
-All four variants run in the chain k-sector, at any chain length.  The flag
+All four variants run in the chain k-sector, at any chain length, through
+one entry point, ``run(variant, tm, s, solution, tau0)``.  The flag
 ancilla B marks the receiver k-patterns and post-selection keeps only the
 branch where all k excitations sit there, so the report needs only the
 amplitudes that reach those patterns.  Every variant runs from a restoring
@@ -9,20 +10,25 @@ family's space: the ER k-sector for a preserving W_ER, the 2**n_er
 extended-receiver register for a non-preserving one
 (``restore.family_space``):
 
-- ``k_excitation``: a preserving W_ER never maps an ER component with
-  fewer than k excitations (the rest outside ER) onto a receiver k-pattern;
-- ``nonpreserving``: the marker ancilla D is set on exactly the components
-  with all k excitations in ER, and B needs D = 1, so the kept branch is
-  W_ER times V_hat s in the register, the rest of the chain ground;
-- ``arbitrary``: the encode cascade maps S0 value j to sender pattern j and
-  the decode maps receiver pattern j to R0 value j, so both only relabel;
-  the flag covers the first 2**n_s0 receiver patterns;
+- ``k_excitation``: sender k-sector amplitudes evolve to tau0, and a
+  preserving W_ER never maps an ER component with fewer than k excitations
+  (the rest outside ER) onto a receiver k-pattern; the output is in
+  receiver k-basis order;
+- ``nonpreserving``: the marker ancilla D joins at registration time and is
+  set on exactly the components with all k excitations in ER before W_ER
+  acts, and B needs A ground, a receiver k-pattern and D = 1, so the kept
+  branch is W_ER times V_hat s in the register, the rest of the chain
+  ground;
+- ``arbitrary``: the encode cascade maps S0 value j to sender pattern j
+  (and resets S0) and the decode maps receiver pattern j to R0 value j
+  (and resets R), so both only relabel; the flag covers the first
+  2**n_s0 receiver patterns and the output is over the R0 values;
 - ``global``: in the k-sector the flag on the ground S+TL subspace is the
   flag on the receiver patterns, and a preserving W_ER acts as the identity
   outside the extended receiver, so the run is the ``k_excitation`` one.
 
-Every runner takes the chain's ``TransferMap``, whose partition and k are
-the run's.  The variants differ only in the solution family they accept and
+The run takes the chain's ``TransferMap``, whose partition and k are the
+run's.  The variants differ only in the solution family they accept and
 the flagged patterns.  The gate-level composition over the 2**N space is kept
 in the test suite as an oracle.
 """
@@ -51,15 +57,14 @@ class ProtocolReport:
     output_amplitudes: np.ndarray
     lambda_expected: complex
 
-    def to_dict(self, chain_id: str = "", k: int | None = None,
-                tau0: float | None = None, seed: int | None = None) -> dict:
+    def to_dict(self, k: int | None = None, tau0: float | None = None,
+                seed: int | None = None) -> dict:
         amp = None
         if 0.0 < self.success_probability < 1.0:
             amp = amplification_runs(self.success_probability, AMPLIFICATION_EPSILON)
         lam_abs = abs(self.lambda_expected)
         return {
             "variant": self.variant,
-            "chain_id": chain_id,
             "k": k,
             "tau0": tau0,
             "lambda": {"abs": lam_abs,
@@ -88,7 +93,7 @@ def amplification_runs(success_probability: float, epsilon: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# protocol runners
+# protocol runs
 # ---------------------------------------------------------------------------
 
 def input_dimension(variant: str, partition: Partition, k: int,
@@ -120,9 +125,13 @@ def input_dimension(variant: str, partition: Partition, k: int,
     return 2 ** len(s0)
 
 
-def _run(variant: str, tm: TransferMap, s, solution: RestoreSolution,
-         tau0: float) -> ProtocolReport:
-    """Post-selected output of one variant, computed in the chain k-sector."""
+def run(variant: str, tm: TransferMap, s, solution: RestoreSolution,
+        tau0: float) -> ProtocolReport:
+    """Post-selected output of one variant for input amplitudes ``s``.
+
+    ``s`` holds C(n_s, k) sender k-sector amplitudes, or 2**n_s0 S0
+    amplitudes for ``arbitrary``; it is normalised here.
+    """
     if not solution.converged:
         raise ValueError("restoring solution did not converge")
     if abs(solution.tau - tau0) > 1e-9:
@@ -147,48 +156,3 @@ def _run(variant: str, tm: TransferMap, s, solution: RestoreSolution,
     return ProtocolReport(variant=variant, success_probability=prob,
                           fidelity=float(np.minimum(abs(np.vdot(s, out)), 1.0)),
                           output_amplitudes=out, lambda_expected=complex(solution.lam))
-
-
-def run_k_excitation_pst(tm: TransferMap, s, solution: RestoreSolution,
-                         tau0: float) -> ProtocolReport:
-    """Fixed-excitation protocol: sender amplitudes ``s`` to the receiver.
-
-    Sector evolution to tau0, a preserving W_ER on the extended receiver,
-    the flag on the receiver k-patterns, post-selection of the flagged
-    branch.  Output amplitudes are in receiver k-basis order.
-    """
-    return _run("k_excitation", tm, s, solution, tau0)
-
-
-def run_global_pst(tm: TransferMap, s, solution: RestoreSolution,
-                   tau0: float) -> ProtocolReport:
-    """Whole-line reference protocol: the flag on the ground S+TL subspace.
-
-    ``s`` holds sender k-sector amplitudes.  The preserving W_ER acts as the
-    identity outside the extended receiver, so in the k-sector the flag is
-    the one on the receiver patterns and the output is the k-excitation one.
-    """
-    return _run("global", tm, s, solution, tau0)
-
-
-def run_arbitrary_pst(tm: TransferMap, input_state, solution: RestoreSolution,
-                      tau0: float) -> ProtocolReport:
-    """Encoded protocol: an arbitrary S0 state through the k-excitation channel.
-
-    Encode S0 value j into sender pattern j (and reset S0), evolve, restore
-    at the extended receiver, flag the first 2**n_s0 receiver patterns,
-    decode pattern j into R0 value j (and reset R), post-select the flag.
-    Output amplitudes are over the R0 values.
-    """
-    return _run("arbitrary", tm, input_state, solution, tau0)
-
-
-def run_nonpreserving_pst(tm: TransferMap, s, solution: RestoreSolution,
-                          tau0: float) -> ProtocolReport:
-    """Protocol variant for a W_ER that mixes excitation sectors.
-
-    A marker ancilla D joins at registration time and is set on the "all
-    excitations inside ER" components before W_ER acts; the flag B then
-    selects components with A ground, a receiver k-pattern, and D set.
-    """
-    return _run("nonpreserving", tm, s, solution, tau0)

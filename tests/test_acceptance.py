@@ -119,7 +119,7 @@ def test_criterion_05_protocol_fidelity(tmap10, solution5, rng):
     for _ in range(100):
         s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         s /= np.linalg.norm(s)
-        rep = protocol.run_k_excitation_pst(tmap10(5), s, solution5, 14.391)
+        rep = protocol.run("k_excitation", tmap10(5), s, solution5, 14.391)
         worst_fid = min(worst_fid, rep.fidelity)
         probs.append(rep.success_probability)
     elapsed = time.time() - t0
@@ -141,7 +141,7 @@ def test_criterion_06_encoded_qubit_transfer(chain10, rng):
                                        seed=2002))
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi /= np.linalg.norm(psi)
-    rep = protocol.run_arbitrary_pst(tm, psi, sol, 14.391)
+    rep = protocol.run("arbitrary", tm, psi, sol, 14.391)
     _status("criterion 6: encoded arbitrary-state transfer", True,
             f"fid deficit={1 - rep.fidelity:.2e} prob={rep.success_probability:.4f}")
     assert rep.fidelity >= 1 - 1e-8
@@ -175,7 +175,7 @@ def test_criterion_07_oracle_equivalence(rng):
                                        seed=3003))
     s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     s /= np.linalg.norm(s)
-    rep = protocol.run_k_excitation_pst(tm, s, sol, 9.0)
+    rep = protocol.run("k_excitation", tm, s, sol, 9.0)
     full = np.zeros(256, dtype=complex)
     for j, mask in enumerate([0b011, 0b101, 0b110]):
         full[mask] = s[j]

@@ -184,6 +184,21 @@ class TestCommands:
         assert len(lines[0].split(",")) == n_s_k + 2
         assert len(lines) == 1 + 801
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("command", ["roots", "solve", "fit-circuit", "simulate"])
+    def test_json_carries_chain_id_and_config_hash(self, tmp_path, capsys, command, to_file):
+        p = tmp_path / "run.cfg"
+        p.write_text(BASE_CFG.replace("preserving-general", "circuit-preserving")
+                     if command == "fit-circuit" else BASE_CFG)
+        out = tmp_path / "out.json"
+        argv = [command, "--config", str(p), *(["--tau", "4.0"] if command == "roots" else [])]
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        payload = json.loads(text)
+        cfg = RunConfig.from_file(p)
+        assert (payload["chain_id"], payload["config_hash"]) == (cfg.chain_id(),
+                                                                 cfg.config_hash())
+
     def test_scan_out_writes_the_streamed_bytes(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", str(cfg_file), "--out", str(out)]) == 0
@@ -246,7 +261,11 @@ class TestCommands:
         ("simulate.variant = bogus", ["roots", "--tau", "4.0"], "unknown protocol variant"),
         # and before the scan that finds the registration time
         ("solver.tol = -1", ["solve"], "solver.tol must be > 0"),
-        ("output.format = xml", ["scan", "--out", "{out}"], "output.format must be one of"),
+        # the output keys are gone: --format and --out set the same values
+        ("output.format = xml", ["scan", "--out", "{out}"], "unknown key 'output.format'"),
+        ("output.path = {out}", ["roots", "--tau", "4.0"], "unknown key 'output.path'"),
+        # the sector bitmasks are int64
+        ("chain.n = 64", ["roots", "--tau", "4.0"], "chain.n must be <= 63"),
         # the dipole model would run without ever opening the file
         ("chain.matrix_file = /nonexistent/d.csv", ["roots", "--tau", "4.0"],
          "chain.matrix_file needs chain.model = explicit"),
@@ -257,7 +276,7 @@ class TestCommands:
             "direct-matrix-file",
             "scan-json-tol-abc", "scan-json-q-0", "scan-json-variant-bogus",
             "roots-tol-abc", "roots-q-0", "roots-variant-bogus", "solve-tol-negative",
-            "scan-format-xml", "matrix-file-without-explicit"])
+            "scan-format-xml", "output-path", "chain-n-64", "matrix-file-without-explicit"])
     @pytest.mark.usefixtures("no_eigendecomposition")
     def test_malformed_value_exits_2(self, tmp_path, capsys, extra, argv, message):
         matrix = tmp_path / "d.csv"
@@ -268,7 +287,7 @@ class TestCommands:
         base = "".join(line for line in BASE_CFG.splitlines(keepends=True)
                        if line.split("=")[0].strip() not in keys)
         p = tmp_path / "bad.cfg"
-        p.write_text(base + extra.format(matrix=matrix) + "\n")
+        p.write_text(base + extra.format(matrix=matrix, out=out) + "\n")
         argv = [arg.format(out=out) for arg in argv]
         assert main([argv[0], "--config", str(p), *argv[1:]]) == 2
         assert message in capsys.readouterr().err
@@ -304,7 +323,7 @@ class TestCommands:
         out = tmp_path / "scan.csv"
         p.write_text(BASE_CFG + f"output.format = xml\noutput.path = {out}\n")
         assert main(["scan", "--config", str(p)]) == 2
-        assert "output.format" in capsys.readouterr().err
+        assert "unknown key 'output.format'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_coupling_matrix_error_exits_2(self, tmp_path, capsys):

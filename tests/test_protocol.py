@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinpst
 from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
                      build_couplings, fit_circuit, protocol, solve_general)
 from spinpst.basis import embed_subsystem, k_states
@@ -47,8 +48,8 @@ def solution8(tm8):
 
 class TestKExcitationProtocol:
     def test_basis_vector_exact(self, tmap10, solution5):
-        rep = protocol.run_k_excitation_pst(tmap10(5), np.array([1.0, 0, 0]), solution5,
-                                            14.391)
+        rep = protocol.run("k_excitation", tmap10(5), np.array([1.0, 0, 0]), solution5,
+                           14.391)
         assert rep.fidelity == pytest.approx(1.0, abs=1e-10)
         out = rep.output_amplitudes
         assert abs(out[0]) == pytest.approx(1.0, abs=1e-10)
@@ -57,7 +58,7 @@ class TestKExcitationProtocol:
     def test_fidelity_and_probability(self, tmap10, solution5, rng):
         for _ in range(10):
             s = random_state(rng, 3)
-            rep = protocol.run_k_excitation_pst(tmap10(5), s, solution5, 14.391)
+            rep = protocol.run("k_excitation", tmap10(5), s, solution5, 14.391)
             assert rep.fidelity >= 1 - 1e-8
             assert rep.success_probability == pytest.approx(
                 abs(solution5.lam) ** 2, abs=1e-8)
@@ -65,7 +66,7 @@ class TestKExcitationProtocol:
 
     def test_output_phase_uniform(self, tmap10, solution5, rng):
         s = random_state(rng, 3)
-        rep = protocol.run_k_excitation_pst(tmap10(5), s, solution5, 14.391)
+        rep = protocol.run("k_excitation", tmap10(5), s, solution5, 14.391)
         ratios = rep.output_amplitudes / s
         phases = np.angle(ratios / ratios[0])
         assert np.abs(phases).max() < 1e-8
@@ -98,7 +99,7 @@ class TestKExcitationProtocol:
         # the whole fixed-k pipeline agrees amplitude-wise with a brute-force
         # full-space simulation at N=8
         s = random_state(rng, 3)
-        rep = protocol.run_k_excitation_pst(tm8, s, solution8, 9.0)
+        rep = protocol.run("k_excitation", tm8, s, solution8, 9.0)
 
         h_full = pauli_xx_hamiltonian(chain8.d)
         full = np.zeros(256, dtype=complex)
@@ -115,7 +116,7 @@ class TestKExcitationProtocol:
 
     def test_rejects_mismatched_tau(self, tmap10, solution5):
         with pytest.raises(ValueError, match="tau"):
-            protocol.run_k_excitation_pst(tmap10(5), np.array([1.0, 0, 0]), solution5, 12.0)
+            protocol.run("k_excitation", tmap10(5), np.array([1.0, 0, 0]), solution5, 12.0)
 
     @pytest.mark.parametrize("variant", ["k_excitation", "global", "arbitrary"])
     def test_rejects_nonpreserving_solution(self, variant, tmap10, setup10,
@@ -125,7 +126,7 @@ class TestKExcitationProtocol:
         tm = setup10[0] if variant == "arbitrary" else tmap10(5)
         s = np.ones(2 if variant == "arbitrary" else 3)
         with pytest.raises(ValueError, match=f"the {variant} protocol needs a preserving"):
-            getattr(protocol, f"run_{variant}_pst")(tm, s, solution5_nonpreserving, 14.391)
+            protocol.run(variant, tm, s, solution5_nonpreserving, 14.391)
 
     @pytest.mark.parametrize("make, match", [
         # an n_er=4 solution at the run's tau, on the n_er=5 map
@@ -137,22 +138,27 @@ class TestKExcitationProtocol:
     def test_rejects_foreign_or_unconverged_solution(self, tmap10, vhat_at, solution5,
                                                      make, match):
         with pytest.raises(ValueError, match=match):
-            protocol.run_k_excitation_pst(tmap10(5), np.array([1.0, 0, 0]),
-                                          make(vhat_at, solution5), 14.391)
+            protocol.run("k_excitation", tmap10(5), np.array([1.0, 0, 0]),
+                         make(vhat_at, solution5), 14.391)
+
+    def test_rejects_unknown_variant(self, tmap10, solution5):
+        assert spinpst.run_protocol is protocol.run
+        with pytest.raises(ValueError, match="unknown protocol variant 'bogus'"):
+            protocol.run("bogus", tmap10(5), np.array([1.0, 0, 0]), solution5, 14.391)
 
 
 class TestGlobalProtocol:
     def test_agrees_with_sector_variant(self, tm8, solution8, rng):
         s = random_state(rng, 3)
-        rep_k = protocol.run_k_excitation_pst(tm8, s, solution8, 9.0)
-        rep_g = protocol.run_global_pst(tm8, s, solution8, 9.0)
+        rep_k = protocol.run("k_excitation", tm8, s, solution8, 9.0)
+        rep_g = protocol.run("global", tm8, s, solution8, 9.0)
         assert rep_g.success_probability == pytest.approx(
             rep_k.success_probability, abs=1e-10)
         assert np.abs(rep_g.output_amplitudes - rep_k.output_amplitudes).max() < 1e-10
 
     def test_rejects_long_input(self, tm8, solution8):
         with pytest.raises(ValueError, match="expected 3 input amplitudes"):
-            protocol.run_global_pst(tm8, np.ones(4), solution8, 9.0)
+            protocol.run("global", tm8, np.ones(4), solution8, 9.0)
 
 
 @pytest.fixture(scope="module")
@@ -180,14 +186,14 @@ class TestArbitraryProtocol:
     def test_random_qubit_through_chain(self, setup10, rng):
         tm, sol = setup10
         psi = random_state(rng, 2)
-        rep = protocol.run_arbitrary_pst(tm, psi, sol, 14.391)
+        rep = protocol.run("arbitrary", tm, psi, sol, 14.391)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(abs(sol.lam) ** 2,
                                                         abs=1e-6)
 
     def test_ground_in_ground_out(self, setup10):
         tm, sol = setup10
-        rep = protocol.run_arbitrary_pst(tm, np.array([1.0, 0.0]), sol, 14.391)
+        rep = protocol.run("arbitrary", tm, np.array([1.0, 0.0]), sol, 14.391)
         assert rep.fidelity >= 1 - 1e-8
         assert abs(rep.output_amplitudes[0]) == pytest.approx(1.0, abs=1e-8)
 
@@ -195,21 +201,21 @@ class TestArbitraryProtocol:
         part = Partition(n_sites=10, n_s=3, n_r=3, n_er=5,
                          s0_sites=(4, 5), r0_sites=(6, 7))
         with pytest.raises(ValueError, match="exceed"):
-            protocol.run_arbitrary_pst(TransferMap(chain10, part, 2), np.ones(4) / 2.0,
-                                       solution5, 14.391)
+            protocol.run("arbitrary", TransferMap(chain10, part, 2), np.ones(4) / 2.0,
+                         solution5, 14.391)
 
     def test_needs_s0_r0(self, tmap10, solution5):
         with pytest.raises(ValueError, match="S0"):
-            protocol.run_arbitrary_pst(tmap10(5), np.array([1.0, 0.0]), solution5, 14.391)
+            protocol.run("arbitrary", tmap10(5), np.array([1.0, 0.0]), solution5, 14.391)
 
     def test_matches_sector_pipeline_composition(self, setup10, rng):
         # oracle: encoding maps |j> to sender pattern chi_j, so the encoded
         # run must reproduce the fixed-k protocol on s = (psi_0, psi_1, 0)
         tm, sol = setup10
         psi = random_state(rng, 2)
-        rep_arb = protocol.run_arbitrary_pst(tm, psi, sol, 14.391)
+        rep_arb = protocol.run("arbitrary", tm, psi, sol, 14.391)
         s = np.array([psi[0], psi[1], 0.0])
-        rep_k = protocol.run_k_excitation_pst(tm, s, sol, 14.391)
+        rep_k = protocol.run("k_excitation", tm, s, sol, 14.391)
         assert rep_arb.success_probability == pytest.approx(
             rep_k.success_probability, abs=1e-10)
         assert np.abs(rep_arb.output_amplitudes -
@@ -219,7 +225,7 @@ class TestArbitraryProtocol:
 class TestNonpreservingProtocol:
     def test_table_value(self, tmap10, solution5_nonpreserving, rng):
         s = random_state(rng, 3)
-        rep = protocol.run_nonpreserving_pst(tmap10(5), s, solution5_nonpreserving, 14.391)
+        rep = protocol.run("nonpreserving", tmap10(5), s, solution5_nonpreserving, 14.391)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(0.356, abs=1e-3)
 
@@ -228,21 +234,21 @@ class TestNonpreservingProtocol:
         # the B=1 branch is supported entirely on D=1 receiver patterns, so
         # the reported output amplitudes carry the whole post-selected norm
         s = random_state(rng, 3)
-        rep = protocol.run_nonpreserving_pst(tmap10(5), s, solution5_nonpreserving, 14.391)
+        rep = protocol.run("nonpreserving", tmap10(5), s, solution5_nonpreserving, 14.391)
         assert np.linalg.norm(rep.output_amplitudes) == pytest.approx(1.0,
                                                                       abs=1e-8)
 
     def test_rejects_preserving_solution(self, tmap10, solution5, rng):
         with pytest.raises(ValueError, match="non-preserving"):
-            protocol.run_nonpreserving_pst(tmap10(5), random_state(rng, 3), solution5,
-                                           14.391)
+            protocol.run("nonpreserving", tmap10(5), random_state(rng, 3), solution5,
+                         14.391)
 
     def test_circuit_solution_drives_pipeline(self, circuit_np4, rng):
         # a fitted sector-mixing circuit carries its own (smaller) lambda;
         # the protocol still post-selects a perfect copy at |lambda|**2
         tm, sol = circuit_np4
         s = random_state(rng, 3)
-        rep = protocol.run_nonpreserving_pst(tm, s, sol, 12.493)
+        rep = protocol.run("nonpreserving", tm, s, sol, 12.493)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(abs(sol.lam) ** 2,
                                                         abs=1e-8)
@@ -263,7 +269,7 @@ def test_runners_match_full_space_oracle(case, chain10, tmap10, solution5,
     }[case]
     variant = "nonpreserving" if case == "circuit-nonpreserving" else case
     s = random_state(rng, 2 if variant == "arbitrary" else 3)
-    rep = getattr(protocol, f"run_{variant}_pst")(tm, s, w, tau0)
+    rep = protocol.run(variant, tm, s, w, tau0)
     prob, out = full_space_protocol(variant, chain10, tm.partition, 2, s, w, tau0)
     assert abs(rep.success_probability - prob) <= 1e-12
     assert np.abs(rep.output_amplitudes - out).max() <= 1e-12
@@ -291,7 +297,7 @@ def test_n42_distance_reading(variant, tmaps42, rng):
     mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"
     sol = solve_general(RestoreProblem(v_hat=v, mode=mode, seed=0))
     dim = 2 if variant == "arbitrary" else 3
-    rep = getattr(protocol, f"run_{variant}_pst")(tm, random_state(rng, dim), sol, tau0)
+    rep = protocol.run(variant, tm, random_state(rng, dim), sol, tau0)
     assert rep.fidelity >= 1 - 1e-8
     assert rep.success_probability == pytest.approx(sigma_min ** 2, abs=1e-6)
 
