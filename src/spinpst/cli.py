@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 reproduction mismatch, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,6 +34,58 @@ EXIT_NO_CONVERGENCE = 4
 CSV_BATCH_ROWS = 1024
 
 
+@functools.cache
+def _cell_tables() -> tuple[np.ndarray, ...]:
+    """Per 4-digit group its text and trailing zeros; per decimal exponent, from the
+    slots of its text (d0..d_k, a gap, d_k+1..d8, a suffix), the mask of d0..d_k,
+    the gap bits, the constant characters and per trailing zero count the bytes kept."""
+    q = np.arange(10_000)
+    digits4 = sum((q // 10 ** (3 - i) % 10 + 48) << 8 * i for i in range(4)).astype(np.uint64)
+    zeros4 = sum(q % 10 ** i == 0 for i in range(1, 5))
+    split, const, keep = [], [], []
+    for x in range(-14, 9):
+        k, gap, suffix, frac = ((0, ".", f"e{x:+03d}", 8) if x < -4 else     # d.dddddddde-XX
+                                (-1, "0." + "0" * (-x - 1), "", 9) if x < 0 else  # 0.00ddddddddd
+                                (min(x, 7), "." if x < 8 else "\0", "", 8 - x))  # dd.ddddddd
+        slots = [*range(k + 1), *gap, *range(k + 1, 9), *suffix, *[None] * 16][:16]
+        split.append((2 ** (8 * k + 8) - 1, 8 * len(gap)))
+        const.append(bytes(ord(c) if isinstance(c, str) else 0 for c in slots))
+        # s trailing zero digits: %g strips the zeros after the dot, then a dot left last
+        for s in (min(z, frac) for z in range(9)):
+            gone = {None, *range(9 - s, 9), *["."] * (s == frac)}
+            keep.append(bytes(0 if c in gone else 255 for c in slots))
+    words = [np.frombuffer(b"".join(t), "<u8").reshape(-1, 2).T.copy() for t in (const, keep)]
+    return (digits4, zeros4, 10.0 ** np.arange(22, -1, -1), *np.array(split, np.uint64).T,
+            *words[0], *words[1])
+
+
+def _format_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The %.9g text of each value as (n, 2) '<u8' words, NUL-padded, and the mask of
+    the cells proven here: for x in [1e-14, 1e9), y = x 10^(8-E), E = floor(log10 x),
+    has one rounding error (<= 6e-8), so rint(y) gives the digits %g prints where y is
+    over 1e-6 from a half-integer.  ``%`` formats the rest (ties, carries, <= 0, ...)."""
+    digits4, zeros4, pow10, low, gap, const_lo, const_hi, keep_lo, keep_hi = _cell_tables()
+    xc = np.fmin(np.fmax(x, 1e-14), 1e9)
+    ix = np.clip(np.floor(np.log10(xc)) + 14, 0, 22).astype(np.intp)       # E + 14
+    y = xc * pow10[ix]
+    d = np.rint(y).astype(np.int64)
+    proven = ((xc == x) & (np.abs(y - d) < 0.499999)
+              & ((d - 10 ** 8).view(np.uint64) < 9 * 10 ** 8))
+    h, d = np.divmod(d, 10 ** 8)
+    q1, q2 = np.divmod(d, 10 ** 4)
+    j = 9 * ix + zeros4[q2] + (q2 == 0) * zeros4[q1]     # X and the trailing zeros of d
+    g2 = digits4[q2]
+    # d0..d8 in bytes 0..8 (d8 in the high word), then the gap opened after d_k
+    lo = (h.view(np.uint64) + np.uint64(48)) | digits4[q1] << np.uint64(8) | g2 << np.uint64(40)
+    head, bits = lo & low[ix], gap[ix]
+    words = np.stack([(head | (lo ^ head) << bits | const_lo[ix]) & keep_lo[j],
+                      ((g2 >> np.uint64(24)) << bits | (lo ^ head) >> (np.uint64(64) - bits)
+                       | const_hi[ix]) & keep_hi[j]], axis=1)
+    for i in np.flatnonzero(~proven):
+        words[i] = np.frombuffer(("%.9g" % x[i]).encode().ljust(16, b"\0"), "<u8")
+    return words, proven
+
+
 def _emit(cfg: RunConfig, payload: dict, path: str | None) -> None:
     """Write a command's JSON, with the config's chain id and hash, to ``path``
     or, when there is none, to standard output."""
@@ -47,17 +100,19 @@ def _emit(cfg: RunConfig, payload: dict, path: str | None) -> None:
 def _scan_csv(result: scale.ScanResult) -> Iterator[str]:
     """The scan CSV in pieces: the header, then CSV_BATCH_ROWS rows at a time.
 
-    A batch bounds the memory the text takes: each column is one %-format
-    of its values, and min_root repeats the root_1 cells.
+    A batch bounds the memory the text takes.  Each cell is 16 bytes of
+    ``_format_cells`` text and a separator; deleting the NUL padding leaves the CSV.
     """
     m = result.roots.shape[1]
     yield "tau," + ",".join(f"root_{i + 1}" for i in range(m)) + ",min_root\n"
     for lo in range(0, len(result.taus), CSV_BATCH_ROWS):
-        batch = slice(lo, lo + CSV_BATCH_ROWS)
-        cols = [("%.9g\n" * len(col) % tuple(col)).split("\n")[:-1]
-                for col in [result.taus[batch].tolist(), *result.roots[batch].T.tolist()]]
-        cols.append(cols[1])
-        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+        values = np.column_stack([result.taus[lo:lo + CSV_BATCH_ROWS],
+                                  result.roots[lo:lo + CSV_BATCH_ROWS]])
+        cells = np.empty((len(values), m + 2), [("text", "<u8", 2), ("sep", "S1")])
+        cells["text"][:, :-1] = _format_cells(values.ravel())[0].reshape(len(values), m + 1, 2)
+        cells["text"][:, -1] = cells["text"][:, 1]      # min_root repeats root_1
+        cells["sep"] = [b","] * (m + 1) + [b"\n"]
+        yield cells.tobytes().translate(None, b"\0").decode()
 
 
 def _scan_range(cfg: RunConfig) -> tuple[float, float, float]:
@@ -69,6 +124,8 @@ def _scan_range(cfg: RunConfig) -> tuple[float, float, float]:
 
 def cmd_scan(args) -> int:
     cfg = RunConfig.from_file(args.config)
+    if args.format == "json" and args.out:
+        raise ConfigError("--out names the scan CSV, which --format json does not write")
     lo, hi, step = _scan_range(cfg)
     tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
     result = scale.scan(tm, lo, hi, step)
@@ -285,7 +342,7 @@ def main(argv=None) -> int:
         print(f"no convergence: {exc} (best residual {exc.best_residual:.3e})",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (FileNotFoundError, OSError) as exc:
+    except (OSError, MemoryError) as exc:     # unreadable paths, or sizes past memory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

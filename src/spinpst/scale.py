@@ -131,8 +131,11 @@ def _grid(tau_min: float, tau_max: float, step: float) -> np.ndarray:
     if tau_max < tau_min:
         raise ValueError("empty tau range")
     # the largest j with tau_min + j step <= tau_max, up to 1e-9 steps of rounding
-    n = int((tau_max - tau_min) / step + 1e-9)
-    return tau_min + step * np.arange(n + 1)
+    n = (tau_max - tau_min) / step + 1e-9
+    try:
+        return tau_min + step * np.arange(int(n) + 1)
+    except (OverflowError, MemoryError) as exc:
+        raise MemoryError(f"a tau grid of {n + 1:.6g} points is too large to build") from exc
 
 
 def scan(tm: TransferMap, tau_min: float, tau_max: float, step: float) -> ScanResult:

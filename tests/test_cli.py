@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinpst
 from spinpst import TransferMap, binom, dynamics, scale
-from spinpst.cli import CSV_BATCH_ROWS, _scan_csv, build_parser, main
+from spinpst.cli import CSV_BATCH_ROWS, _format_cells, _scan_csv, build_parser, main
 from spinpst.config import ConfigError, RunConfig, parse_config_text
 from spinpst.scale import ScanResult
 
@@ -170,6 +172,55 @@ def test_scan_csv_streams_whole_batches(n):
     assert "".join(pieces) == _scan_csv_reference(result)
 
 
+def _cell_texts(values) -> list[str]:
+    """The text of each ``_format_cells`` cell, NUL padding deleted."""
+    words, _ = _format_cells(np.asarray(values, dtype=float))
+    return [bytes(row).replace(b"\0", b"").decode()
+            for row in words.astype("<u8").view(np.uint8).reshape(-1, 16)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                | st.floats(min_value=1e-15, max_value=2e9), min_size=1, max_size=64))
+@example([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+          -2.2250738585072014e-308, 1.7976931348623157e308, -1.23456789e-100])
+def test_format_cells_match_percent_g(values):
+    assert _cell_texts(values) == [format(x, ".9g") for x in values]
+
+
+@pytest.mark.parametrize("value, text", [
+    (8.001953125, "8.00195312"),                     # an exact tie, rounded to even
+    # near ties: x 10^(8-E) rounds onto the wrong side of the half-integer
+    (0.008655618035, "0.00865561803"), (0.005532642745, "0.00553264275"),
+    (0.007037888894999999, "0.00703788889"),
+    # carries into the next decade
+    (9.99999999951, "10"), (0.99999999951, "1"), (9.9999999995e-05, "0.0001"),
+    (99999999.95, "100000000"), (999999999.6, "1e+09"),
+    # the fixed/scientific boundary
+    (1e-05, "1e-05"), (0.0001, "0.0001"), (np.nextafter(0.0001, 0), "0.0001"),
+    (1.5e-05, "1.5e-05"), (0.000123456789, "0.000123456789"),
+    # the lower end of the vector path
+    (1e-14, "1e-14"), (np.nextafter(1e-14, 0), "1e-14"),
+    (1.23456789e-15, "1.23456789e-15"), (1.23456789e-14, "1.23456789e-14"),
+    (-0.0, "-0"), (0.0, "0"), (-3.25, "-3.25"), (-57.267, "-57.267"),
+    (12345678.9, "12345678.9"), (123456789.0, "123456789"), (100000000.0, "100000000"),
+    (20.0, "20"), (57.267, "57.267"), (0.4672960566944291, "0.467296057"),
+])
+def test_format_cells_edge_values(value, text):
+    assert _cell_texts([value]) == [text] == [format(value, ".9g")]
+
+
+def test_format_cells_prove_cells_away_from_ties():
+    # `%` runs only where the rounding is not proven: random cells in [1e-14, 1e9)
+    # more than 1e-3 from a rounding tie and below a carry are all proven
+    x = 10.0 ** np.random.default_rng(11).uniform(-14, 9, 20_000)
+    y = x * 10.0 ** (8 - np.floor(np.log10(x)))
+    x = x[(np.abs(y - np.floor(y) - 0.5) > 1e-3) & (y < 1e9 - 1) & (y > 1e8 + 1)]
+    words, proven = _format_cells(x)
+    assert len(x) > 19_000 and proven.all()
+    assert _cell_texts(x) == [format(v, ".9g") for v in x]
+
+
 class TestCommands:
     def test_scan_writes_csv_and_summary(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "scan.csv"
@@ -206,6 +257,30 @@ class TestCommands:
         tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
         result = scale.scan(tm, cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.step"])
         assert out.read_bytes() == _scan_csv_reference(result).encode()
+
+    def test_scan_json_with_out_exits_2(self, cfg_file, tmp_path, capsys):
+        # --out names the CSV, which --format json does not write
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", str(cfg_file), "--format", "json",
+                     "--out", str(out)]) == 2
+        assert "--format json does not write" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, points", [
+        ("scan.tau_max = 1e300\nscan.step = 1e-300", "inf points"),
+        # a 473 TiB request, refused at once
+        ("scan.tau_max = 65\nscan.step = 1e-12", "6.5e+13 points"),
+    ], ids=["overflow", "memory"])
+    @pytest.mark.parametrize("command", ["scan", "solve", "simulate"])
+    def test_scan_grid_too_large_exits_2(self, tmp_path, capsys, grid, points, command):
+        keys = {line.split("=")[0].strip() for line in grid.splitlines()}
+        p = tmp_path / "big.cfg"
+        p.write_text("".join(line + "\n" for line in BASE_CFG.splitlines()
+                             if line.split("=")[0].strip() not in keys) + grid + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert f"a tau grid of {points} is too large to build" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_empty_range_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
