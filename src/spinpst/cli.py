@@ -115,20 +115,25 @@ def _scan_csv(result: scale.ScanResult) -> Iterator[str]:
         yield cells.tobytes().translate(None, b"\0").decode()
 
 
-def _scan_range(cfg: RunConfig) -> tuple[float, float, float]:
-    """The configured tau grid; the scan keys are required only where a scan runs."""
+def _scan(cfg: RunConfig, tm: TransferMap) -> scale.ScanResult:
+    """The scan of the configured tau grid.  The scan keys are required only
+    where a scan runs, and a grid the scan rejects is a config error."""
     if cfg["scan.tau_min"] is None or cfg["scan.tau_max"] is None:
         raise ConfigError("scan needs scan.tau_min and scan.tau_max")
-    return cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.step"]
+    try:
+        return scale.scan(tm, cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.step"])
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_scan(args) -> int:
     cfg = RunConfig.from_file(args.config)
     if args.format == "json" and args.out:
         raise ConfigError("--out names the scan CSV, which --format json does not write")
-    lo, hi, step = _scan_range(cfg)
     tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
-    result = scale.scan(tm, lo, hi, step)
+    result = _scan(cfg, tm)
     summary = {
         "tau0": result.tau0,
         "lambda_min": result.lambda_min,
@@ -166,10 +171,9 @@ def _solve_from_config(cfg: RunConfig, args):
     """Restoring solution at the configured or scanned tau, and the TransferMap
     whose one eigensystem served the scan and the solve."""
     tau = cfg["solver.tau"]
-    grid = _scan_range(cfg) if tau is None else None
     tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
-    if grid is not None:
-        tau = scale.scan(tm, *grid).tau0
+    if tau is None:
+        tau = _scan(cfg, tm).tau0
     problem = RestoreProblem(v_hat=tm.v_hat(tau), mode=cfg["solver.mode"],
                              n_extra_zero_rows=cfg["solver.n_extra_zero_rows"],
                              q_layers=cfg["solver.q"],

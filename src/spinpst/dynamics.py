@@ -16,14 +16,15 @@ a time.  Within a block the phases exp(-i lambda j delta) are an entire
 function of the offset j delta whose band limit is max|lambda|, so a few
 Chebyshev nodes carry them: the block is the transfer block at the nodes,
 spread over the grid by a real Lagrange matrix, with an interpolation error
-below the unit roundoff.  The scan takes the block's Gram matrices V^dag V;
-their spectra come from ``scale.gram_eigenvalues``, a cyclic Jacobi kernel
-run on a whole stack of Grams at once that rotates a pair only where
-|g_pq| > eps sqrt(g_pp g_qq).
+below the unit roundoff.  The scan takes the block's Gram matrices V^dag V
+as parts; their spectra come from ``scale.jacobi_eigenvalues``, a cyclic
+Jacobi kernel run on a whole chunk of Grams at once that rotates a pair
+only where |g_pq| > eps sqrt(g_pp g_qq).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,10 @@ HERMITICITY_TOL = 1e-10
 # at 24 eps, so 8 eps would miss it.
 MIRROR_TOL = 64 * np.finfo(float).eps
 # Grid points per interpolated block in TransferMap.gram_batch; a divisor of
-# SCAN_CHUNK.  Full Table 1a/2 grids at step 0.001 (k=2, n_er=5, one BLAS
-# thread, median of 9) took, for 128 / 256 / 512 / 1024:
-# N=10 13 / 11 / 11 / 15 ms, N=30 51 / 37 / 37 / 30 ms, N=42 106 / 73 / 64 /
-# 57 ms, with 10-17 nodes per block.
+# SCAN_CHUNK.  Full Table 1a/2 grids at step 0.001 (k=2, n_er=5, 2 cores, one
+# BLAS thread, medians of 9, four runs), 128 / 256 / 512 / 1024 / 2048: N=10
+# 6-10 / 5-8 / 5-7 / 4-6 / 5-7 ms, N=30 26-38 / 18-28 / 14-24 / 12-20 / 14-19
+# ms, N=42 59-90 / 38-45 / 28-38 / 22-23 / 21-22 ms; 10-19 nodes per block.
 GRAM_BLOCK = 512
 # Grid points per gram_batch call in scale.scan, which bounds its peak memory.
 SCAN_CHUNK = 2048
@@ -208,6 +209,7 @@ class TransferMap:
         u_s = self.eig.rows(embed_subsystem(partition.sender_sites, n, k))
         self.n_er_k, self.n_s_k = len(u_er), len(u_s)
         self._khatri_rao = np.einsum("ra,sa->ars", u_er, u_s).reshape(self.eig.dim, -1)
+        self._step_table: tuple = (None,)     # ((b, step), interp, node_phases)
 
     def v_hat(self, tau: float) -> TransferBlock:
         phases = np.exp(-1j * self.eig.eigenvalues * tau)
@@ -217,43 +219,46 @@ class TransferMap:
                              n_s=self.partition.n_s,
                              n_er=self.partition.n_er, k=self.k)
 
-    def gram_batch(self, taus: np.ndarray) -> np.ndarray:
-        """Gram matrices V^dag V of the transfer block on a uniform tau grid.
+    def gram_batch(self, taus: np.ndarray, step: float) -> tuple[np.ndarray, list]:
+        """Gram matrices V^dag V of the transfer block on the grid taus[0] + step j, as parts.
 
-        The grid is cut into blocks of GRAM_BLOCK points.  Since
-        exp(-i lambda (tau_lo + j delta)) = exp(-i lambda tau_lo)
-        exp(-i lambda j delta), the block is the step table
-        exp(-i lambda j delta) times K scaled by the block's exact base
-        phases.  The step table is factored as ``interp @ node_phases``
-        (see ``_step_nodes``), so a block costs one GEMM with a row per
-        node, ``node_phases @ (base * K)``, and one real GEMM that spreads
-        the node blocks over the grid.  The rows of U are unit vectors, so
-        V inherits the phases' absolute error, below the unit roundoff.
-        Where the bound asks for as many nodes as grid points, the nodes
-        are the offsets and ``interp`` the identity: the block is then the
-        exact step-table product.  A grid that is not uniform to rounding
-        raises ValueError.
+        Per block of GRAM_BLOCK points from tau_lo, V is the step table
+        exp(-i lambda j delta) = ``interp @ node_phases`` (``_step_nodes``,
+        kept for the next call of equal block length and step) times K scaled
+        by the exact base phases exp(-i lambda tau_lo): one real GEMM of the
+        (Re; Im) rows of ``node_phases * base`` against K, and one spreading
+        the nodes over the block into real planes, grid point last, V[row,
+        col] = planes[col, 0, row] + i planes[col, 1, row].  As the rows of U
+        are unit vectors, V inherits the phases' error, below the unit
+        roundoff; ``interp`` is the identity, and V exact, where the bound
+        asks for as many nodes as points.  Dots down the planes' columns over
+        all of taus give the (s, n) real diagonal and the s(s-1)/2 complex
+        (n,) upper entries for ``scale.jacobi_eigenvalues``.  A grid off
+        taus[0] + step j beyond rounding raises ValueError.
         """
         taus = np.asarray(taus, dtype=float)
         n_t, r, s = len(taus), self.n_er_k, self.n_s_k
-        delta = (taus[-1] - taus[0]) / (n_t - 1) if n_t > 1 else 0.0
-        ideal = taus[:1] + delta * np.arange(n_t)
         scale = max(1.0, float(np.abs(taus).max(initial=0.0)))
-        if np.abs(taus - ideal).max(initial=0.0) > 16 * np.finfo(float).eps * scale:
-            raise ValueError("gram_batch needs a uniform tau grid")
-        lam = self.eig.eigenvalues
-        offsets, interp = _step_nodes(min(GRAM_BLOCK, n_t), delta,
-                                      float(np.abs(lam).max(initial=0.0)))
-        node_phases = np.exp(-1j * np.outer(offsets, lam))
-        grams = np.empty((n_t, s, s), dtype=complex)
+        if np.abs(taus - taus[:1] - step * np.arange(n_t)).max(initial=0.0) > \
+                16 * np.finfo(float).eps * scale:
+            raise ValueError("gram_batch needs the uniform tau grid taus[0] + step j")
+        lam, key = self.eig.eigenvalues, (min(GRAM_BLOCK, n_t), step)
+        if self._step_table[0] != key:
+            offsets, interp = _step_nodes(*key, float(np.abs(lam).max(initial=0.0)))
+            self._step_table = (key, interp, np.exp(-1j * np.outer(offsets, lam)))
+        _, interp, node_phases = self._step_table
+        planes = np.empty((s, 2, r, n_t))
         for lo in range(0, n_t, GRAM_BLOCK):
-            m = min(GRAM_BLOCK, n_t - lo)
-            base = np.exp(-1j * lam * taus[lo])
-            nodes = node_phases @ (base[:, None] * self._khatri_rao)
-            # interp is real: one real GEMM on the interleaved (re, im) pairs
-            v = (interp[:m] @ nodes.view(float)).view(complex).reshape(m, r, s)
-            grams[lo:lo + m] = v.conj().transpose(0, 2, 1) @ v
-        return grams
+            phases = node_phases * np.exp(-1j * lam * taus[lo])
+            nodes = (np.vstack([phases.real, phases.imag]) @ self._khatri_rao).reshape(2, -1, r, s)
+            np.matmul(nodes.transpose(3, 0, 2, 1).reshape(2 * r * s, -1), interp[:n_t - lo].T,
+                      out=planes.reshape(-1, n_t)[:, lo:lo + GRAM_BLOCK])
+        cols = planes.reshape(s, 2 * r, n_t)
+        return np.einsum("cij,cij->cj", cols, cols), [
+            np.einsum("ij,ij->j", cols[p], cols[q]) + 1j * (
+                np.einsum("ij,ij->j", planes[p, 0], planes[q, 1])
+                - np.einsum("ij,ij->j", planes[p, 1], planes[q, 0]))
+            for p, q in itertools.combinations(range(s), 2)]
 
 
 def _step_nodes(b: int, delta: float, lam_max: float) -> tuple[np.ndarray, np.ndarray]:

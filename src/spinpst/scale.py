@@ -9,7 +9,7 @@ second determinant along its last row shows that the polynomial is
 the singular values of V_hat.  Both the one-tau roots and the scan take
 them from the Gram spectrum.
 
-The spectra come from one batched cyclic Jacobi kernel, ``gram_eigenvalues``:
+The spectra come from one batched cyclic Jacobi kernel, ``jacobi_eigenvalues``:
 every Gram entry is an array over the batch, and each rotation updates the
 whole batch at once.  A pair (p, q) is rotated only where
 |g_pq| > eps sqrt(g_pp g_qq), the Demmel-Veselic test, under which Jacobi on
@@ -19,6 +19,7 @@ accurate as the QR algorithm does.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,10 @@ _TINY = np.finfo(float).tiny
 JACOBI_MAX_SWEEPS = 30
 
 
-def gram_eigenvalues(grams: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (B, s, s) stack of positive semidefinite Grams.
+def jacobi_eigenvalues(diag, upper) -> np.ndarray:
+    """Ascending eigenvalues of B positive semidefinite s x s Grams, given as parts.
 
+    ``diag`` holds s real (B,) arrays, ``upper`` the s(s-1)/2 complex ones above it, row-major.
     Cyclic Jacobi over the pairs p < q, run on all B matrices together.  Each
     matrix is first scaled by the power of two that brings its largest
     diagonal entry into [1/2, 1), which is exact, so entries near the
@@ -66,13 +68,11 @@ def gram_eigenvalues(grams: np.ndarray) -> np.ndarray:
     t = s / c = sign(d) 2|g_pq| / (|d| + sqrt(d^2 + 4 |g_pq|^2)),
     d = g_qq - g_pp, zeroes g_pq and moves t |g_pq| from g_pp to g_qq.
     """
-    grams = np.asarray(grams)
-    s = grams.shape[-1]
-    diag = [grams[:, i, i].real for i in range(s)]
+    s = len(diag)
     exp = np.clip(np.frexp(np.maximum.reduce(diag))[1], -1021, 1021)
     scale = np.ldexp(1.0, -exp)
     diag = [d * scale for d in diag]
-    off = {(i, j): grams[:, i, j] * scale for i in range(s) for j in range(i + 1, s)}
+    off = {pair: g * scale for pair, g in zip(itertools.combinations(range(s), 2), upper)}
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for p, q in off:
@@ -114,18 +114,20 @@ def gram_eigenvalues(grams: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sort(np.stack(diag, axis=-1), axis=-1), exp[:, None])
 
 
-def _singular_values(grams: np.ndarray) -> np.ndarray:
-    """Ascending square roots of Gram spectra, rounding negatives clipped to 0."""
-    return np.sqrt(np.clip(gram_eigenvalues(grams), 0.0, None))
+def gram_eigenvalues(grams: np.ndarray) -> np.ndarray:
+    """``jacobi_eigenvalues`` of a (B, s, s) stack of Grams, (B, s)."""
+    pairs = itertools.combinations(range(grams.shape[-1]), 2)
+    return jacobi_eigenvalues(grams.diagonal(0, 1, 2).real.T, [grams[:, i, j] for i, j in pairs])
 
 
 def roots_at(tm: TransferMap, tau: float) -> np.ndarray:
     """All |lambda| roots at one registration time, ascending."""
     v = tm.v_hat(tau).v_hat
-    return _singular_values((v.conj().T @ v)[None])[0]
+    return np.sqrt(np.clip(gram_eigenvalues((v.conj().T @ v)[None])[0], 0.0, None))
 
 
 def _grid(tau_min: float, tau_max: float, step: float) -> np.ndarray:
+    """tau_min + step j up to tau_max; a step of 4 ulps of the window or less repeats points."""
     if step <= 0:
         raise ValueError("step must be positive")
     if tau_max < tau_min:
@@ -133,9 +135,13 @@ def _grid(tau_min: float, tau_max: float, step: float) -> np.ndarray:
     # the largest j with tau_min + j step <= tau_max, up to 1e-9 steps of rounding
     n = (tau_max - tau_min) / step + 1e-9
     try:
-        return tau_min + step * np.arange(int(n) + 1)
+        taus = tau_min + step * np.arange(int(n) + 1)
     except (OverflowError, MemoryError) as exc:
         raise MemoryError(f"a tau grid of {n + 1:.6g} points is too large to build") from exc
+    ulps = 4 * np.spacing(max(abs(tau_min), abs(tau_max)))
+    if step <= ulps:
+        raise ValueError(f"scan step {step:g} must exceed {ulps:g}, 4 ulps of the tau window")
+    return taus
 
 
 def scan(tm: TransferMap, tau_min: float, tau_max: float, step: float) -> ScanResult:
@@ -148,8 +154,8 @@ def scan(tm: TransferMap, tau_min: float, tau_max: float, step: float) -> ScanRe
     taus = _grid(tau_min, tau_max, step)
     roots = np.empty((len(taus), tm.n_s_k))
     for lo in range(0, len(taus), SCAN_CHUNK):
-        grams = tm.gram_batch(taus[lo:lo + SCAN_CHUNK])
-        roots[lo:lo + len(grams)] = _singular_values(grams)
+        eigenvalues = jacobi_eigenvalues(*tm.gram_batch(taus[lo:lo + SCAN_CHUNK], step))
+        roots[lo:lo + SCAN_CHUNK] = np.sqrt(np.clip(eigenvalues, 0.0, None))
     mins = roots[:, 0]
     i_max = int(np.argmax(mins))
     i_det = min(i_max + 1, len(taus) - 1)

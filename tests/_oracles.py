@@ -9,7 +9,9 @@ R sigma_x R^dag from stacked 2x2 products (the package writes it as n .
 sigma), the |lambda|^2 polynomial from determinants with its
 companion-matrix roots (the package takes the Gram spectrum), the Gram
 spectrum from LAPACK's Hermitian eigensolver (the package runs its own
-Jacobi kernel), the dimensionality feasibility test, transfer blocks cut
+Jacobi kernel), the scan's Grams from complex transfer blocks and a
+batched v^H v (the package takes column dots of real planes), the
+dimensionality feasibility test, transfer blocks cut
 from a full sector propagator, the full-space Hamiltonian as the direct sum
 of the package's sector blocks, and the gate-level composition of the four
 protocol variants over the 2**N space with their value/pattern cascades
@@ -28,7 +30,8 @@ from scipy.optimize import least_squares
 
 from spinpst.basis import binom, embed_subsystem, k_states
 from spinpst.chain import CouplingMatrix, Partition, hamiltonian_block
-from spinpst.dynamics import TransferBlock, propagator, sector_eigensystem
+from spinpst.dynamics import (GRAM_BLOCK, TransferBlock, TransferMap, _step_nodes,
+                              propagator, sector_eigensystem)
 from spinpst.restore import _register_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -153,6 +156,49 @@ def gram(v_hat: TransferBlock | np.ndarray) -> GramData:
 def lapack_singular_values(grams: np.ndarray) -> np.ndarray:
     """Ascending singular values behind a stack of Grams: sqrt(eigvalsh(G)), negatives clipped."""
     return np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None))
+
+
+def block_gram_batch(tm: TransferMap, taus: np.ndarray, step: float) -> np.ndarray:
+    """(n, s, s) Grams on the grid taus[0] + step j by complex blocks and batched v^H v.
+
+    The package's former scan route, block by block of GRAM_BLOCK points:
+    the node blocks ``node_phases @ (base * K)`` as one complex GEMM, spread
+    over the grid by the Lagrange matrix, and one (s x r)(r x s) product per
+    grid point.  It shares the base phases and the step table with
+    ``TransferMap.gram_batch``, not its arithmetic.
+    """
+    lam, n_t = tm.eig.eigenvalues, len(taus)
+    offsets, interp = _step_nodes(min(GRAM_BLOCK, n_t), step, float(np.abs(lam).max()))
+    node_phases = np.exp(-1j * np.outer(offsets, lam))
+    grams = []
+    for lo in range(0, n_t, GRAM_BLOCK):
+        nodes = node_phases @ (np.exp(-1j * lam * taus[lo])[:, None] * tm._khatri_rao)
+        v = (interp[:n_t - lo] @ nodes.view(float)).view(complex).reshape(-1, tm.n_er_k, tm.n_s_k)
+        grams.append(v.conj().transpose(0, 2, 1) @ v)
+    return np.concatenate(grams)
+
+
+def gram_stack(diag: np.ndarray, upper) -> np.ndarray:
+    """(n, s, s) Hermitian Grams from ``TransferMap.gram_batch``'s parts: the (s, n)
+    real diagonal and the strict upper triangle, pairs in ``itertools.combinations`` order."""
+    s, n = np.shape(diag)
+    g = np.zeros((n, s, s), dtype=complex)
+    g[:, range(s), range(s)] = np.transpose(diag)
+    for (i, j), entry in zip(itertools.combinations(range(s), 2), upper, strict=True):
+        g[:, i, j], g[:, j, i] = entry, np.conj(entry)
+    return g
+
+
+def plane_gram_parts(v: np.ndarray) -> tuple[np.ndarray, list]:
+    """``TransferMap.gram_batch``'s Gram arithmetic, written out, on an (n, r, s) stack of
+    blocks: real planes (column, re/im, row; grid point last) and dots down their columns."""
+    planes = np.stack([v.real, v.imag]).transpose(3, 0, 2, 1).copy()
+    cols = planes.reshape(len(planes), -1, len(v))
+    return np.einsum("cij,cij->cj", cols, cols), [
+        np.einsum("ij,ij->j", cols[p], cols[q])
+        + 1j * (np.einsum("ij,ij->j", planes[p, 0], planes[q, 1])
+                - np.einsum("ij,ij->j", planes[p, 1], planes[q, 0]))
+        for p, q in itertools.combinations(range(len(planes)), 2)]
 
 
 def lambda_polynomial(g: GramData | np.ndarray) -> LambdaPolynomial:

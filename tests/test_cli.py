@@ -282,6 +282,21 @@ class TestCommands:
         assert f"a tau grid of {points} is too large to build" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["scan", "solve", "simulate"])
+    def test_scan_step_within_4_ulps_exits_2(self, tmp_path, capsys, command):
+        # an ulp near 1e17 is 16: a unit step would repeat grid points
+        p = tmp_path / "e17.cfg"
+        p.write_text(BASE_CFG.replace("scan.tau_min = 0", "scan.tau_min = 1e17")
+                     .replace("scan.tau_max = 8", "scan.tau_max = 1.00000000000001e17")
+                     .replace("scan.step = 0.01", "scan.step = 1"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert "scan step 1 must exceed 64, 4 ulps of the tau window" in capsys.readouterr().err
+        assert not out.exists()
+        if command == "solve":     # a fixed tau runs no scan
+            p.write_text(p.read_text() + "solver.tau = 3\n")
+            assert main([command, "--config", str(p), "--out", str(out)]) == 0
+
     def test_scan_empty_range_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text(BASE_CFG.replace("scan.tau_max = 8", "scan.tau_max = -1"))

@@ -10,7 +10,8 @@ from spinpst import (ChainSpec, Partition, TransferMap, basis, build_couplings,
                      chain, dynamics, scale)
 from spinpst.config import RunConfig
 
-from _oracles import expm_propagator, pauli_xx_hamiltonian, restrict_to_sector, transfer_block
+from _oracles import (block_gram_batch, expm_propagator, gram_stack, pauli_xx_hamiltonian,
+                      plane_gram_parts, restrict_to_sector, transfer_block)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -138,7 +139,7 @@ class TestTransferBlock:
     def test_gram_batch_matches_single_tau_at_block_edges(self, tmap10):
         tm = tmap10(5)
         taus = 10.0 + 0.001 * np.arange(3001)
-        grams = tm.gram_batch(taus)
+        grams = gram_stack(*tm.gram_batch(taus, 0.001))
         b = dynamics.GRAM_BLOCK
         for i in (0, b - 1, b, 2047, 2048, len(taus) - 1):
             v = tm.v_hat(taus[i]).v_hat
@@ -146,7 +147,7 @@ class TestTransferBlock:
 
     def test_gram_batch_rejects_non_uniform_grid(self, tmap10):
         with pytest.raises(ValueError, match="uniform"):
-            tmap10(5).gram_batch(np.array([0.0, 0.1, 0.3]))
+            tmap10(5).gram_batch(np.array([0.0, 0.1, 0.3]), 0.1)
 
     def test_real_sector_gives_real_eigenvectors(self, chain10):
         eig = dynamics.sector_eigensystem(chain10, 2)
@@ -181,7 +182,7 @@ class TestInterpolatedBlocks:
         # every offset of the first block, its neighbour and the partial last block
         tm = tmap10(5)
         taus = 13.7 + 0.001 * np.arange(n_t)
-        grams = tm.gram_batch(taus)
+        grams = gram_stack(*tm.gram_batch(taus, 0.001))
         assert np.abs(grams - single_tau_grams(tm, taus)).max() < 1e-13
 
     def test_fewer_nodes_than_grid_points_at_the_published_grid(self, tmap10):
@@ -208,13 +209,44 @@ class TestInterpolatedBlocks:
         offsets, interp = dynamics._step_nodes(self.B, 0.01, np.abs(lam).max())
         assert np.array_equal(interp, np.eye(self.B))
         steps = np.exp(-1j * np.outer(0.01 * np.arange(self.B), lam))
-        want = []
+        v = []
         for lo in range(0, len(taus), self.B):
             m = min(self.B, len(taus) - lo)
-            base = np.exp(-1j * lam * taus[lo])
-            v = (steps[:m] @ (base[:, None] * tm._khatri_rao)).reshape(m, tm.n_er_k, tm.n_s_k)
-            want.append(v.conj().transpose(0, 2, 1) @ v)
-        assert np.array_equal(tm.gram_batch(taus), np.concatenate(want))
+            phases = steps * np.exp(-1j * lam * taus[lo])
+            re, im = (np.vstack([phases.real, phases.imag]) @ tm._khatri_rao).reshape(
+                2, self.B, tm.n_er_k, tm.n_s_k)[:, :m]
+            v.append(re + 1j * im)
+        # the step-table blocks through the kernel's Gram arithmetic, bit for bit
+        diag, upper = tm.gram_batch(taus, 0.01)
+        want_diag, want_upper = plane_gram_parts(np.concatenate(v))
+        assert np.array_equal(diag, want_diag)
+        assert np.array_equal(upper, want_upper)
+
+    @given(sector=st.sampled_from([(3, 3), (3, 2), (4, 2)]), mirror=st.booleans(),
+           step=st.sampled_from([0.001, 0.01, 0.07]), fallback=st.booleans(),
+           n_t=st.integers(1, 2 * B + 40), tau_lo=st.floats(0.0, 30.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gram_parts_match_batched_and_single_tau_grams(self, sector, mirror, step, fallback,
+                                                          n_t, tau_lo, seed):
+        # s = 1, 3 and 6 sender columns; a fallback chain has omega >> b, so P >= b
+        n_s, k = sector
+        n = n_s + 4
+        c = explicit_chain(n, 16.0 / step if fallback else 1.5, seed, mirror)
+        tm = TransferMap(c, Partition(n_sites=n, n_s=n_s, n_r=n_s, n_er=4), k)
+        lam_max = float(np.abs(tm.eig.eigenvalues).max())
+        b = min(self.B, n_t)
+        if fallback:
+            assert np.array_equal(dynamics._step_nodes(b, step, lam_max)[1], np.eye(b))
+        taus = tau_lo + step * np.arange(n_t)
+        diag, upper = tm.gram_batch(taus, step)
+        assert diag.shape == (tm.n_s_k, n_t) and len(upper) == tm.n_s_k * (tm.n_s_k - 1) // 2
+        grams = gram_stack(diag, upper)
+        # the same phases by the former route: only the rounding of the products differs
+        assert np.abs(grams - block_gram_batch(tm, taus, step)).max() < 1e-13
+        # single-tau phases round lambda tau apart from the block's base and step phases
+        tol = 1e-13 + 8 * np.finfo(float).eps * lam_max * taus[-1]
+        assert np.abs(grams - single_tau_grams(tm, taus)).max() < tol
 
     @given(n=st.integers(6, 7), k=st.integers(1, 2), n_s=st.integers(2, 3),
            step=st.sampled_from([0.001, 0.01, 0.07]), tau_lo=st.floats(0.0, 30.0),

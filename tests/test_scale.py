@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from spinpst import ChainSpec, Partition, TransferMap, build_couplings, scale
 from spinpst.dynamics import GRAM_BLOCK, SCAN_CHUNK
 from spinpst.paper import PAPER_ROOTS, PAPER_TABLE_1A
 
-from _oracles import (cubic_from_gram, expm_propagator, feasibility, gram, lambda_polynomial,
-                      lapack_singular_values, pauli_xx_hamiltonian, random_unitary, real_roots)
+from _oracles import (cubic_from_gram, expm_propagator, feasibility, gram, gram_stack,
+                      hamiltonian_block_loop, lambda_polynomial, lapack_singular_values,
+                      pauli_xx_hamiltonian, random_unitary, real_roots, transfer_block)
 
 EPS = np.finfo(float).eps
 
@@ -182,17 +185,25 @@ class TestGramEigenvalues:
             scale.gram_eigenvalues(spectral_gram(rng, [0.1, 0.3, 0.8])[None])
 
 
-def oracle_scan_rows(tm, taus):
+def oracle_scan_rows(tm, taus, step):
     """LAPACK roots of the Gram stacks a scan forms, chunk by chunk."""
-    return np.concatenate([lapack_singular_values(tm.gram_batch(taus[lo:lo + SCAN_CHUNK]))
-                           for lo in range(0, len(taus), SCAN_CHUNK)])
+    return np.concatenate([
+        lapack_singular_values(gram_stack(*tm.gram_batch(taus[lo:lo + SCAN_CHUNK], step)))
+        for lo in range(0, len(taus), SCAN_CHUNK)])
+
+
+@pytest.fixture(scope="module")
+def sector_expm10(chain10):
+    """The N=10, k=2 sector propagator by scipy's expm of the loop-built block, per tau."""
+    h = hamiltonian_block_loop(chain10.d, 2)
+    return functools.cache(lambda tau: expm_propagator(h, tau))
 
 
 class TestScan:
     @pytest.mark.parametrize("n_er", [4, 5, 6])
     def test_table_1a_grid_matches_lapack_oracle(self, tmap10, n_er):
         res = scale.scan(tmap10(n_er), 0.0, 20.0, 0.001)
-        assert np.abs(res.roots - oracle_scan_rows(tmap10(n_er), res.taus)).max() < 1e-14
+        assert np.abs(res.roots - oracle_scan_rows(tmap10(n_er), res.taus, 0.001)).max() < 1e-14
 
     @pytest.mark.parametrize("n_s, k", [(4, 2), (3, 3)], ids=["s6", "s1"])
     def test_rows_match_lapack_oracle_other_sector_sizes(self, chain10, n_s, k):
@@ -203,7 +214,7 @@ class TestScan:
         assert n_roots == {2: 6, 3: 1}[k]
         # V_hat is a block of a unitary, so ||G||_2 <= 1; at s=6 a small root
         # magnifies the eigenvalue error 1 / (2 sigma), so compare eigenvalues
-        want = oracle_scan_rows(tm, res.taus)
+        want = oracle_scan_rows(tm, res.taus, 0.001)
         assert np.abs(res.roots ** 2 - want ** 2).max() <= 8 * n_roots * EPS
 
     @pytest.mark.parametrize("n_er", [4, 5, 6])
@@ -256,6 +267,29 @@ class TestScan:
             v = expm_propagator(h_full, res.taus[i])[np.ix_(er_masks, s_masks)]
             want = np.sort(np.linalg.svd(v, compute_uv=False))
             assert np.abs(res.roots[i] - want).max() < 1e-12
+
+    @pytest.mark.parametrize("n_er", [4, 5, 6])
+    def test_small_roots_match_sector_expm_absolutely(self, tmap10, part10, sector_expm10, n_er):
+        # at tau = 0.001 the smallest root is 1.2e-13 (n_er = 4); a root
+        # carries absolute precision, and below 1e-6 its printed digits move
+        # with the rounding of the route.  Every grid point to 0.05, then
+        # every tenth to 3, where roots below 1e-6 end (tau = 1.632 at n_er = 4).
+        res = scale.scan(tmap10(n_er), 0.0, 20.0, 0.001)
+        for i in [*range(1, 51), *range(60, 3001, 10)]:
+            v = transfer_block(sector_expm10(res.taus[i]), part10(n_er), 2).v_hat
+            want = np.sort(np.linalg.svd(v, compute_uv=False))
+            assert np.abs(res.roots[i] - want).max() < 1e-15, res.taus[i]
+
+    def test_step_within_4_ulps_of_the_window_rejected(self):
+        # an ulp near 1e17 is 16, so 1e17 + j rounds to repeated grid points
+        tm = TransferMap(build_couplings(ChainSpec(n_sites=6)),
+                         Partition(n_sites=6, n_s=2, n_r=2, n_er=3), 1)
+        for hi, step in ((1.00000000000001e17, 1.0), (1e17 + 640, 64.0)):
+            with pytest.raises(ValueError, match="4 ulps"):
+                scale.scan(tm, 1e17, hi, step)
+        res = scale.scan(tm, 1e17, 1e17 + 800, 80.0)          # 5 ulps
+        assert len(res.taus) == 11 and np.all(np.diff(res.taus) == 80)
+        assert np.isfinite(res.roots).all()
 
     def test_empty_range_rejected(self, tmap10):
         with pytest.raises(ValueError):
