@@ -22,33 +22,29 @@ class InvalidSpecError(ValueError):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Geometry or coupling matrix of a 1-D spin-1/2 chain.
+    """Geometry of a 1-D dipolar spin-1/2 chain.
 
-    Exactly one source applies; giving two raises InvalidSpecError:
+    One source applies; giving both ``positions`` and ``nn_overrides`` raises
+    InvalidSpecError:
 
     * default: unit-spaced sites (homogeneous dipolar chain),
     * ``positions``: explicit, strictly increasing site coordinates,
     * ``nn_overrides``: nearest-neighbor coupling values keyed by the 1-based
       left site of the bond; converted to inter-site distances r = D**(-1/3)
-      so that all long-range couplings stay dipole-consistent,
-    * ``matrix``: the explicit model, a full coupling matrix used as given.
+      so that all long-range couplings stay dipole-consistent.
+
+    Any other coupling matrix is a ``CouplingMatrix`` built directly.
     """
 
     n_sites: int
     positions: tuple[float, ...] | None = None
     nn_overrides: dict[int, float] | None = None
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise InvalidSpecError(f"need at least 2 sites, got {self.n_sites}")
-        given = [name for name in ("positions", "nn_overrides", "matrix")
-                 if getattr(self, name) is not None]
-        if len(given) > 1:
-            raise InvalidSpecError(f"give either {given[0]} or {given[1]}, not both")
-        if self.matrix is not None and CouplingMatrix(self.matrix).n_sites != self.n_sites:
-            raise InvalidSpecError(f"coupling matrix shape {np.shape(self.matrix)} does not "
-                                   f"match n_sites={self.n_sites}")
+        if self.positions is not None and self.nn_overrides is not None:
+            raise InvalidSpecError("give either positions or nn_overrides, not both")
         if self.positions is not None:
             p = tuple(float(x) for x in self.positions)
             if len(p) != self.n_sites:
@@ -143,16 +139,12 @@ class Partition:
 
 
 def build_couplings(spec: ChainSpec) -> CouplingMatrix:
-    """Assemble the coupling matrix for a chain specification.
-
-    A given matrix is copied as is.  Otherwise the dipole model gives
-    D_ij = 1 / r_ij**3 from site positions.  Nearest-neighbor
-    overrides are realized as adjusted inter-site distances, keeping every
-    long-range coupling consistent with the dipole law.
+    """Assemble the dipole coupling matrix D_ij = 1 / r_ij**3 of a chain
+    specification.  Nearest-neighbor overrides are realized as adjusted
+    inter-site distances, keeping every long-range coupling consistent with
+    the dipole law.
     """
     n = spec.n_sites
-    if spec.matrix is not None:
-        return CouplingMatrix(d=np.asarray(spec.matrix, dtype=float).copy())
     if spec.positions is not None:
         pos = np.asarray(spec.positions, dtype=float)
     elif spec.nn_overrides:

@@ -20,8 +20,8 @@ from . import protocol, scale
 from .chain import ChainSpec, Partition, build_couplings
 from .config import ConfigError, RunConfig
 from .dynamics import TransferMap
-from .paper import (N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A, PAPER_TABLE_2,
-                    PAPER_TABLE_2_N42, TABLE_2_WINDOWS)
+from .paper import (LAMBDA_TOL, N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A, PAPER_TABLE_2,
+                    PAPER_TABLE_2_N42, TABLE_2_WINDOWS, TAU0_TOL)
 from .restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
                       RestoreProblem, fit_circuit, solve_general)
 
@@ -240,7 +240,7 @@ def _scan_row(lines: list[str], label: list, couplings, n_er: int, tau_max: floa
     part = Partition(n_sites=couplings.n_sites, n_s=3, n_r=3, n_er=n_er)
     res = scale.scan(TransferMap(couplings, part, 2), 0.0, tau_max, 0.001)
     tau_ref, lam_ref = published
-    good = abs(res.tau0 - tau_ref) <= 1e-9 and abs(res.lambda_min - lam_ref) <= 5e-4
+    good = abs(res.tau0 - tau_ref) <= TAU0_TOL and abs(res.lambda_min - lam_ref) <= LAMBDA_TOL
     lines.append(_table_row([*label, f"{res.tau0:.3f}", f"{tau_ref:.3f}",
                              f"{res.lambda_min:.4f}", f"{lam_ref:.3f}",
                              "PASS" if good else "FAIL"]))
@@ -261,7 +261,7 @@ def cmd_reproduce(args) -> int:
         for n_er, wants in PAPER_ROOTS.items():
             tm = TransferMap(couplings, Partition(n_sites=10, n_s=3, n_r=3, n_er=n_er), 2)
             roots = scale.roots_at(tm, PAPER_TABLE_1A[n_er][0])
-            good = len(roots) == 3 and all(abs(r - w) <= 5e-4 for r, w in zip(roots, wants))
+            good = len(roots) == 3 and all(abs(r - w) <= LAMBDA_TOL for r, w in zip(roots, wants))
             ok &= good
             lines.append(_table_row([n_er, np.round(roots, 4), wants,
                                      "PASS" if good else "FAIL"]))

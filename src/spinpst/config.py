@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .basis import MAX_SITES
 from .chain import ChainSpec, CouplingMatrix, Partition, build_couplings
 from .protocol import VARIANTS
@@ -75,10 +73,6 @@ def _one_of(kind: str, *options: str):
     return parse
 
 
-def _numbers(text: str) -> tuple[float, ...]:
-    return tuple(_finite(x) for x in text.split(","))
-
-
 def _site_range(text: str) -> tuple[int, ...]:
     lo, dash, hi = text.partition("-")
     try:
@@ -108,12 +102,10 @@ def _overrides(text: str) -> dict[int, float]:
 
 KEYS = {
     "chain.n": (_int_range(2, MAX_SITES), None),
-    "chain.model": (_one_of("coupling model", "dipole", "explicit"), "dipole"),
-    "chain.positions": (_numbers, None),
+    # one legal value each; the keys stay so that older configs load
+    "chain.model": (_one_of("coupling model", "dipole"), "dipole"),
     "chain.nn_overrides": (_overrides, None),
-    # overrides are always distances; the key stays so that older configs load
     "chain.nn_override_mode": (_one_of("override mode", "distance"), "distance"),
-    "chain.matrix_file": (str, None),
     "partition.n_s": (_int_range(1), None),
     "partition.n_r": (_int_range(1), None),          # partition.n_s when absent
     "partition.n_er": (_int_range(1), None),
@@ -153,24 +145,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _chain_spec(values: dict) -> ChainSpec:
-    """The chain the chain.* keys describe; only the explicit model has a matrix file."""
-    path, matrix = values["chain.matrix_file"], None
-    if values["chain.model"] != "explicit":
-        if path is not None:
-            raise ValueError("chain.matrix_file needs chain.model = explicit, "
-                             f"got chain.model = {values['chain.model']}")
-    elif path is None:
-        raise ValueError("missing required key 'chain.matrix_file'")
-    else:
-        try:
-            matrix = np.loadtxt(path, delimiter=",", dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"chain.matrix_file {path!r}: {exc}") from exc
-    return ChainSpec(n_sites=values["chain.n"], positions=values["chain.positions"],
-                     nn_overrides=values["chain.nn_overrides"], matrix=matrix)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A checked configuration and its chain: ``cfg[key]`` is the parsed value
@@ -202,7 +176,8 @@ class RunConfig:
         if values["partition.n_r"] is None:
             values["partition.n_r"] = n_s
         try:
-            couplings = build_couplings(_chain_spec(values))
+            couplings = build_couplings(ChainSpec(n_sites=values["chain.n"],
+                                                  nn_overrides=values["chain.nn_overrides"]))
             partition = Partition(n_sites=values["chain.n"], n_s=n_s,
                                   n_r=values["partition.n_r"], n_er=values["partition.n_er"],
                                   s0_sites=values["partition.s0"],

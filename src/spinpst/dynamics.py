@@ -107,10 +107,6 @@ class TransferBlock:
     def columns(self) -> int:
         return self.v_hat.shape[1]
 
-    @property
-    def rows(self) -> int:
-        return self.v_hat.shape[0]
-
 
 def eigendecompose(h_block: np.ndarray) -> SectorEigensystem:
     """Diagonalize a Hermitian sector block.

@@ -6,8 +6,13 @@ at each tau0.  Table 2: homogeneous chains with n_er = 5, keyed by N, and
 the N=42 chain with the couplings of its two end bonds on each side set by
 ``N42_OVERRIDES`` (1-based bond i joins sites i and i + 1).
 ``TABLE_2_WINDOWS`` is the upper end of each scan window, which starts at
-tau = 0.
+tau = 0.  A reproduction matches when its registration time is within
+``TAU0_TOL`` of the published one and each |lambda| within ``LAMBDA_TOL``,
+half a unit in the last published digit.
 """
+
+TAU0_TOL = 1e-9
+LAMBDA_TOL = 5e-4
 
 PAPER_TABLE_1A = {4: (12.493, 0.435), 5: (14.391, 0.597), 6: (14.132, 0.714)}
 PAPER_ROOTS = {

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy first loads, as bench/run.py does: the
+# suite's many small dense products and expm calls run several times slower
+# on more threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -15,8 +15,8 @@ import pytest
 from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
                      build_couplings, fit_circuit, protocol, scale, solve_general)
 from spinpst.basis import k_states
-from spinpst.paper import (N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A, PAPER_TABLE_2,
-                           PAPER_TABLE_2_N42, TABLE_2_WINDOWS)
+from spinpst.paper import (LAMBDA_TOL, N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A,
+                           PAPER_TABLE_2, PAPER_TABLE_2_N42, TABLE_2_WINDOWS, TAU0_TOL)
 
 from _oracles import (expm_propagator, gram, lambda_polynomial, least_squares_lambda,
                       pauli_xx_hamiltonian, real_roots, restoring_columns,
@@ -40,16 +40,16 @@ def test_criterion_01_table_1a_scan(tmap10):
     ok = True
     for n_er, (tau_ref, lam_ref) in PAPER_TABLE_1A.items():
         res = results[n_er]
-        ok &= abs(res.tau0 - tau_ref) < 1e-9
-        ok &= abs(res.lambda_min - lam_ref) <= 5e-4
+        ok &= abs(res.tau0 - tau_ref) < TAU0_TOL
+        ok &= abs(res.lambda_min - lam_ref) <= LAMBDA_TOL
     _status("criterion 1: registration-time table",
             ok and elapsed < 120,
             " ".join(f"n_er={n}: tau0={results[n].tau0:.3f} "
                      f"lam={results[n].lambda_min:.4f}" for n in (4, 5, 6))
             + f" ({elapsed:.1f}s)")
     for n_er, (tau_ref, lam_ref) in PAPER_TABLE_1A.items():
-        assert results[n_er].tau0 == pytest.approx(tau_ref, abs=1e-9)
-        assert results[n_er].lambda_min == pytest.approx(lam_ref, abs=5e-4)
+        assert results[n_er].tau0 == pytest.approx(tau_ref, abs=TAU0_TOL)
+        assert results[n_er].lambda_min == pytest.approx(lam_ref, abs=LAMBDA_TOL)
     assert elapsed < 120
 
 
@@ -59,7 +59,7 @@ def test_criterion_02_root_lists(tmap10):
     for n_er, wants in PAPER_ROOTS.items():
         tau0 = PAPER_TABLE_1A[n_er][0]
         roots = scale.roots_at(tmap10(n_er), tau0)
-        good = len(roots) == 3 and all(abs(r - w) <= 5e-4
+        good = len(roots) == 3 and all(abs(r - w) <= LAMBDA_TOL
                                        for r, w in zip(roots, wants))
         ok &= good
         details.append(f"n_er={n_er}: {np.round(roots, 4)}")
@@ -78,8 +78,8 @@ def test_criterion_03_long_chains():
         part = Partition(n_sites=n, n_s=3, n_r=3, n_er=5)
         res = scale.scan(TransferMap(build_couplings(spec), part, 2), 0.0,
                          TABLE_2_WINDOWS[n], 0.001)
-        good = (abs(res.tau0 - tau_ref) < 1e-9 and
-                abs(res.lambda_min - lam_ref) <= 5e-4)
+        good = (abs(res.tau0 - tau_ref) < TAU0_TOL and
+                abs(res.lambda_min - lam_ref) <= LAMBDA_TOL)
         ok &= good
         details.append(f"N={n}: {res.tau0:.3f}/{res.lambda_min:.4f}")
         assert good, (n, res.tau0, res.lambda_min)

@@ -297,16 +297,29 @@ class TestCommands:
             p.write_text(p.read_text() + "solver.tau = 3\n")
             assert main([command, "--config", str(p), "--out", str(out)]) == 0
 
+    def test_scan_window_without_phase_digits_exits_2(self, tmp_path, capsys):
+        # the grid is fine, but near tau = 1e17 a phase lambda tau carries no digit
+        p = tmp_path / "e17.cfg"
+        p.write_text(BASE_CFG.replace("scan.tau_min = 0", "scan.tau_min = 1e17")
+                     .replace("scan.tau_max = 8", "scan.tau_max = 100000000000000800")
+                     .replace("scan.step = 0.01", "scan.step = 80"))
+        out = tmp_path / "out"
+        assert main(["scan", "--config", str(p), "--out", str(out)]) == 2
+        assert "where a phase lambda tau errs by up to" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scan_empty_range_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text(BASE_CFG.replace("scan.tau_max = 8", "scan.tau_max = -1"))
         assert main(["scan", "--config", str(p)]) == 2
 
     @pytest.mark.parametrize("extra, argv, message", [
-        ("chain.positions = 0,1,2,3,4,abc", ["roots", "--tau", "4.0"], "config error"),
+        # the explicit coupling model is gone: a config that sets its keys exits 2
+        ("chain.positions = 0,1,2,3,4,abc", ["roots", "--tau", "4.0"],
+         "unknown key 'chain.positions'"),
         ("partition.s0 = 4-x", ["roots", "--tau", "4.0"], "config error"),
         ("chain.model = explicit\nchain.matrix_file = {matrix}", ["roots", "--tau", "4.0"],
-         "config error"),
+         "unknown key 'chain.matrix_file'"),
         # non-finite numbers: NaN roots, a tolerance every residual passes, or
         # a traceback deep in the solve or the scan
         ("roots.tau = inf", ["roots"], "roots.tau must be a finite number"),
@@ -316,12 +329,13 @@ class TestCommands:
         ("solver.tau = nan", ["solve"], "solver.tau must be a finite number"),
         ("scan.tau_max = nan", ["scan", "--out", "{out}"],
          "scan.tau_max must be a finite number"),
+        # the key is named before any of its items is read
+        ("chain.positions = 0,1,2,3,4,nan", ["roots", "--tau", "4.0"],
+         "unknown key 'chain.positions'"),
+        ("chain.positions = 0,1,2,3,4,inf", ["roots", "--tau", "4.0"],
+         "unknown key 'chain.positions'"),
         # every item of a list is checked; a NaN coupling would otherwise fail
         # the exact symmetry check (NaN != NaN) with a misleading message
-        ("chain.positions = 0,1,2,3,4,nan", ["roots", "--tau", "4.0"],
-         "chain.positions must be a finite number"),
-        ("chain.positions = 0,1,2,3,4,inf", ["roots", "--tau", "4.0"],
-         "chain.positions must be a finite number"),
         ("chain.nn_overrides = 1-2:nan", ["roots", "--tau", "4.0"],
          "chain.nn_overrides must be a finite number"),
         ("chain.nn_overrides = 1-2:inf", ["roots", "--tau", "4.0"],
@@ -329,15 +343,13 @@ class TestCommands:
         # a bond listed twice would keep its last value
         ("chain.nn_overrides = 1-2:0.3,1-2:0.9", ["roots", "--tau", "4.0"],
          "chain.nn_overrides lists bond 1-2 twice"),
-        # overrides are always inter-site distances, whatever else the chain gives
-        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
-         "chain.positions = 0,1,2,3,4,5", ["roots", "--tau", "4.0"],
+        # overrides are always inter-site distances: beside overrides, beside
+        # the model's one value, and on its own
+        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct",
+         ["roots", "--tau", "4.0"], "chain.nn_override_mode must be one of distance"),
+        ("chain.model = dipole\nchain.nn_override_mode = direct", ["roots", "--tau", "4.0"],
          "chain.nn_override_mode must be one of distance"),
-        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
-         "chain.model = explicit", ["roots", "--tau", "4.0"],
-         "chain.nn_override_mode must be one of distance"),
-        ("chain.nn_overrides = 1-2:0.3\nchain.nn_override_mode = direct\n"
-         "chain.matrix_file = {matrix}", ["roots", "--tau", "4.0"],
+        ("chain.nn_override_mode = direct", ["roots", "--tau", "4.0"],
          "chain.nn_override_mode must be one of distance"),
         # every key is checked at load, also where the command does not read it
         ("solver.tol = abc", ["scan", "--format", "json", "--out", "{out}"],
@@ -356,9 +368,9 @@ class TestCommands:
         ("output.path = {out}", ["roots", "--tau", "4.0"], "unknown key 'output.path'"),
         # the sector bitmasks are int64
         ("chain.n = 64", ["roots", "--tau", "4.0"], "chain.n must be <= 63"),
-        # the dipole model would run without ever opening the file
+        # a coupling file is never opened, so it may not be silently ignored
         ("chain.matrix_file = /nonexistent/d.csv", ["roots", "--tau", "4.0"],
-         "chain.matrix_file needs chain.model = explicit"),
+         "unknown key 'chain.matrix_file'"),
     ], ids=["positions", "s0", "matrix_file", "roots-tau-inf", "tau-flag-nan",
             "tau-flag-inf", "tol-nan", "solver-tau-nan", "scan-tau-max-nan",
             "positions-nan", "positions-inf", "overrides-nan", "overrides-inf",
@@ -417,30 +429,27 @@ class TestCommands:
         assert not out.exists()
 
     def test_coupling_matrix_error_exits_2(self, tmp_path, capsys):
-        # symmetric to np.allclose but not exactly
-        m = np.ones((6, 6)) - np.eye(6)
-        m[0, 1] += 1e-12
-        matrix = tmp_path / "d.csv"
-        np.savetxt(matrix, m, delimiter=",")
+        # the dipole model is the only one; a coupling matrix of any other
+        # model is a CouplingMatrix built in code, with its checks there
         p = tmp_path / "bad.cfg"
-        p.write_text(BASE_CFG.replace("chain.model = dipole", "chain.model = explicit\n"
-                                      f"chain.matrix_file = {matrix}"))
+        p.write_text(BASE_CFG.replace("chain.model = dipole", "chain.model = explicit"))
         assert main(["roots", "--config", str(p), "--tau", "4.0"]) == 2
-        assert "coupling matrix must be exactly symmetric" in capsys.readouterr().err
+        assert "chain.model must be one of dipole" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, message", [
-        ("chain.positions = 0,1,2,3,4,9", "give either positions or matrix, not both"),
-        ("chain.nn_overrides = 1-2:0.3", "give either nn_overrides or matrix, not both"),
+        ("chain.matrix_file = {matrix}\nchain.positions = 0,1,2,3,4,9",
+         "unknown key 'chain.matrix_file'"),
+        ("chain.nn_overrides = 1-2:0.3", "chain.model must be one of dipole"),
     ], ids=["positions", "nn-overrides"])
     def test_explicit_matrix_beside_geometry_exits_2(self, tmp_path, capsys, extra, message):
-        # the matrix would hold and the geometry be dropped
+        # an older config of the explicit model exits 2 whatever geometry it gives
         sites = np.arange(6.0)
         gaps = np.abs(sites[:, None] - sites[None, :]) + np.eye(6)
         matrix = tmp_path / "d.csv"
         np.savetxt(matrix, (1.0 - np.eye(6)) / gaps ** 3, delimiter=",")
         p = tmp_path / "bad.cfg"
         p.write_text(BASE_CFG.replace("chain.model = dipole", "chain.model = explicit\n"
-                                      f"chain.matrix_file = {matrix}\n{extra}"))
+                                      + extra.format(matrix=matrix)))
         assert main(["roots", "--config", str(p), "--tau", "4.0"]) == 2
         assert message in capsys.readouterr().err
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpst import (ChainSpec, Partition, TransferMap, basis, build_couplings,
-                     chain, dynamics, scale)
+from spinpst import (ChainSpec, CouplingMatrix, Partition, TransferMap, basis,
+                     build_couplings, chain, dynamics, scale)
 from spinpst.config import RunConfig
 
 from _oracles import (block_gram_batch, expm_propagator, gram_stack, pauli_xx_hamiltonian,
@@ -171,7 +171,7 @@ def explicit_chain(n, scale_by, seed, mirror=False):
     m = m + m.T
     if mirror:
         m = (m + m[::-1, ::-1]) / 2
-    return build_couplings(ChainSpec(n_sites=n, matrix=scale_by * m))
+    return CouplingMatrix(scale_by * m)
 
 
 class TestInterpolatedBlocks:
