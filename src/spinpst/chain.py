@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import k_states
+from .basis import binom, k_states
 
 
 class InvalidSpecError(ValueError):
@@ -164,13 +164,9 @@ def build_couplings(spec: ChainSpec) -> CouplingMatrix:
     return CouplingMatrix(d=d)
 
 
-def hamiltonian_block(couplings: CouplingMatrix, k: int) -> np.ndarray:
-    """k-excitation block of the XX Hamiltonian in the sector basis.
-
-    Element between states differing by one excitation hop i -> j is D_ij/2;
-    everything else (including the diagonal) is zero, so the output is a real
-    symmetric float64 matrix.
-    """
+def sector_hops(couplings: CouplingMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Target and source sector ordinals and D_ij/2 of every one-excitation hop i -> j;
+    two states one hop apart fix the hop, so no (target, source) pair repeats."""
     n = couplings.n_sites
     sector = k_states(n, k)
     bits = ((sector.states[:, None] >> np.arange(n)) & 1).astype(bool)
@@ -179,8 +175,17 @@ def hamiltonian_block(couplings: CouplingMatrix, k: int) -> np.ndarray:
     empty = np.nonzero(~bits)[1].reshape(len(sector), n - k)[:, None, :]
     target = (sector.states[:, None, None] ^ (1 << occ)) | (1 << empty)
     source = np.broadcast_to(np.arange(len(sector))[:, None, None], target.shape)
-    rows = sector.ordinals(target)
-    # two states one hop apart fix the hop, so each entry is written once
-    h = np.zeros((len(sector), len(sector)))
-    h[rows, source] = couplings.d[occ, empty] / 2.0
+    return sector.ordinals(target).ravel(), source.ravel(), (couplings.d[occ, empty] / 2.0).ravel()
+
+
+def hamiltonian_block(couplings: CouplingMatrix, k: int) -> np.ndarray:
+    """k-excitation block of the XX Hamiltonian in the sector basis.
+
+    Element between states differing by one excitation hop i -> j is D_ij/2;
+    everything else (including the diagonal) is zero, so the output is a real
+    symmetric float64 matrix.
+    """
+    rows, cols, values = sector_hops(couplings, k)
+    h = np.zeros((binom(couplings.n_sites, k),) * 2)
+    h[rows, cols] = values
     return h

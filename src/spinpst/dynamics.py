@@ -11,14 +11,14 @@ elements between "all excitations in the sender" and "all excitations in
 the extended receiver" states, both in sector-basis order, so it reads only
 those rows of U.
 
-A scan evaluates the block on a uniform tau grid, a block of grid points at
-a time.  Within a block the phases exp(-i lambda j delta) are an entire
+A scan evaluates the block on a uniform tau grid, one block of SCAN_CHUNK
+points per call.  Within a block the phases exp(-i lambda j delta) are an entire
 function of the offset j delta whose band limit is max|lambda|, so a few
 Chebyshev nodes carry them: the block is the transfer block at the nodes,
 spread over the grid by a real Lagrange matrix, with an interpolation error
 below the unit roundoff.  The scan takes the block's Gram matrices V^dag V
 as parts; their spectra come from ``scale.jacobi_eigenvalues``, a cyclic
-Jacobi kernel run on a whole chunk of Grams at once that rotates a pair
+Jacobi kernel run on two chunks of Grams at once that rotates a pair
 only where |g_pq| > eps sqrt(g_pp g_qq).
 """
 
@@ -30,20 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import embed_subsystem, mirror_ordinals
-from .chain import CouplingMatrix, Partition, hamiltonian_block
+from .chain import CouplingMatrix, Partition, hamiltonian_block, sector_hops
 
 HERMITICITY_TOL = 1e-10
 # Largest mirror asymmetry max|D - JDJ| / max|D| whose sector blocks split by
 # parity.  The adjusted N=42 chain's positions come from a cumsum and sit
 # at 24 eps, so 8 eps would miss it.
 MIRROR_TOL = 64 * np.finfo(float).eps
-# Grid points per interpolated block in TransferMap.gram_batch; a divisor of
-# SCAN_CHUNK.  Full Table 1a/2 grids at step 0.001 (k=2, n_er=5, 2 cores, one
-# BLAS thread, medians of 9, four runs), 128 / 256 / 512 / 1024 / 2048: N=10
-# 6-10 / 5-8 / 5-7 / 4-6 / 5-7 ms, N=30 26-38 / 18-28 / 14-24 / 12-20 / 14-19
-# ms, N=42 59-90 / 38-45 / 28-38 / 22-23 / 21-22 ms; 10-19 nodes per block.
-GRAM_BLOCK = 512
-# Grid points per gram_batch call in scale.scan, which bounds its peak memory.
+# Grid points per gram_batch call in scale.scan (bounds its memory), one block of 20-21 nodes
+# on the published grids.  Gram layer, full Table 1a/2 grids, N=10/30/42, 1 BLAS thread, ms:
+# 4.6-7.1/11.7-13.7/19.9-28.3, against 4.4-7.2/14.0-22.6/28.8-31.7 for 512-point blocks.
 SCAN_CHUNK = 2048
 
 
@@ -141,10 +137,10 @@ def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
     pairs each state m with its mirror image Jm.  In the basis of
     (|m> + |Jm>)/sqrt2 and the states fixed by J, and of (|m> - |Jm>)/sqrt2,
     H splits into an even and an odd block of about half the size each.
-    Both are taken from the symmetrised H_sym = (H + JHJ)/2 by index pairs
-    and diagonalised apart; the eigensystem keeps their eigenvectors as the
-    factor of one real U in the sector basis, eigenvalues ascending as from
-    one block.
+    Both are summed from the symmetrised H_sym = (H + JHJ)/2, read off the
+    sector's hop list without forming H, and diagonalised apart; the
+    eigensystem keeps their eigenvectors as the factor of one real U in the
+    sector basis, eigenvalues ascending as from one block.
     H_sym is the Hamiltonian of the couplings (D + JDJ)/2, and
     exp(-iH tau) - exp(-iH_sym tau) is an integral over [0, tau] of unitary
     factors around H - H_sym, so ||V_hat - V_hat_sym||_2 <= tau ||H - H_sym||_2.
@@ -156,33 +152,38 @@ def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
     d = couplings.d
     if np.abs(d - d[::-1, ::-1]).max() > MIRROR_TOL * np.abs(d).max():
         return eigendecompose(hamiltonian_block(couplings, k))
-    h = hamiltonian_block(couplings, k)
     mirror = mirror_ordinals(couplings.n_sites, k)
     ordinal = np.arange(len(mirror))
-    a, fixed = ordinal[ordinal < mirror], ordinal[ordinal == mirror]
-    b = mirror[a]
-    # each sum adds the same two operands for (i, j) and (j, i), so both
-    # blocks are exactly symmetric
-    same = h[np.ix_(a, a)] + h[np.ix_(b, b)]
-    cross = h[np.ix_(a, b)] + h[np.ix_(b, a)]
-    pair_fixed = (h[np.ix_(a, fixed)] + h[np.ix_(b, fixed)]) / np.sqrt(2)
+    parity = np.sign(mirror - ordinal)
+    a, fixed = ordinal[parity > 0], ordinal[parity == 0]
+    n_pairs, n_fixed = len(a), len(fixed)
+    block_row = np.empty_like(mirror)
+    block_row[a] = block_row[mirror[a]] = np.arange(n_pairs)
+    block_row[fixed] = n_pairs + np.arange(n_fixed)
+    # H[rows, cols] = values; same = H[a, a] + H[b, b] and cross = H[a, b] + H[b, a] (b = Ja)
+    # give each entry at most two addends: exactly symmetric, bit for bit the gathered sums
+    rows, cols, values = sector_hops(couplings, k)
+    local = np.where(parity == 0, block_row - n_pairs, block_row)
+    r, c, p_r, p_c = local[rows], local[cols], parity[rows], parity[cols]
+
+    def summed(where, n_r, n_c):
+        return np.bincount(r[where] * n_c + c[where], values[where],
+                           minlength=n_r * n_c).reshape(n_r, n_c)
+    same = summed((p_r == p_c) & (p_r != 0), n_pairs, n_pairs)
+    cross = summed((p_r == -p_c) & (p_r != 0), n_pairs, n_pairs)
+    pair_fixed = summed((p_r != 0) & (p_c == 0), n_pairs, n_fixed) / np.sqrt(2)
     even_h = np.block([[(same + cross) / 2, pair_fixed],
-                       [pair_fixed.T, h[np.ix_(fixed, fixed)]]])
+                       [pair_fixed.T, summed((p_r == 0) & (p_c == 0), n_fixed, n_fixed)]])
     odd_h = (same - cross) / 2
-    del h, same, cross      # only the two blocks stay alive through eigh
+    del rows, cols, values, r, c, p_r, p_c, same, cross    # only the blocks live through eigh
     even, odd = eigendecompose(even_h), eigendecompose(odd_h)
-    n_pairs = len(a)
     u_even, u_odd = even.blocks[0], odd.blocks[0]
     u_even[:n_pairs] /= np.sqrt(2)
     u_odd /= np.sqrt(2)
-    block_row = np.empty_like(mirror)
-    block_row[a] = block_row[b] = np.arange(n_pairs)
-    block_row[fixed] = n_pairs + np.arange(len(fixed))
     evals = np.concatenate([even.eigenvalues, odd.eigenvalues])
     order = np.argsort(evals, kind="stable")
     return SectorEigensystem(eigenvalues=evals[order], blocks=(u_even, u_odd),
-                             block_row=block_row, parity=np.sign(mirror - ordinal),
-                             order=order)
+                             block_row=block_row, parity=parity, order=order)
 
 
 class TransferMap:
@@ -218,18 +219,18 @@ class TransferMap:
     def gram_batch(self, taus: np.ndarray, step: float) -> tuple[np.ndarray, list]:
         """Gram matrices V^dag V of the transfer block on the grid taus[0] + step j, as parts.
 
-        Per block of GRAM_BLOCK points from tau_lo, V is the step table
+        The call is one interpolated block: V is the step table
         exp(-i lambda j delta) = ``interp @ node_phases`` (``_step_nodes``,
-        kept for the next call of equal block length and step) times K scaled
-        by the exact base phases exp(-i lambda tau_lo): one real GEMM of the
+        kept for the next call of equal length and step) times K scaled by
+        the exact base phases exp(-i lambda taus[0]): one real GEMM of the
         (Re; Im) rows of ``node_phases * base`` against K, and one spreading
-        the nodes over the block into real planes, grid point last, V[row,
+        the nodes over the grid into real planes, grid point last, V[row,
         col] = planes[col, 0, row] + i planes[col, 1, row].  As the rows of U
         are unit vectors, V inherits the phases' error, below the unit
         roundoff; ``interp`` is the identity, and V exact, where the bound
-        asks for as many nodes as points.  Dots down the planes' columns over
-        all of taus give the (s, n) real diagonal and the s(s-1)/2 complex
-        (n,) upper entries for ``scale.jacobi_eigenvalues``.  A grid off
+        asks for as many nodes as points.  Dots down the planes' columns
+        give the (s, n) real diagonal and the s(s-1)/2 complex (n,) upper
+        entries for ``scale.jacobi_eigenvalues``.  A grid off
         taus[0] + step j beyond rounding raises ValueError.
         """
         taus = np.asarray(taus, dtype=float)
@@ -238,22 +239,19 @@ class TransferMap:
         if np.abs(taus - taus[:1] - step * np.arange(n_t)).max(initial=0.0) > \
                 16 * np.finfo(float).eps * scale:
             raise ValueError("gram_batch needs the uniform tau grid taus[0] + step j")
-        lam, key = self.eig.eigenvalues, (min(GRAM_BLOCK, n_t), step)
+        lam, key = self.eig.eigenvalues, (n_t, step)
         if self._step_table[0] != key:
             offsets, interp = _step_nodes(*key, float(np.abs(lam).max(initial=0.0)))
             self._step_table = (key, interp, np.exp(-1j * np.outer(offsets, lam)))
         _, interp, node_phases = self._step_table
-        planes = np.empty((s, 2, r, n_t))
-        for lo in range(0, n_t, GRAM_BLOCK):
-            phases = node_phases * np.exp(-1j * lam * taus[lo])
-            nodes = (np.vstack([phases.real, phases.imag]) @ self._khatri_rao).reshape(2, -1, r, s)
-            np.matmul(nodes.transpose(3, 0, 2, 1).reshape(2 * r * s, -1), interp[:n_t - lo].T,
-                      out=planes.reshape(-1, n_t)[:, lo:lo + GRAM_BLOCK])
-        cols = planes.reshape(s, 2 * r, n_t)
+        phases = node_phases * np.exp(-1j * np.outer(taus[:1], lam))   # no rows for no taus
+        nodes = (np.vstack([phases.real, phases.imag]) @ self._khatri_rao).reshape(2, -1, r, s)
+        planes = nodes.transpose(3, 0, 2, 1).reshape(2 * r * s, -1) @ interp.T
+        cols = planes.reshape(s, 2 * r, n_t)         # rows: r real parts, then r imaginary
         return np.einsum("cij,cij->cj", cols, cols), [
             np.einsum("ij,ij->j", cols[p], cols[q]) + 1j * (
-                np.einsum("ij,ij->j", planes[p, 0], planes[q, 1])
-                - np.einsum("ij,ij->j", planes[p, 1], planes[q, 0]))
+                np.einsum("ij,ij->j", cols[p, :r], cols[q, r:])
+                - np.einsum("ij,ij->j", cols[p, r:], cols[q, :r]))
             for p, q in itertools.combinations(range(s), 2)]
 
 
@@ -281,8 +279,8 @@ def _step_nodes(b: int, delta: float, lam_max: float) -> tuple[np.ndarray, np.nd
     theta = (2 * np.arange(p) + 1) * np.pi / (2 * p)
     x_nodes = np.cos(theta)
     weights = (-1.0) ** np.arange(p) * np.sin(theta)
-    # no offset equals a node in floating point for any b <= 1024 and P < b
-    # (checked exhaustively), so no row of the formula divides by zero
+    # no offset equals a node in floating point for b <= 2048 and P < b, so no row
+    # divides by zero (test_lagrange_rows_are_finite_for_every_block_length)
     terms = weights / ((2 * np.arange(b) / (b - 1) - 1)[:, None] - x_nodes)
     interp = terms / terms.sum(axis=1, keepdims=True)
     return delta * (b - 1) / 2 * (1 + x_nodes), interp

@@ -11,7 +11,8 @@ companion-matrix roots (the package takes the Gram spectrum), the Gram
 spectrum from LAPACK's Hermitian eigensolver (the package runs its own
 Jacobi kernel), the scan's Grams from complex transfer blocks and a
 batched v^H v (the package takes column dots of real planes), the
-dimensionality feasibility test, transfer blocks cut
+mirror-parity blocks gathered from the dense sector block (the package
+sums them from the hop list), the dimensionality feasibility test, transfer blocks cut
 from a full sector propagator, the full-space Hamiltonian as the direct sum
 of the package's sector blocks, and the gate-level composition of the four
 protocol variants over the 2**N space with their value/pattern cascades
@@ -28,10 +29,10 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import least_squares
 
-from spinpst.basis import binom, embed_subsystem, k_states
+from spinpst.basis import binom, embed_subsystem, k_states, mirror_ordinals
 from spinpst.chain import CouplingMatrix, Partition, hamiltonian_block
-from spinpst.dynamics import (GRAM_BLOCK, TransferBlock, TransferMap, _step_nodes,
-                              propagator, sector_eigensystem)
+from spinpst.dynamics import (TransferBlock, TransferMap, _step_nodes, propagator,
+                              sector_eigensystem)
 from spinpst.restore import _register_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -159,23 +160,41 @@ def lapack_singular_values(grams: np.ndarray) -> np.ndarray:
 
 
 def block_gram_batch(tm: TransferMap, taus: np.ndarray, step: float) -> np.ndarray:
-    """(n, s, s) Grams on the grid taus[0] + step j by complex blocks and batched v^H v.
+    """(n, s, s) Grams on the grid taus[0] + step j by a complex block and batched v^H v.
 
-    The package's former scan route, block by block of GRAM_BLOCK points:
-    the node blocks ``node_phases @ (base * K)`` as one complex GEMM, spread
-    over the grid by the Lagrange matrix, and one (s x r)(r x s) product per
-    grid point.  It shares the base phases and the step table with
+    The package's former scan route on one interpolated block: the node
+    block ``node_phases @ (base * K)`` as one complex GEMM, spread over the
+    grid by the Lagrange matrix, and one (s x r)(r x s) product per grid
+    point.  It shares the base phases and the step table with
     ``TransferMap.gram_batch``, not its arithmetic.
     """
-    lam, n_t = tm.eig.eigenvalues, len(taus)
-    offsets, interp = _step_nodes(min(GRAM_BLOCK, n_t), step, float(np.abs(lam).max()))
-    node_phases = np.exp(-1j * np.outer(offsets, lam))
-    grams = []
-    for lo in range(0, n_t, GRAM_BLOCK):
-        nodes = node_phases @ (np.exp(-1j * lam * taus[lo])[:, None] * tm._khatri_rao)
-        v = (interp[:n_t - lo] @ nodes.view(float)).view(complex).reshape(-1, tm.n_er_k, tm.n_s_k)
-        grams.append(v.conj().transpose(0, 2, 1) @ v)
-    return np.concatenate(grams)
+    lam = tm.eig.eigenvalues
+    offsets, interp = _step_nodes(len(taus), step, float(np.abs(lam).max()))
+    nodes = np.exp(-1j * np.outer(offsets, lam)) @ (
+        np.exp(-1j * lam * taus[0])[:, None] * tm._khatri_rao)
+    v = (interp @ nodes.view(float)).view(complex).reshape(-1, tm.n_er_k, tm.n_s_k)
+    return v.conj().transpose(0, 2, 1) @ v
+
+
+def gathered_parity_blocks(couplings: CouplingMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd mirror-parity blocks of the k-sector, gathered from the dense block.
+
+    The package's former construction: with a the first state of each
+    mirror pair, b = Ja its image and the fixed states last, the pair blocks
+    of H_sym = (H + JHJ)/2 are summed from ``np.ix_`` gathers of the dense
+    ``hamiltonian_block``.
+    """
+    h = hamiltonian_block(couplings, k)
+    mirror = mirror_ordinals(couplings.n_sites, k)
+    ordinal = np.arange(len(mirror))
+    a, fixed = ordinal[ordinal < mirror], ordinal[ordinal == mirror]
+    b = mirror[a]
+    same = h[np.ix_(a, a)] + h[np.ix_(b, b)]
+    cross = h[np.ix_(a, b)] + h[np.ix_(b, a)]
+    pair_fixed = (h[np.ix_(a, fixed)] + h[np.ix_(b, fixed)]) / np.sqrt(2)
+    even = np.block([[(same + cross) / 2, pair_fixed],
+                     [pair_fixed.T, h[np.ix_(fixed, fixed)]]])
+    return even, (same - cross) / 2
 
 
 def gram_stack(diag: np.ndarray, upper) -> np.ndarray:

@@ -96,6 +96,14 @@ class TestHamiltonianBlock:
                 assert np.array_equal(chain.hamiltonian_block(c, k),
                                       hamiltonian_block_loop(c.d, k))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_hop_is_one_distinct_entry(self, n):
+        c = chain.build_couplings(chain.ChainSpec(n_sites=n))
+        for k in range(n + 1):
+            rows, cols, values = chain.sector_hops(c, k)
+            assert len(rows) == basis.binom(n, k) * k * (n - k)
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+
     def test_same_bytes_as_the_loop_n42(self):
         spec = chain.ChainSpec(n_sites=42, nn_overrides={1: 0.3005, 2: 0.5311,
                                                          40: 0.5311, 41: 0.3005})

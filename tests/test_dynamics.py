@@ -10,10 +10,12 @@ from spinpst import (ChainSpec, CouplingMatrix, Partition, TransferMap, basis,
                      build_couplings, chain, dynamics, scale)
 from spinpst.config import RunConfig
 
-from _oracles import (block_gram_batch, expm_propagator, gram_stack, pauli_xx_hamiltonian,
-                      plane_gram_parts, restrict_to_sector, transfer_block)
+from _oracles import (block_gram_batch, expm_propagator, gathered_parity_blocks, gram_stack,
+                      pauli_xx_hamiltonian, plane_gram_parts, restrict_to_sector,
+                      transfer_block)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+EPS = np.finfo(float).eps
 
 
 class TestEigendecompose:
@@ -137,13 +139,19 @@ class TestTransferBlock:
             assert np.abs(v_full[np.ix_(others, list(masks))]).max() < 1e-12
 
     def test_gram_batch_matches_single_tau_at_block_edges(self, tmap10):
+        # two calls, as a scan makes them: each is one interpolated block
         tm = tmap10(5)
         taus = 10.0 + 0.001 * np.arange(3001)
-        grams = gram_stack(*tm.gram_batch(taus, 0.001))
-        b = dynamics.GRAM_BLOCK
-        for i in (0, b - 1, b, 2047, 2048, len(taus) - 1):
+        b = dynamics.SCAN_CHUNK
+        grams = np.concatenate([gram_stack(*tm.gram_batch(taus[:b], 0.001)),
+                                gram_stack(*tm.gram_batch(taus[b:], 0.001))])
+        for i in (0, b // 2, b - 1, b, len(taus) - 1):
             v = tm.v_hat(taus[i]).v_hat
             assert np.abs(grams[i] - v.conj().T @ v).max() < 1e-13
+
+    def test_gram_batch_of_no_points_is_empty(self, tmap10):
+        diag, upper = tmap10(5).gram_batch(np.array([]), 0.001)
+        assert diag.shape == (3, 0) and [u.shape for u in upper] == [(0,)] * 3
 
     def test_gram_batch_rejects_non_uniform_grid(self, tmap10):
         with pytest.raises(ValueError, match="uniform"):
@@ -175,11 +183,11 @@ def explicit_chain(n, scale_by, seed, mirror=False):
 
 
 class TestInterpolatedBlocks:
-    B = dynamics.GRAM_BLOCK
+    B = dynamics.SCAN_CHUNK         # grid points per Gram call in a scan, one block each
 
-    @pytest.mark.parametrize("n_t", [1, 2, B - 1, B, B + 1, 2 * B + 37])
+    @pytest.mark.parametrize("n_t", [1, 2, 511, 512, 513, 1061, B - 1, B, B + 1, 2 * B + 37])
     def test_gram_batch_matches_single_tau(self, tmap10, n_t):
-        # every offset of the first block, its neighbour and the partial last block
+        # every offset of one block: a scan's length, shorter and longer ones
         tm = tmap10(5)
         taus = 13.7 + 0.001 * np.arange(n_t)
         grams = gram_stack(*tm.gram_batch(taus, 0.001))
@@ -188,10 +196,11 @@ class TestInterpolatedBlocks:
     def test_fewer_nodes_than_grid_points_at_the_published_grid(self, tmap10):
         lam_max = np.abs(tmap10(5).eig.eigenvalues).max()
         offsets, interp = dynamics._step_nodes(self.B, 0.001, lam_max)
-        assert interp.shape == (self.B, len(offsets)) and len(offsets) < 20
+        assert interp.shape == (self.B, len(offsets)) and len(offsets) <= 21
         # the Lagrange rows reproduce constants and the offsets themselves
         assert np.abs(interp.sum(axis=1) - 1).max() < 1e-13
-        assert np.abs(interp @ offsets - 0.001 * np.arange(self.B)).max() < 1e-15
+        span = 0.001 * (self.B - 1)
+        assert np.abs(interp @ offsets - 0.001 * np.arange(self.B)).max() < 8 * EPS * span
 
     @pytest.mark.parametrize("lam_max", [2.4, 24.0, 240.0])
     def test_lagrange_rows_are_finite_for_every_block_length(self, lam_max):
@@ -205,26 +214,22 @@ class TestInterpolatedBlocks:
         c = explicit_chain(8, 100.0, seed=3)
         tm = TransferMap(c, Partition(n_sites=8, n_s=2, n_r=2, n_er=3), 2)
         lam = tm.eig.eigenvalues
-        taus = 0.4 + 0.01 * np.arange(self.B + 100)
-        offsets, interp = dynamics._step_nodes(self.B, 0.01, np.abs(lam).max())
-        assert np.array_equal(interp, np.eye(self.B))
-        steps = np.exp(-1j * np.outer(0.01 * np.arange(self.B), lam))
-        v = []
-        for lo in range(0, len(taus), self.B):
-            m = min(self.B, len(taus) - lo)
-            phases = steps * np.exp(-1j * lam * taus[lo])
-            re, im = (np.vstack([phases.real, phases.imag]) @ tm._khatri_rao).reshape(
-                2, self.B, tm.n_er_k, tm.n_s_k)[:, :m]
-            v.append(re + 1j * im)
-        # the step-table blocks through the kernel's Gram arithmetic, bit for bit
+        n_t = 612
+        taus = 0.4 + 0.01 * np.arange(n_t)
+        offsets, interp = dynamics._step_nodes(n_t, 0.01, np.abs(lam).max())
+        assert np.array_equal(interp, np.eye(n_t))
+        phases = np.exp(-1j * np.outer(0.01 * np.arange(n_t), lam)) * np.exp(-1j * lam * taus[0])
+        re, im = (np.vstack([phases.real, phases.imag]) @ tm._khatri_rao).reshape(
+            2, n_t, tm.n_er_k, tm.n_s_k)
+        # the step-table block through the kernel's Gram arithmetic, bit for bit
         diag, upper = tm.gram_batch(taus, 0.01)
-        want_diag, want_upper = plane_gram_parts(np.concatenate(v))
+        want_diag, want_upper = plane_gram_parts(re + 1j * im)
         assert np.array_equal(diag, want_diag)
         assert np.array_equal(upper, want_upper)
 
     @given(sector=st.sampled_from([(3, 3), (3, 2), (4, 2)]), mirror=st.booleans(),
            step=st.sampled_from([0.001, 0.01, 0.07]), fallback=st.booleans(),
-           n_t=st.integers(1, 2 * B + 40), tau_lo=st.floats(0.0, 30.0),
+           n_t=st.integers(1, B + 40), tau_lo=st.floats(0.0, 30.0),
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_gram_parts_match_batched_and_single_tau_grams(self, sector, mirror, step, fallback,
@@ -235,9 +240,8 @@ class TestInterpolatedBlocks:
         c = explicit_chain(n, 16.0 / step if fallback else 1.5, seed, mirror)
         tm = TransferMap(c, Partition(n_sites=n, n_s=n_s, n_r=n_s, n_er=4), k)
         lam_max = float(np.abs(tm.eig.eigenvalues).max())
-        b = min(self.B, n_t)
         if fallback:
-            assert np.array_equal(dynamics._step_nodes(b, step, lam_max)[1], np.eye(b))
+            assert np.array_equal(dynamics._step_nodes(n_t, step, lam_max)[1], np.eye(n_t))
         taus = tau_lo + step * np.arange(n_t)
         diag, upper = tm.gram_batch(taus, step)
         assert diag.shape == (tm.n_s_k, n_t) and len(upper) == tm.n_s_k * (tm.n_s_k - 1) // 2
@@ -327,6 +331,30 @@ class TestMirrorSplit:
             assert sizes == [one.dim]
             assert np.array_equal(eig.eigenvalues, one.eigenvalues)
             assert np.array_equal(eig.eigenvectors, one.eigenvectors)
+
+    @pytest.mark.parametrize("name", ["table1a_er4", "table2_n30", "table2_n42_distance"])
+    def test_parity_blocks_are_the_gathered_blocks(self, name, monkeypatch):
+        # N = 10, 30 and the adjusted N = 42 chain, bit for bit, without a dense block
+        c = RunConfig.from_file(CONFIGS / f"{name}.cfg").couplings()
+        even, odd = gathered_parity_blocks(c, 2)
+        blocks, eigendecompose = [], dynamics.eigendecompose
+        monkeypatch.setattr(dynamics, "eigendecompose",
+                            lambda h: blocks.append(h) or eigendecompose(h))
+        monkeypatch.setattr(dynamics, "hamiltonian_block", None)
+        dynamics.sector_eigensystem(c, 2)
+        assert len(blocks) == 2
+        assert np.array_equal(blocks[0], even) and np.array_equal(blocks[1], odd)
+
+    def test_asymmetric_override_takes_one_block_through_hamiltonian_block(self, monkeypatch):
+        c = build_couplings(ChainSpec(n_sites=12, nn_overrides={3: 0.8}))
+        calls, build = [], dynamics.hamiltonian_block
+        monkeypatch.setattr(dynamics, "hamiltonian_block",
+                            lambda c, k: calls.append(k) or build(c, k))
+        eig, sizes = diagonalised_blocks(c, 2)
+        assert calls == [2] and sizes == [66]
+        one = dynamics.eigendecompose(chain.hamiltonian_block(c, 2))
+        assert np.array_equal(eig.eigenvalues, one.eigenvalues)
+        assert np.array_equal(eig.eigenvectors, one.eigenvectors)
 
     def test_n42_distance_reading_splits(self):
         c = RunConfig.from_file(CONFIGS / "table2_n42_distance.cfg").couplings()

@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpst import ChainSpec, Partition, TransferMap, build_couplings, scale
-from spinpst.dynamics import GRAM_BLOCK, SCAN_CHUNK
+from spinpst.config import RunConfig
+from spinpst.dynamics import SCAN_CHUNK
 from spinpst.paper import LAMBDA_TOL, PAPER_ROOTS, PAPER_TABLE_1A, TAU0_TOL
 
 from _oracles import (cubic_from_gram, expm_propagator, feasibility, gram, gram_stack,
@@ -14,6 +16,12 @@ from _oracles import (cubic_from_gram, expm_propagator, feasibility, gram, gram_
                       pauli_xx_hamiltonian, random_unitary, real_roots, transfer_block)
 
 EPS = np.finfo(float).eps
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# The scan's precision contract (README): every root is within
+# C1 eps + C2 eps max|lambda| max|tau| of the exact singular value.
+CONTRACT_C1, CONTRACT_C2 = 8, 1
+TABLE_WINDOWS = ["table1a_er4", "table1a_er5", "table1a_er6", "table2_n20", "table2_n30",
+                 "table2_n40", "table2_n42_distance"]
 
 
 def random_psd(rng, n):
@@ -247,9 +255,10 @@ class TestScan:
             assert mins[j] >= 0.9 * mins[i0]
 
     def test_rows_at_block_and_chunk_edges_match_single_tau(self, tmap10):
-        chunk, b = SCAN_CHUNK, GRAM_BLOCK
-        res = scale.scan(tmap10(5), 10.0, 13.0, 0.001)
-        for i in (0, b - 1, b, chunk - 1, chunk, len(res.taus) - 1):
+        # a Gram call's block is SCAN_CHUNK points and Jacobi takes two calls at a time
+        chunk = SCAN_CHUNK
+        res = scale.scan(tmap10(5), 10.0, 15.0, 0.001)
+        for i in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, len(res.taus) - 1):
             want = lapack_singular_values(gram(tmap10(5).v_hat(res.taus[i])).g)
             assert np.abs(res.roots[i] - want).max() < 1e-13
 
@@ -279,6 +288,23 @@ class TestScan:
             v = transfer_block(sector_expm10(res.taus[i]), part10(n_er), 2).v_hat
             want = np.sort(np.linalg.svd(v, compute_uv=False))
             assert np.abs(res.roots[i] - want).max() < 1e-15, res.taus[i]
+
+    @pytest.mark.parametrize("name", TABLE_WINDOWS)
+    def test_roots_meet_the_precision_contract_against_expm(self, name):
+        # every Table 1a and Table 2 window, N = 10, 20, 30, 40, 42: both ends,
+        # a third of the way and the peak
+        cfg = RunConfig.from_file(CONFIGS / f"{name}.cfg")
+        c, part, k = cfg.couplings(), cfg.partition(), cfg["excitation.k"]
+        res = scale.scan(TransferMap(c, part, k), cfg["scan.tau_min"], cfg["scan.tau_max"],
+                         cfg["scan.step"])
+        h = hamiltonian_block_loop(c.d, k)
+        lam_max = np.abs(np.linalg.eigvalsh(h)).max()
+        bound = EPS * (CONTRACT_C1 + CONTRACT_C2 * lam_max * np.abs(res.taus).max())
+        last = len(res.taus) - 1
+        for i in sorted({0, last // 3, int(np.argmax(res.roots[:, 0])), last}):
+            v = transfer_block(expm_propagator(h, res.taus[i]), part, k).v_hat
+            want = np.sort(np.linalg.svd(v, compute_uv=False))
+            assert np.abs(res.roots[i] - want).max() <= bound, res.taus[i]
 
     def test_step_within_4_ulps_of_the_window_rejected(self):
         # an ulp near 1e17 is 16, so 1e17 + j rounds to repeated grid points
