@@ -22,35 +22,20 @@ class InvalidSpecError(ValueError):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Geometry of a 1-D dipolar spin-1/2 chain.
-
-    One source applies; giving both ``positions`` and ``nn_overrides`` raises
-    InvalidSpecError:
-
-    * default: unit-spaced sites (homogeneous dipolar chain),
-    * ``positions``: explicit, strictly increasing site coordinates,
-    * ``nn_overrides``: nearest-neighbor coupling values keyed by the 1-based
-      left site of the bond; converted to inter-site distances r = D**(-1/3)
-      so that all long-range couplings stay dipole-consistent.
-
-    Any other coupling matrix is a ``CouplingMatrix`` built directly.
+    """Geometry of a 1-D dipolar spin-1/2 chain: unit-spaced sites (the
+    homogeneous chain), or ``nn_overrides``, nearest-neighbor coupling values
+    keyed by the 1-based left site of the bond, converted to inter-site
+    distances r = D**(-1/3) so that all long-range couplings stay
+    dipole-consistent.  Any other coupling matrix is a ``CouplingMatrix``
+    built directly.
     """
 
     n_sites: int
-    positions: tuple[float, ...] | None = None
     nn_overrides: dict[int, float] | None = None
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise InvalidSpecError(f"need at least 2 sites, got {self.n_sites}")
-        if self.positions is not None and self.nn_overrides is not None:
-            raise InvalidSpecError("give either positions or nn_overrides, not both")
-        if self.positions is not None:
-            p = tuple(float(x) for x in self.positions)
-            if len(p) != self.n_sites:
-                raise InvalidSpecError("positions length must equal n_sites")
-            if any(b <= a for a, b in zip(p, p[1:])):
-                raise InvalidSpecError("positions must be strictly increasing")
         if self.nn_overrides is not None:
             for i, d in self.nn_overrides.items():
                 if not 1 <= i <= self.n_sites - 1:
@@ -145,9 +130,7 @@ def build_couplings(spec: ChainSpec) -> CouplingMatrix:
     the dipole law.
     """
     n = spec.n_sites
-    if spec.positions is not None:
-        pos = np.asarray(spec.positions, dtype=float)
-    elif spec.nn_overrides:
+    if spec.nn_overrides:
         gaps = np.ones(n - 1)
         for i, d in spec.nn_overrides.items():
             gaps[i - 1] = d ** (-1.0 / 3.0)
@@ -155,7 +138,7 @@ def build_couplings(spec: ChainSpec) -> CouplingMatrix:
     else:
         pos = np.arange(n, dtype=float)
     r = np.abs(pos[:, None] - pos[None, :])
-    if np.any(r[~np.eye(n, dtype=bool)] <= 0):
+    if np.any(r[~np.eye(n, dtype=bool)] <= 0):   # a huge override's gap rounds away
         raise InvalidSpecError("coincident site positions")
     with np.errstate(divide="ignore"):
         d = 1.0 / r ** 3

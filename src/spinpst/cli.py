@@ -23,7 +23,7 @@ from .dynamics import TransferMap
 from .paper import (LAMBDA_TOL, N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A, PAPER_TABLE_2,
                     PAPER_TABLE_2_N42, TABLE_2_WINDOWS, TAU0_TOL)
 from .restore import (CIRCUIT_MODES, ConvergenceError, FeasibilityError,
-                      RestoreProblem, fit_circuit, solve_general)
+                      RestoreProblem, RestoreSolution, fit_circuit, solve_general)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -115,17 +115,23 @@ def _scan_csv(result: scale.ScanResult) -> Iterator[str]:
         yield cells.tobytes().translate(None, b"\0").decode()
 
 
-def _scan(cfg: RunConfig, tm: TransferMap) -> scale.ScanResult:
-    """The scan of the configured tau grid.  The scan keys are required only
-    where a scan runs, and a grid the scan rejects is a config error."""
-    if cfg["scan.tau_min"] is None or cfg["scan.tau_max"] is None:
-        raise ConfigError("scan needs scan.tau_min and scan.tau_max")
+def _checked(fn, *args):
+    """``fn(*args)``, where a ValueError other than a LinAlgError is a config error:
+    a grid the scan rejects, or a tau past ``dynamics.MAX_PHASE_ERROR``."""
     try:
-        return scale.scan(tm, cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.step"])
+        return fn(*args)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _scan(cfg: RunConfig, tm: TransferMap) -> scale.ScanResult:
+    """The scan of the configured tau grid.  The scan keys are required only
+    where a scan runs."""
+    if cfg["scan.tau_min"] is None or cfg["scan.tau_max"] is None:
+        raise ConfigError("scan needs scan.tau_min and scan.tau_max")
+    return _checked(scale.scan, tm, cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.step"])
 
 
 def cmd_scan(args) -> int:
@@ -157,7 +163,7 @@ def cmd_roots(args) -> int:
     if not math.isfinite(tau):
         raise ConfigError(f"--tau must be a finite number, got {tau}")
     tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
-    roots = scale.roots_at(tm, tau)
+    roots = _checked(scale.roots_at, tm, tau)
     _emit(cfg, {
         "tau": tau,
         "roots": [float(r) for r in roots],
@@ -167,22 +173,20 @@ def cmd_roots(args) -> int:
     return EXIT_OK
 
 
-def _solve_from_config(cfg: RunConfig, args):
-    """Restoring solution at the configured or scanned tau, and the TransferMap
-    whose one eigensystem served the scan and the solve."""
+def _solve_from_config(cfg: RunConfig, args) -> RestoreSolution:
+    """Restoring solution at the configured or scanned tau; one eigensystem
+    serves the scan and the solve."""
     tau = cfg["solver.tau"]
     tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
     if tau is None:
         tau = _scan(cfg, tm).tau0
-    problem = RestoreProblem(v_hat=tm.v_hat(tau), mode=cfg["solver.mode"],
+    problem = RestoreProblem(v_hat=_checked(tm.v_hat, tau), mode=cfg["solver.mode"],
                              n_extra_zero_rows=cfg["solver.n_extra_zero_rows"],
                              q_layers=cfg["solver.q"],
                              restarts=cfg["solver.restarts"],
                              tol=cfg["solver.tol"],
                              seed=args.seed if args.seed is not None else cfg["solver.seed"])
-    if problem.mode in CIRCUIT_MODES:
-        return fit_circuit(problem), tm
-    return solve_general(problem), tm
+    return (fit_circuit if problem.mode in CIRCUIT_MODES else solve_general)(problem)
 
 
 def cmd_solve(args) -> int:
@@ -191,8 +195,7 @@ def cmd_solve(args) -> int:
     if args.command == "fit-circuit" and cfg["solver.mode"] not in CIRCUIT_MODES:
         raise ConfigError("fit-circuit needs solver.mode = circuit-preserving "
                           "or circuit-nonpreserving")
-    solution, _ = _solve_from_config(cfg, args)
-    _emit(cfg, solution.to_dict(), args.out)
+    _emit(cfg, _solve_from_config(cfg, args).to_dict(), args.out)
     return EXIT_OK
 
 
@@ -220,9 +223,9 @@ def cmd_simulate(args) -> int:
         s = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     s = s / np.linalg.norm(s)
 
-    solution, tm = _solve_from_config(cfg, args)
-    report = protocol.run(variant, tm, s, solution, solution.tau)
-    _emit(cfg, report.to_dict(k=k, tau0=solution.tau, seed=seed), args.out)
+    solution = _solve_from_config(cfg, args)
+    report = protocol.run(variant, part, s, solution)
+    _emit(cfg, report.to_dict(k=k, tau0=solution.problem.v_hat.tau, seed=seed), args.out)
     return EXIT_OK
 
 

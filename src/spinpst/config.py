@@ -19,7 +19,7 @@ from pathlib import Path
 from .basis import MAX_SITES
 from .chain import ChainSpec, CouplingMatrix, Partition, build_couplings
 from .protocol import VARIANTS
-from .restore import CIRCUIT_MODES, GENERAL_MODES
+from .restore import CIRCUIT_MODES, DEFAULT_RESTARTS_CIRCUIT, GENERAL_MODES
 
 
 class ConfigError(ValueError):
@@ -117,7 +117,7 @@ KEYS = {
     "scan.step": (_positive, 0.001),
     "roots.tau": (_finite, None),
     "solver.mode": (_one_of("mode", *GENERAL_MODES, *CIRCUIT_MODES), "preserving-general"),
-    "solver.restarts": (_int_range(1), None),
+    "solver.restarts": (_int_range(1), DEFAULT_RESTARTS_CIRCUIT),
     "solver.tol": (_positive, 1e-10),
     "solver.seed": (_int_range(0), 0),
     "solver.q": (_int_range(1), 2),

@@ -41,6 +41,10 @@ MIRROR_TOL = 64 * np.finfo(float).eps
 # on the published grids.  Gram layer, full Table 1a/2 grids, N=10/30/42, 1 BLAS thread, ms:
 # 4.6-7.1/11.7-13.7/19.9-28.3, against 4.4-7.2/14.0-22.6/28.8-31.7 for 512-point blocks.
 SCAN_CHUNK = 2048
+# Largest first-order phase error eps max|lambda| |tau| of an evaluation: tau is a
+# rounded double, so a phase lambda tau, and with it V_hat and its roots, errs by
+# that much.  The published windows reach 3.4e-14 (N=42, tau = 65).
+MAX_PHASE_ERROR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -193,14 +197,16 @@ class TransferMap:
     exp(-i lambda_a tau), so one real Khatri-Rao factor K[a, (r, s)] =
     U_ER[r, a] U_S[s, a] turns each evaluation into a phase-vector product and
     a batch of grid points into one GEMM.  The map is the one handle on a
-    chain, a partition and k that the scan, the roots and the protocol
-    runners take.
+    chain, a partition and k that the scan, the roots and the restoring
+    solves take.  ``v_hat`` at its tau and ``scale.scan`` on its window keep to
+    MAX_PHASE_ERROR (``check_reach``).
     """
 
     def __init__(self, couplings: CouplingMatrix, partition: Partition, k: int):
         self.partition = partition
         self.k = k
         self.eig = sector_eigensystem(couplings, k)
+        self.lam_max = float(np.abs(self.eig.eigenvalues).max(initial=0.0))
         n = partition.n_sites
         u_er = self.eig.rows(embed_subsystem(partition.er_sites, n, k))
         u_s = self.eig.rows(embed_subsystem(partition.sender_sites, n, k))
@@ -208,7 +214,18 @@ class TransferMap:
         self._khatri_rao = np.einsum("ra,sa->ars", u_er, u_s).reshape(self.eig.dim, -1)
         self._step_table: tuple = (None,)     # ((b, step), interp, node_phases)
 
+    def check_reach(self, reach: float) -> None:
+        """Raise ValueError where |tau| up to ``reach`` lets a phase lambda tau err
+        by more than MAX_PHASE_ERROR, eps max|lambda| |tau| at first order, or
+        where that error is NaN (a NaN tau)."""
+        error = np.finfo(float).eps * self.lam_max * reach
+        if not error <= MAX_PHASE_ERROR:
+            raise ValueError(f"the tau window reaches {reach:g}, where a phase lambda tau errs "
+                             f"by up to {error:.2g} (eps max|lambda| tau), over "
+                             f"{MAX_PHASE_ERROR:g}")
+
     def v_hat(self, tau: float) -> TransferBlock:
+        self.check_reach(abs(tau))
         phases = np.exp(-1j * self.eig.eigenvalues * tau)
         block = (phases @ self._khatri_rao).reshape(self.n_er_k, self.n_s_k)
         return TransferBlock(v_hat=block, tau=float(tau),
@@ -241,7 +258,7 @@ class TransferMap:
             raise ValueError("gram_batch needs the uniform tau grid taus[0] + step j")
         lam, key = self.eig.eigenvalues, (n_t, step)
         if self._step_table[0] != key:
-            offsets, interp = _step_nodes(*key, float(np.abs(lam).max(initial=0.0)))
+            offsets, interp = _step_nodes(*key, self.lam_max)
             self._step_table = (key, interp, np.exp(-1j * np.outer(offsets, lam)))
         _, interp, node_phases = self._step_table
         phases = node_phases * np.exp(-1j * np.outer(taus[:1], lam))   # no rows for no taus

@@ -1,13 +1,14 @@
 """End-to-end state-transfer protocols with ancilla labeling and post-selection.
 
 All four variants run in the chain k-sector, at any chain length, through
-one entry point, ``run(variant, tm, s, solution, tau0)``.  The flag
+one entry point, ``run(variant, partition, s, solution)``.  The flag
 ancilla B marks the receiver k-patterns and post-selection keeps only the
 branch where all k excitations sit there, so the report needs only the
 amplitudes that reach those patterns.  Every variant runs from a restoring
-solution; the amplitudes are its W_ER applied to V_hat(tau0) s in the
-family's space: the ER k-sector for a preserving W_ER, the 2**n_er
-extended-receiver register for a non-preserving one
+solution, which holds its problem: the transfer block V_hat(tau0) it was
+found for, k and the family.  The amplitudes are its W_ER applied to
+V_hat(tau0) s in the family's space: the ER k-sector for a preserving W_ER,
+the 2**n_er extended-receiver register for a non-preserving one
 (``restore.family_space``):
 
 - ``k_excitation``: sender k-sector amplitudes evolve to tau0, and a
@@ -27,10 +28,11 @@ extended-receiver register for a non-preserving one
   flag on the receiver patterns, and a preserving W_ER acts as the identity
   outside the extended receiver, so the run is the ``k_excitation`` one.
 
-The run takes the chain's ``TransferMap``, whose partition and k are the
-run's.  The variants differ only in the solution family they accept and
-the flagged patterns.  The gate-level composition over the 2**N space is kept
-in the test suite as an oracle.
+So the post-selected branch is M x, with M = (W_ER b)[receiver rows] a
+function of the solution alone.  The partition adds only the S0 and R0
+registers of the encoded variant.  The variants differ only in the
+solution family they accept and the flagged patterns.  The gate-level
+composition over the 2**N space is kept in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import numpy as np
 
 from .basis import binom
 from .chain import Partition
-from .dynamics import TransferMap
 from .restore import PRESERVING_MODES, RestoreSolution, family_space
 
 VARIANTS = ("k_excitation", "arbitrary", "nonpreserving", "global")
@@ -96,19 +97,18 @@ def amplification_runs(success_probability: float, epsilon: float) -> int:
 # protocol runs
 # ---------------------------------------------------------------------------
 
-def input_dimension(variant: str, partition: Partition, k: int,
-                    mode: str | None = None) -> int:
+def input_dimension(variant: str, partition: Partition, k: int, mode: str) -> int:
     """Number of input amplitudes of a variant; checks what a run needs.
 
-    ``mode``, if given, is the restoring solution family, which must be
-    non-preserving for the ``nonpreserving`` variant and preserving for the
-    others.  Raises ValueError for an unknown variant, a wrong family, or
-    S0/R0 registers the encoded variant cannot use.
+    ``mode`` is the restoring solution family, which must be non-preserving
+    for the ``nonpreserving`` variant and preserving for the others.  Raises
+    ValueError for an unknown variant, a wrong family, or S0/R0 registers
+    the encoded variant cannot use.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown protocol variant {variant!r}; "
                          f"expected one of {', '.join(VARIANTS)}")
-    if mode is not None and (variant == "nonpreserving") == (mode in PRESERVING_MODES):
+    if (variant == "nonpreserving") == (mode in PRESERVING_MODES):
         want = "non-preserving" if variant == "nonpreserving" else "preserving"
         raise ValueError(f"the {variant} protocol needs a {want} solution, got {mode}")
     n_s_k = binom(partition.n_s, k)
@@ -125,29 +125,30 @@ def input_dimension(variant: str, partition: Partition, k: int,
     return 2 ** len(s0)
 
 
-def run(variant: str, tm: TransferMap, s, solution: RestoreSolution,
-        tau0: float) -> ProtocolReport:
+def run(variant: str, partition: Partition, s, solution: RestoreSolution) -> ProtocolReport:
     """Post-selected output of one variant for input amplitudes ``s``.
 
-    ``s`` holds C(n_s, k) sender k-sector amplitudes, or 2**n_s0 S0
-    amplitudes for ``arbitrary``; it is normalised here.
+    The transfer block, k and the family come from ``solution.problem``;
+    ``partition`` must be the block's (n_sites, n_s, n_er) and gives the
+    S0 and R0 registers.  ``s`` holds C(n_s, k) sender k-sector amplitudes,
+    or 2**n_s0 S0 amplitudes for ``arbitrary``; it is normalised here.
     """
     if not solution.converged:
         raise ValueError("restoring solution did not converge")
-    if abs(solution.tau - tau0) > 1e-9:
-        raise ValueError(f"solution was computed at tau={solution.tau}, "
-                         f"protocol runs at tau={tau0}")
-    if solution.k != tm.k or solution.n_er != tm.partition.n_er:
-        raise ValueError("solution provenance does not match the transfer map")
-    dim = input_dimension(variant, tm.partition, tm.k, solution.mode)
+    v, mode = solution.problem.v_hat, solution.problem.mode
+    if (partition.n_sites, partition.n_s, partition.n_er) != (v.n_sites, v.n_s, v.n_er):
+        raise ValueError(f"the partition (n_sites, n_s, n_er) = ({partition.n_sites}, "
+                         f"{partition.n_s}, {partition.n_er}) is not the solution's "
+                         f"({v.n_sites}, {v.n_s}, {v.n_er})")
+    dim = input_dimension(variant, partition, v.k, mode)
     s = np.asarray(s, dtype=complex)
     if s.shape != (dim,):
         raise ValueError(f"expected {dim} input amplitudes, got shape {s.shape}")
     s = s / np.linalg.norm(s)
     # the encoded input j sits on sender pattern j; the others carry nothing
-    x = np.zeros(tm.n_s_k, dtype=complex)
+    x = np.zeros(v.columns, dtype=complex)
     x[:dim] = s
-    b, recv, _ = family_space(solution.mode, tm.v_hat(tau0))
+    b, recv, _ = family_space(mode, v)
     branch = (solution.completed_unitary @ (b @ x))[recv[:dim]]
     prob = float(np.vdot(branch, branch).real)
     out = branch / math.sqrt(prob) if prob > 0.0 else np.zeros(dim, dtype=complex)

@@ -66,14 +66,14 @@ class RestoreProblem:
     preserving one must equal) every row the family supports; for circuit
     modes it is a free choice limited by the parameter budget.  ``restarts``
     is the circuit fits' restart budget; the general modes solve in closed
-    form and use ``seed`` only to pick among equally valid W_ER.
+    form, ignore it and use ``seed`` only to pick among equally valid W_ER.
     """
 
     v_hat: TransferBlock
     mode: str
     n_extra_zero_rows: int | None = None
     q_layers: int = 2
-    restarts: int | None = None
+    restarts: int = DEFAULT_RESTARTS_CIRCUIT
     tol: float = DEFAULT_TOL
     seed: int = 0
 
@@ -84,15 +84,8 @@ class RestoreProblem:
             raise ValueError("tolerance must be positive")
         if self.mode in CIRCUIT_MODES and self.q_layers < 1:
             raise ValueError("circuit modes need at least one layer")
-        if self.restarts is not None and self.restarts < 1:
+        if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-
-    @property
-    def n_er(self) -> int:
-        return self.v_hat.n_er
-
-    def default_restarts(self) -> int:
-        return DEFAULT_RESTARTS_CIRCUIT if self.restarts is None else self.restarts
 
 
 @dataclass(frozen=True)
@@ -107,6 +100,8 @@ class RestartRecord:
 class RestoreSolution:
     """Converged constrained rows, the scale factor, and a unitary completion.
 
+    ``problem`` is the task solved: its transfer block V_hat(tau0), family
+    and seed, so the solution alone fixes a protocol run.
     ``completed_unitary`` is W_ER in its family's space (``family_space``):
     the k-excitation block (dimension N^(ER)_k, sector order) for the
     preserving families, the full 2**n_er matrix for the non-preserving
@@ -119,16 +114,12 @@ class RestoreSolution:
     it; it goes when they next change (ROADMAP item 1).
     """
 
-    mode: str
+    problem: RestoreProblem
     constrained_rows: np.ndarray
     row_positions: tuple[int, ...]
     lam: complex
     residual: float
     completed_unitary: np.ndarray
-    tau: float
-    n_er: int
-    k: int
-    seed: int
     restart_records: tuple[RestartRecord, ...] = ()
     circuit_params: np.ndarray | None = None
     wer_full: np.ndarray | None = None
@@ -142,14 +133,15 @@ class RestoreSolution:
         return abs(self.lam)
 
     def to_dict(self) -> dict:
+        v = self.problem.v_hat
         out = {
-            "mode": self.mode,
-            "n_er": self.n_er,
-            "k": self.k,
-            "tau": self.tau,
+            "mode": self.problem.mode,
+            "n_er": v.n_er,
+            "k": v.k,
+            "tau": v.tau,
             "lambda": {"abs": abs(self.lam), "arg": float(np.angle(self.lam))},
             "residual": self.residual,
-            "seed": self.seed,
+            "seed": self.problem.seed,
             "rows": np.stack([self.constrained_rows.real, self.constrained_rows.imag],
                              axis=-1).tolist(),
         }
@@ -296,10 +288,9 @@ def solve_general(problem: RestoreProblem) -> RestoreSolution:
     completed = np.zeros((d, d), dtype=complex)
     completed[list(positions)] = a
     completed[[i for i in range(d) if i not in positions]] = others
-    return RestoreSolution(mode=problem.mode, constrained_rows=a,
+    return RestoreSolution(problem=problem, constrained_rows=a,
                            row_positions=positions, lam=lam, residual=residual,
-                           completed_unitary=completed, tau=v.tau,
-                           n_er=problem.n_er, k=v.k, seed=problem.seed,
+                           completed_unitary=completed,
                            restart_records=(RestartRecord(0, True, residual, abs(lam)),))
 
 
@@ -462,7 +453,7 @@ def _circuit_sweep(problem: RestoreProblem, params: np.ndarray,
     of G_t contributes d e = l_t dG_t r_(t-1), which needs only the rows of
     l_t^T and r_(t-1) at the gate's pairs, one gather from each sweep.
     """
-    circuit = _circuit(problem.mode, problem.q_layers, problem.n_er,
+    circuit = _circuit(problem.mode, problem.q_layers, problem.v_hat.n_er,
                        problem.v_hat.k, a_qubits)
     r, mats, dg = _forward(problem.mode, circuit, params, b)
     stack, n_pos = len(params), len(positions)
@@ -566,19 +557,19 @@ def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
     n_extra = problem.n_extra_zero_rows or 0
     if not 0 <= n_extra <= len(rest):
         raise FeasibilityError(f"{n_extra} extra zero rows; the k-sector of "
-                               f"{problem.n_er} qubits admits 0..{len(rest)}")
+                               f"{v.n_er} qubits admits 0..{len(rest)}")
     positions = recv + rest[:n_extra]
     per_layer = 2 if problem.mode == "circuit-preserving" else 3
-    n_params = per_layer * problem.q_layers * problem.n_er
+    n_params = per_layer * problem.q_layers * v.n_er
     n_constraints = 2 * ((n + n_extra) * n - 1)
     over = n_constraints > n_params
     if over:
         warnings.warn(
             f"{n_constraints} real constraints exceed {n_params} parameters; "
             "the fit may only reach a least-squares residual", stacklevel=2)
-    a_qubits = tuple(range(1, problem.n_er - v.n_s + 1))
+    a_qubits = tuple(range(1, v.n_er - v.n_s + 1))
 
-    seeds = np.random.SeedSequence(problem.seed).spawn(problem.default_restarts())
+    seeds = np.random.SeedSequence(problem.seed).spawn(problem.restarts)
     x0 = np.array([np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, n_params)
                    for s in seeds])
     x, lam, f = _levenberg_marquardt(
@@ -594,12 +585,9 @@ def fit_circuit(problem: RestoreProblem) -> RestoreSolution:
             float(res.min()))
     best = min(converged, key=lambda r: (-r.lam_abs, r.residual, r.index)).index
 
-    w = _circuit_unitary(problem.mode, x[best], problem.q_layers, problem.n_er,
-                         v.k, a_qubits)
-    return RestoreSolution(mode=problem.mode, constrained_rows=w[positions],
+    w = _circuit_unitary(problem.mode, x[best], problem.q_layers, v.n_er, v.k, a_qubits)
+    return RestoreSolution(problem=problem, constrained_rows=w[positions],
                            row_positions=tuple(positions), lam=complex(lam[best]),
                            residual=float(res[best]), completed_unitary=w,
-                           tau=v.tau, n_er=problem.n_er, k=v.k,
-                           seed=problem.seed, restart_records=records,
-                           circuit_params=x[best], wer_full=_register_unitary(
-                               problem.mode, w, problem.n_er, v.k))
+                           restart_records=records, circuit_params=x[best],
+                           wer_full=_register_unitary(problem.mode, w, v.n_er, v.k))

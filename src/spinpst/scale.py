@@ -47,9 +47,6 @@ class ScanResult:
 _EPS2 = np.finfo(float).eps ** 2
 _TINY = np.finfo(float).tiny
 JACOBI_MAX_SWEEPS = 30
-# Largest first-order phase error eps max|lambda| max|tau| a scan accepts; the
-# published windows reach 3.4e-14 (N=42, tau = 65).
-MAX_PHASE_ERROR = 1e-9
 
 
 def jacobi_eigenvalues(diag, upper) -> np.ndarray:
@@ -157,15 +154,10 @@ def scan(tm: TransferMap, tau_min: float, tau_max: float, step: float) -> ScanRe
     digit.  Exact ties in the maximum are broken toward smaller tau.  Each tau is
     a rounded double, so a phase lambda tau errs by up to eps max|lambda| max|tau|
     at first order, and so do the roots; a window where that passes
-    MAX_PHASE_ERROR raises ValueError.
+    ``dynamics.MAX_PHASE_ERROR`` raises ValueError (``TransferMap.check_reach``).
     """
     taus = _grid(tau_min, tau_max, step)
-    reach = max(abs(tau_min), abs(tau_max))
-    phase_error = np.finfo(float).eps * np.abs(tm.eig.eigenvalues).max() * reach
-    if phase_error > MAX_PHASE_ERROR:
-        raise ValueError(f"the tau window reaches {reach:g}, where a phase lambda tau errs "
-                         f"by up to {phase_error:.2g} (eps max|lambda| tau), over "
-                         f"{MAX_PHASE_ERROR:g}")
+    tm.check_reach(max(abs(tau_min), abs(tau_max)))
     roots = np.empty((len(taus), tm.n_s_k))
     for lo in range(0, len(taus), 2 * SCAN_CHUNK):
         parts = [tm.gram_batch(taus[i:i + SCAN_CHUNK], step)

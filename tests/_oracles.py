@@ -3,6 +3,7 @@
 Everything here is built from first principles (Pauli matrices, Kronecker
 products, dense matrix exponentials, hand-expanded determinants, a damped
 least-squares search over restoring rows, loop-built sector Hamiltonians,
+dipole couplings of arbitrary site coordinates,
 gate-by-gate circuit unitaries) and never calls the code paths it checks.
 The paper's forms that the package replaced live here too: the pair gate
 R sigma_x R^dag from stacked 2x2 products (the package writes it as n .
@@ -63,6 +64,17 @@ def site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
     for q in range(n, 0, -1):
         out = np.kron(out, op if q == site else I2)
     return out
+
+
+def dipole_couplings(positions) -> CouplingMatrix:
+    """D_ij = 1 / |x_i - x_j|**3 of a chain with the given distinct site
+    coordinates, made exactly symmetric as ``chain.build_couplings`` does."""
+    pos = np.asarray(positions, dtype=float)
+    r = np.abs(pos[:, None] - pos[None, :])
+    with np.errstate(divide="ignore"):
+        d = 1.0 / r ** 3
+    np.fill_diagonal(d, 0.0)
+    return CouplingMatrix(d=(d + d.T) / 2.0)
 
 
 def pauli_xx_hamiltonian(d: np.ndarray) -> np.ndarray:
@@ -735,8 +747,8 @@ def wer_full_from_solution(solution) -> np.ndarray:
     A preserving family's k-block is embedded with the identity on every
     other sector; a non-preserving solution carries the register matrix.
     """
-    return _register_unitary(solution.mode, solution.completed_unitary,
-                             solution.n_er, solution.k)
+    v = solution.problem.v_hat
+    return _register_unitary(solution.problem.mode, solution.completed_unitary, v.n_er, v.k)
 
 
 def apply_wer_full_space(amps: np.ndarray, w_er: np.ndarray, n_sites: int,

@@ -18,9 +18,9 @@ from spinpst.basis import k_states
 from spinpst.paper import (LAMBDA_TOL, N42_OVERRIDES, PAPER_ROOTS, PAPER_TABLE_1A,
                            PAPER_TABLE_2, PAPER_TABLE_2_N42, TABLE_2_WINDOWS, TAU0_TOL)
 
-from _oracles import (expm_propagator, gram, lambda_polynomial, least_squares_lambda,
-                      pauli_xx_hamiltonian, real_roots, restoring_columns,
-                      restrict_to_sector, u_pair, wer_full_from_solution)
+from _oracles import (dipole_couplings, expm_propagator, gram, lambda_polynomial,
+                      least_squares_lambda, pauli_xx_hamiltonian, real_roots,
+                      restoring_columns, restrict_to_sector, u_pair, wer_full_from_solution)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
@@ -119,7 +119,7 @@ def test_criterion_05_protocol_fidelity(tmap10, solution5, rng):
     for _ in range(100):
         s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         s /= np.linalg.norm(s)
-        rep = protocol.run("k_excitation", tmap10(5), s, solution5, 14.391)
+        rep = protocol.run("k_excitation", tmap10(5).partition, s, solution5)
         worst_fid = min(worst_fid, rep.fidelity)
         probs.append(rep.success_probability)
     elapsed = time.time() - t0
@@ -141,7 +141,7 @@ def test_criterion_06_encoded_qubit_transfer(chain10, rng):
                                        seed=2002))
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi /= np.linalg.norm(psi)
-    rep = protocol.run("arbitrary", tm, psi, sol, 14.391)
+    rep = protocol.run("arbitrary", tm.partition, psi, sol)
     _status("criterion 6: encoded arbitrary-state transfer", True,
             f"fid deficit={1 - rep.fidelity:.2e} prob={rep.success_probability:.4f}")
     assert rep.fidelity >= 1 - 1e-8
@@ -155,7 +155,7 @@ def test_criterion_07_oracle_equivalence(rng):
     for n in (6, 8):
         gaps = rng.uniform(0.8, 1.3, n - 1)
         pos = tuple(np.concatenate([[0.0], np.cumsum(gaps)]))
-        c = build_couplings(ChainSpec(n_sites=n, positions=pos))
+        c = dipole_couplings(pos)
         h_full = pauli_xx_hamiltonian(c.d)
         v_full = expm_propagator(h_full, 3.7)
         for k in range(n + 1):
@@ -175,7 +175,7 @@ def test_criterion_07_oracle_equivalence(rng):
                                        seed=3003))
     s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     s /= np.linalg.norm(s)
-    rep = protocol.run("k_excitation", tm, s, sol, 9.0)
+    rep = protocol.run("k_excitation", tm.partition, s, sol)
     full = np.zeros(256, dtype=complex)
     for j, mask in enumerate([0b011, 0b101, 0b110]):
         full[mask] = s[j]

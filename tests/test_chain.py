@@ -3,8 +3,9 @@ import pytest
 
 from spinpst import basis, chain
 
-from _oracles import (excitation_sort_permutation, full_basis, hamiltonian_block_loop,
-                      hamiltonian_full, pauli_xx_hamiltonian, restrict_to_sector)
+from _oracles import (dipole_couplings, excitation_sort_permutation, full_basis,
+                      hamiltonian_block_loop, hamiltonian_full, pauli_xx_hamiltonian,
+                      restrict_to_sector)
 
 
 class TestBuildCouplings:
@@ -30,10 +31,17 @@ class TestBuildCouplings:
             assert np.array_equal(chain.CouplingMatrix(m).d, m)
 
     def test_positions_geometry(self):
-        spec = chain.ChainSpec(n_sites=3, positions=(0.0, 1.0, 3.0))
-        c = chain.build_couplings(spec)
+        c = dipole_couplings((0.0, 1.0, 3.0))
         assert c.d[1, 2] == pytest.approx(1.0 / 8.0)
         assert c.d[0, 2] == pytest.approx(1.0 / 27.0)
+        # the test chains' helper builds the package's dipole matrices bit for bit
+        overrides = {1: 0.3005, 2: 0.5311, 6: 0.8}
+        gaps = np.ones(8)
+        gaps[[0, 1, 5]] = [d ** (-1.0 / 3.0) for d in overrides.values()]
+        for spec, pos in ((chain.ChainSpec(n_sites=9), np.arange(9.0)),
+                          (chain.ChainSpec(n_sites=9, nn_overrides=overrides),
+                           np.concatenate([[0.0], np.cumsum(gaps)]))):
+            assert np.array_equal(chain.build_couplings(spec).d, dipole_couplings(pos).d)
 
     def test_dipole_monotone_in_distance(self):
         c = chain.build_couplings(chain.ChainSpec(n_sites=9))
@@ -43,8 +51,9 @@ class TestBuildCouplings:
     def test_invalid_specs(self):
         with pytest.raises(chain.InvalidSpecError):
             chain.ChainSpec(n_sites=1)
-        with pytest.raises(chain.InvalidSpecError):
-            chain.ChainSpec(n_sites=3, positions=(0.0, 2.0, 1.0))
+        # a gap of 1e60**(-1/3) vanishes beside position 8: two sites coincide
+        with pytest.raises(chain.InvalidSpecError, match="coincident"):
+            chain.build_couplings(chain.ChainSpec(n_sites=12, nn_overrides={9: 1e60}))
         with pytest.raises(chain.InvalidSpecError):
             chain.ChainSpec(n_sites=3, nn_overrides={1: -0.2})
         near = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])   # allclose, not exactly symmetric
@@ -80,7 +89,7 @@ class TestHamiltonianBlock:
     def test_against_pauli_oracle_n8_random_dipole(self, rng):
         gaps = rng.uniform(0.7, 1.5, 7)
         pos = np.concatenate([[0.0], np.cumsum(gaps)])
-        c = chain.build_couplings(chain.ChainSpec(n_sites=8, positions=tuple(pos)))
+        c = dipole_couplings(pos)
         full = pauli_xx_hamiltonian(c.d)
         for k in range(9):
             sector = restrict_to_sector(full, basis.k_states(8, k).states)
@@ -122,7 +131,7 @@ class TestHamiltonianFull:
     def test_matches_permuted_pauli_oracle(self, rng):
         gaps = rng.uniform(0.8, 1.3, 7)
         pos = np.concatenate([[0.0], np.cumsum(gaps)])
-        c = chain.build_couplings(chain.ChainSpec(n_sites=8, positions=tuple(pos)))
+        c = dipole_couplings(pos)
         perm = excitation_sort_permutation(8)
         full = pauli_xx_hamiltonian(c.d)[np.ix_(perm, perm)]
         assert np.abs(hamiltonian_full(c) - full).max() < 1e-12

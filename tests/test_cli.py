@@ -308,6 +308,19 @@ class TestCommands:
         assert "where a phase lambda tau errs by up to" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["roots", "solve", "fit-circuit", "simulate"])
+    def test_tau_without_phase_digits_exits_2(self, tmp_path, capsys, command):
+        # at tau = 1e17 a phase lambda tau errs by about 20 rad (eps max|lambda| tau)
+        p = tmp_path / "e17.cfg"
+        mode = "circuit-preserving" if command == "fit-circuit" else "preserving-general"
+        p.write_text(BASE_CFG.replace("preserving-general", mode) + "solver.tau = 1e17\n")
+        out = tmp_path / "out"
+        argv = ["--tau", "1e17"] if command == "roots" else []
+        assert main([command, "--config", str(p), "--out", str(out), *argv]) == 2
+        assert ("the tau window reaches 1e+17, where a phase lambda tau errs by up to"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_scan_empty_range_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text(BASE_CFG.replace("scan.tau_max = 8", "scan.tau_max = -1"))

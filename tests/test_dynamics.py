@@ -10,9 +10,9 @@ from spinpst import (ChainSpec, CouplingMatrix, Partition, TransferMap, basis,
                      build_couplings, chain, dynamics, scale)
 from spinpst.config import RunConfig
 
-from _oracles import (block_gram_batch, expm_propagator, gathered_parity_blocks, gram_stack,
-                      pauli_xx_hamiltonian, plane_gram_parts, restrict_to_sector,
-                      transfer_block)
+from _oracles import (block_gram_batch, dipole_couplings, expm_propagator,
+                      gathered_parity_blocks, gram_stack, pauli_xx_hamiltonian,
+                      plane_gram_parts, restrict_to_sector, transfer_block)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EPS = np.finfo(float).eps
@@ -126,7 +126,7 @@ class TestTransferBlock:
     def test_excitation_conservation_full_space(self, rng):
         # evolving any k-sector vector stays in sector: full-space oracle, n=6
         gaps = rng.uniform(0.9, 1.2, 5)
-        c = build_couplings(ChainSpec(n_sites=6, positions=tuple(np.concatenate([[0.0], np.cumsum(gaps)]))))
+        c = dipole_couplings(np.concatenate([[0.0], np.cumsum(gaps)]))
         h_full = pauli_xx_hamiltonian(c.d)
         v_full = expm_propagator(h_full, 2.1)
         for k in range(7):
@@ -156,6 +156,18 @@ class TestTransferBlock:
     def test_gram_batch_rejects_non_uniform_grid(self, tmap10):
         with pytest.raises(ValueError, match="uniform"):
             tmap10(5).gram_batch(np.array([0.0, 0.1, 0.3]), 0.1)
+
+    def test_v_hat_keeps_to_the_phase_error_bound(self, tmap10):
+        # tau is a rounded double: past eps max|lambda| |tau| = MAX_PHASE_ERROR a phase
+        # lambda tau, and so V_hat, keeps no digit it can vouch for; a NaN tau keeps none
+        tm = tmap10(4)
+        edge = dynamics.MAX_PHASE_ERROR / (EPS * np.abs(tm.eig.eigenvalues).max())
+        assert 1e6 < edge < 1e7
+        for tau in (edge * (1 - 1e-9), -edge * (1 - 1e-9)):
+            assert np.isfinite(tm.v_hat(tau).v_hat).all()
+        for tau in (edge * (1 + 1e-9), -edge * (1 + 1e-9), 1e17, np.nan):
+            with pytest.raises(ValueError, match="where a phase lambda tau errs by up to"):
+                tm.v_hat(tau)
 
     def test_real_sector_gives_real_eigenvectors(self, chain10):
         eig = dynamics.sector_eigensystem(chain10, 2)
@@ -305,7 +317,7 @@ class TestMirrorSplit:
     def test_palindromic_positions_split_every_sector(self, n, data):
         gaps = data.draw(st.lists(st.floats(0.6, 1.6), min_size=n // 2,
                                   max_size=n // 2))
-        c = build_couplings(ChainSpec(n_sites=n, positions=mirror_positions(gaps, n % 2)))
+        c = dipole_couplings(mirror_positions(gaps, n % 2))
         for k in range(n + 1):
             assert_split_eigensystem(c, k)
 
@@ -324,7 +336,7 @@ class TestMirrorSplit:
         assert [diagonalised_blocks(c, k)[1] for k in (0, 1, 5)] == [[1, 0], [3, 2], [1, 0]]
 
     def test_asymmetric_chain_takes_one_block(self):
-        c = build_couplings(ChainSpec(n_sites=6, positions=(0.0, 1.0, 2.1, 3.3, 4.2, 5.0)))
+        c = dipole_couplings((0.0, 1.0, 2.1, 3.3, 4.2, 5.0))
         for k in range(7):
             eig, sizes = diagonalised_blocks(c, k)
             one = dynamics.eigendecompose(chain.hamiltonian_block(c, k))
@@ -393,7 +405,7 @@ class TestEigenvectorRows:
             assert_same_bits(eig.rows(list(range(eig.dim))), u)
 
     def test_rows_of_one_block_sectors_are_the_assembled_rows(self, rng):
-        c = build_couplings(ChainSpec(n_sites=6, positions=(0.0, 1.0, 2.1, 3.3, 4.2, 5.0)))
+        c = dipole_couplings((0.0, 1.0, 2.1, 3.3, 4.2, 5.0))
         for k in range(7):
             eig, sizes = diagonalised_blocks(c, k)
             assert sizes == [eig.dim]
@@ -403,7 +415,7 @@ class TestEigenvectorRows:
     @pytest.mark.parametrize("positions", [None, (0.0, 1.0, 2.1, 3.3, 4.2, 5.0, 6.1, 7.0)],
                              ids=["mirror", "asymmetric"])
     def test_khatri_rao_factor_matches_the_assembled_rows(self, positions):
-        c = build_couplings(ChainSpec(n_sites=8, positions=positions))
+        c = dipole_couplings(np.arange(8.0) if positions is None else positions)
         for n_s, n_er, k in [(2, 3, 1), (3, 4, 2), (3, 5, 3)]:
             part = Partition(n_sites=8, n_s=n_s, n_r=n_s, n_er=n_er)
             tm = TransferMap(c, part, k)
@@ -419,7 +431,7 @@ class TestEigenvectorRows:
         partition = cfg.partition()
         positions = np.arange(42.0)
         positions[5] += 0.01                 # site 6: no mirror split, one block
-        asymmetric = build_couplings(ChainSpec(n_sites=42, positions=tuple(positions)))
+        asymmetric = dipole_couplings(positions)
         for couplings, split in ((cfg.couplings(), True), (asymmetric, False)):
             tracemalloc.start()
             try:

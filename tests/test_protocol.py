@@ -10,8 +10,9 @@ import spinpst
 from spinpst import (ChainSpec, Partition, RestoreProblem, TransferMap,
                      build_couplings, fit_circuit, protocol, solve_general)
 from spinpst.basis import embed_subsystem, k_states
-from spinpst.paper import N42_OVERRIDES
+from spinpst.paper import N42_OVERRIDES, PAPER_TABLE_1A
 from spinpst.protocol import amplification_runs
+from spinpst.restore import family_space
 
 from _oracles import (exact_value_controlled_pattern_flips, expm_propagator,
                       full_space_protocol, parity_flip_matches,
@@ -48,8 +49,8 @@ def solution8(tm8):
 
 class TestKExcitationProtocol:
     def test_basis_vector_exact(self, tmap10, solution5):
-        rep = protocol.run("k_excitation", tmap10(5), np.array([1.0, 0, 0]), solution5,
-                           14.391)
+        rep = protocol.run("k_excitation", tmap10(5).partition, np.array([1.0, 0, 0]),
+                           solution5)
         assert rep.fidelity == pytest.approx(1.0, abs=1e-10)
         out = rep.output_amplitudes
         assert abs(out[0]) == pytest.approx(1.0, abs=1e-10)
@@ -58,7 +59,7 @@ class TestKExcitationProtocol:
     def test_fidelity_and_probability(self, tmap10, solution5, rng):
         for _ in range(10):
             s = random_state(rng, 3)
-            rep = protocol.run("k_excitation", tmap10(5), s, solution5, 14.391)
+            rep = protocol.run("k_excitation", tmap10(5).partition, s, solution5)
             assert rep.fidelity >= 1 - 1e-8
             assert rep.success_probability == pytest.approx(
                 abs(solution5.lam) ** 2, abs=1e-8)
@@ -66,7 +67,7 @@ class TestKExcitationProtocol:
 
     def test_output_phase_uniform(self, tmap10, solution5, rng):
         s = random_state(rng, 3)
-        rep = protocol.run("k_excitation", tmap10(5), s, solution5, 14.391)
+        rep = protocol.run("k_excitation", tmap10(5).partition, s, solution5)
         ratios = rep.output_amplitudes / s
         phases = np.angle(ratios / ratios[0])
         assert np.abs(phases).max() < 1e-8
@@ -99,7 +100,7 @@ class TestKExcitationProtocol:
         # the whole fixed-k pipeline agrees amplitude-wise with a brute-force
         # full-space simulation at N=8
         s = random_state(rng, 3)
-        rep = protocol.run("k_excitation", tm8, s, solution8, 9.0)
+        rep = protocol.run("k_excitation", tm8.partition, s, solution8)
 
         h_full = pauli_xx_hamiltonian(chain8.d)
         full = np.zeros(256, dtype=complex)
@@ -114,10 +115,6 @@ class TestKExcitationProtocol:
         out = np.array([full[m] for m in recv]) / math.sqrt(prob)
         assert np.abs(out - rep.output_amplitudes).max() < 1e-10
 
-    def test_rejects_mismatched_tau(self, tmap10, solution5):
-        with pytest.raises(ValueError, match="tau"):
-            protocol.run("k_excitation", tmap10(5), np.array([1.0, 0, 0]), solution5, 12.0)
-
     @pytest.mark.parametrize("variant", ["k_excitation", "global", "arbitrary"])
     def test_rejects_nonpreserving_solution(self, variant, tmap10, setup10,
                                             solution5_nonpreserving):
@@ -126,39 +123,40 @@ class TestKExcitationProtocol:
         tm = setup10[0] if variant == "arbitrary" else tmap10(5)
         s = np.ones(2 if variant == "arbitrary" else 3)
         with pytest.raises(ValueError, match=f"the {variant} protocol needs a preserving"):
-            protocol.run(variant, tm, s, solution5_nonpreserving, 14.391)
+            protocol.run(variant, tm.partition, s, solution5_nonpreserving)
 
     @pytest.mark.parametrize("make, match", [
-        # an n_er=4 solution at the run's tau, on the n_er=5 map
+        # an n_er=4 solution, run on the n_er=5 partition
         (lambda vhat_at, sol: solve_general(RestoreProblem(v_hat=vhat_at(4, 14.391),
                                                            mode="preserving-general")),
-         "provenance does not match"),
+         r"the partition \(n_sites, n_s, n_er\) = \(10, 3, 5\) is not the solution's "
+         r"\(10, 3, 4\)"),
         (lambda vhat_at, sol: replace(sol, restart_records=()), "did not converge"),
     ], ids=["n_er-4-solution", "no-converged-restart"])
     def test_rejects_foreign_or_unconverged_solution(self, tmap10, vhat_at, solution5,
                                                      make, match):
         with pytest.raises(ValueError, match=match):
-            protocol.run("k_excitation", tmap10(5), np.array([1.0, 0, 0]),
-                         make(vhat_at, solution5), 14.391)
+            protocol.run("k_excitation", tmap10(5).partition, np.array([1.0, 0, 0]),
+                         make(vhat_at, solution5))
 
     def test_rejects_unknown_variant(self, tmap10, solution5):
         assert spinpst.run_protocol is protocol.run
         with pytest.raises(ValueError, match="unknown protocol variant 'bogus'"):
-            protocol.run("bogus", tmap10(5), np.array([1.0, 0, 0]), solution5, 14.391)
+            protocol.run("bogus", tmap10(5).partition, np.array([1.0, 0, 0]), solution5)
 
 
 class TestGlobalProtocol:
     def test_agrees_with_sector_variant(self, tm8, solution8, rng):
         s = random_state(rng, 3)
-        rep_k = protocol.run("k_excitation", tm8, s, solution8, 9.0)
-        rep_g = protocol.run("global", tm8, s, solution8, 9.0)
+        rep_k = protocol.run("k_excitation", tm8.partition, s, solution8)
+        rep_g = protocol.run("global", tm8.partition, s, solution8)
         assert rep_g.success_probability == pytest.approx(
             rep_k.success_probability, abs=1e-10)
         assert np.abs(rep_g.output_amplitudes - rep_k.output_amplitudes).max() < 1e-10
 
     def test_rejects_long_input(self, tm8, solution8):
         with pytest.raises(ValueError, match="expected 3 input amplitudes"):
-            protocol.run("global", tm8, np.ones(4), solution8, 9.0)
+            protocol.run("global", tm8.partition, np.ones(4), solution8)
 
 
 @pytest.fixture(scope="module")
@@ -186,14 +184,14 @@ class TestArbitraryProtocol:
     def test_random_qubit_through_chain(self, setup10, rng):
         tm, sol = setup10
         psi = random_state(rng, 2)
-        rep = protocol.run("arbitrary", tm, psi, sol, 14.391)
+        rep = protocol.run("arbitrary", tm.partition, psi, sol)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(abs(sol.lam) ** 2,
                                                         abs=1e-6)
 
     def test_ground_in_ground_out(self, setup10):
         tm, sol = setup10
-        rep = protocol.run("arbitrary", tm, np.array([1.0, 0.0]), sol, 14.391)
+        rep = protocol.run("arbitrary", tm.partition, np.array([1.0, 0.0]), sol)
         assert rep.fidelity >= 1 - 1e-8
         assert abs(rep.output_amplitudes[0]) == pytest.approx(1.0, abs=1e-8)
 
@@ -201,21 +199,20 @@ class TestArbitraryProtocol:
         part = Partition(n_sites=10, n_s=3, n_r=3, n_er=5,
                          s0_sites=(4, 5), r0_sites=(6, 7))
         with pytest.raises(ValueError, match="exceed"):
-            protocol.run("arbitrary", TransferMap(chain10, part, 2), np.ones(4) / 2.0,
-                         solution5, 14.391)
+            protocol.run("arbitrary", part, np.ones(4) / 2.0, solution5)
 
     def test_needs_s0_r0(self, tmap10, solution5):
         with pytest.raises(ValueError, match="S0"):
-            protocol.run("arbitrary", tmap10(5), np.array([1.0, 0.0]), solution5, 14.391)
+            protocol.run("arbitrary", tmap10(5).partition, np.array([1.0, 0.0]), solution5)
 
     def test_matches_sector_pipeline_composition(self, setup10, rng):
         # oracle: encoding maps |j> to sender pattern chi_j, so the encoded
         # run must reproduce the fixed-k protocol on s = (psi_0, psi_1, 0)
         tm, sol = setup10
         psi = random_state(rng, 2)
-        rep_arb = protocol.run("arbitrary", tm, psi, sol, 14.391)
+        rep_arb = protocol.run("arbitrary", tm.partition, psi, sol)
         s = np.array([psi[0], psi[1], 0.0])
-        rep_k = protocol.run("k_excitation", tm, s, sol, 14.391)
+        rep_k = protocol.run("k_excitation", tm.partition, s, sol)
         assert rep_arb.success_probability == pytest.approx(
             rep_k.success_probability, abs=1e-10)
         assert np.abs(rep_arb.output_amplitudes -
@@ -225,7 +222,7 @@ class TestArbitraryProtocol:
 class TestNonpreservingProtocol:
     def test_table_value(self, tmap10, solution5_nonpreserving, rng):
         s = random_state(rng, 3)
-        rep = protocol.run("nonpreserving", tmap10(5), s, solution5_nonpreserving, 14.391)
+        rep = protocol.run("nonpreserving", tmap10(5).partition, s, solution5_nonpreserving)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(0.356, abs=1e-3)
 
@@ -234,21 +231,21 @@ class TestNonpreservingProtocol:
         # the B=1 branch is supported entirely on D=1 receiver patterns, so
         # the reported output amplitudes carry the whole post-selected norm
         s = random_state(rng, 3)
-        rep = protocol.run("nonpreserving", tmap10(5), s, solution5_nonpreserving, 14.391)
+        rep = protocol.run("nonpreserving", tmap10(5).partition, s, solution5_nonpreserving)
         assert np.linalg.norm(rep.output_amplitudes) == pytest.approx(1.0,
                                                                       abs=1e-8)
 
     def test_rejects_preserving_solution(self, tmap10, solution5, rng):
         with pytest.raises(ValueError, match="non-preserving"):
-            protocol.run("nonpreserving", tmap10(5), random_state(rng, 3), solution5,
-                         14.391)
+            protocol.run("nonpreserving", tmap10(5).partition, random_state(rng, 3),
+                         solution5)
 
     def test_circuit_solution_drives_pipeline(self, circuit_np4, rng):
         # a fitted sector-mixing circuit carries its own (smaller) lambda;
         # the protocol still post-selects a perfect copy at |lambda|**2
         tm, sol = circuit_np4
         s = random_state(rng, 3)
-        rep = protocol.run("nonpreserving", tm, s, sol, 12.493)
+        rep = protocol.run("nonpreserving", tm.partition, s, sol)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.success_probability == pytest.approx(abs(sol.lam) ** 2,
                                                         abs=1e-8)
@@ -269,7 +266,7 @@ def test_runners_match_full_space_oracle(case, chain10, tmap10, solution5,
     }[case]
     variant = "nonpreserving" if case == "circuit-nonpreserving" else case
     s = random_state(rng, 2 if variant == "arbitrary" else 3)
-    rep = protocol.run(variant, tm, s, w, tau0)
+    rep = protocol.run(variant, tm.partition, s, w)
     prob, out = full_space_protocol(variant, chain10, tm.partition, 2, s, w, tau0)
     assert abs(rep.success_probability - prob) <= 1e-12
     assert np.abs(rep.output_amplitudes - out).max() <= 1e-12
@@ -297,9 +294,68 @@ def test_n42_distance_reading(variant, tmaps42, rng):
     mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"
     sol = solve_general(RestoreProblem(v_hat=v, mode=mode, seed=0))
     dim = 2 if variant == "arbitrary" else 3
-    rep = protocol.run(variant, tm, random_state(rng, dim), sol, tau0)
+    rep = protocol.run(variant, tm.partition, random_state(rng, dim), sol)
     assert rep.fidelity >= 1 - 1e-8
     assert rep.success_probability == pytest.approx(sigma_min ** 2, abs=1e-6)
+
+
+def branch_map(solution, dim):
+    """M = (W_ER b)[receiver rows, :], read from the solution alone, cut to the
+    ``dim`` inputs a variant uses: the post-selected branch of input x is M x."""
+    b, recv, _ = family_space(solution.problem.mode, solution.problem.v_hat)
+    return (solution.completed_unitary @ b)[recv[:dim], :dim]
+
+
+def certified_deviation(solution, dim):
+    """delta = ||M - lambda I||_2 / |lambda|.  Every unit input then has fidelity at
+    least (1 - delta) / (1 + delta) and success probability in |lambda|^2 (1 +- delta)^2."""
+    m = branch_map(solution, dim)
+    return np.linalg.norm(m - solution.lam * np.eye(dim), 2) / abs(solution.lam)
+
+
+def assert_runs_within_certificate(variant, partition, solution, delta, rng, n=200):
+    # M and each run are rounded apart, so a sample may pass a bound by a few eps
+    slack = 4 * np.finfo(float).eps
+    lam2, dim = abs(solution.lam) ** 2, 2 if variant == "arbitrary" else 3
+    for _ in range(n):
+        rep = protocol.run(variant, partition, random_state(rng, dim), solution)
+        assert rep.fidelity >= (1 - delta) / (1 + delta) - slack
+        assert lam2 * (1 - delta) ** 2 - slack <= rep.success_probability
+        assert rep.success_probability <= lam2 * (1 + delta) ** 2 + slack
+
+
+class TestCertificate:
+    """ROADMAP item 7: one small matrix M certifies a run over the whole input sphere."""
+
+    @pytest.mark.parametrize("n_er", sorted(PAPER_TABLE_1A))
+    @pytest.mark.parametrize("variant", ["k_excitation", "arbitrary", "global",
+                                         "nonpreserving"])
+    def test_general_solutions_at_the_table_1a_tau0(self, chain10, variant, n_er, rng):
+        registers = dict(s0_sites=(4,), r0_sites=(7,)) if variant == "arbitrary" else {}
+        part = Partition(n_sites=10, n_s=3, n_r=3, n_er=n_er, **registers)
+        mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"
+        v_hat = TransferMap(chain10, part, 2).v_hat(PAPER_TABLE_1A[n_er][0])
+        sol = solve_general(RestoreProblem(v_hat=v_hat, mode=mode, seed=n_er))
+        delta = certified_deviation(sol, 2 if variant == "arbitrary" else 3)
+        assert delta <= 1e-12            # measured at most 9.8e-16
+        assert_runs_within_certificate(variant, part, sol, delta, rng)
+
+    @pytest.mark.parametrize("mode", ["circuit-preserving", "circuit-nonpreserving"])
+    def test_circuit_solutions_within_the_residual_bound(self, mode, circuit_np4, chain10,
+                                                         rng):
+        # each entry of M - lambda I off the lambda slot is a restoring residual, whose
+        # real and imaginary parts the fit bounds by `residual`: the Frobenius norm gives
+        # delta <= sqrt(2 (s^2 - 1)) residual / |lambda|, s = N^(S)_k = 3
+        if mode == "circuit-nonpreserving":
+            tm, sol = circuit_np4
+        else:
+            tm = TransferMap(chain10, Partition(n_sites=10, n_s=3, n_r=3, n_er=4), 2)
+            sol = fit_circuit(RestoreProblem(v_hat=tm.v_hat(12.493), mode=mode, q_layers=3,
+                                             n_extra_zero_rows=0, restarts=1, seed=5))
+        delta = certified_deviation(sol, 3)
+        assert delta <= math.sqrt(2 * (3 ** 2 - 1)) * sol.residual / abs(sol.lam)
+        variant = "nonpreserving" if mode == "circuit-nonpreserving" else "k_excitation"
+        assert_runs_within_certificate(variant, tm.partition, sol, delta, rng)
 
 
 def _perm_matrix(perm):
