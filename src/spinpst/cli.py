@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -174,8 +175,8 @@ def cmd_roots(args) -> int:
 
 
 def _solve_from_config(cfg: RunConfig, args) -> RestoreSolution:
-    """Restoring solution at the configured or scanned tau; one eigensystem
-    serves the scan and the solve."""
+    """Restoring solution at the configured or scanned tau, one eigensystem for both;
+    a solver warning prints as one line naming the constraint budget's keys."""
     tau = cfg["solver.tau"]
     tm = TransferMap(cfg.couplings(), cfg.partition(), cfg["excitation.k"])
     if tau is None:
@@ -186,7 +187,13 @@ def _solve_from_config(cfg: RunConfig, args) -> RestoreSolution:
                              restarts=cfg["solver.restarts"],
                              tol=cfg["solver.tol"],
                              seed=args.seed if args.seed is not None else cfg["solver.seed"])
-    return (fit_circuit if problem.mode in CIRCUIT_MODES else solve_general)(problem)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return (fit_circuit if problem.mode in CIRCUIT_MODES else solve_general)(problem)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message} (solver.q = {problem.q_layers}, solver."
+                      f"n_extra_zero_rows = {problem.n_extra_zero_rows or 0})", file=sys.stderr)
 
 
 def cmd_solve(args) -> int:
@@ -224,8 +231,7 @@ def cmd_simulate(args) -> int:
     s = s / np.linalg.norm(s)
 
     solution = _solve_from_config(cfg, args)
-    report = protocol.run(variant, part, s, solution)
-    _emit(cfg, report.to_dict(k=k, tau0=solution.problem.v_hat.tau, seed=seed), args.out)
+    _emit(cfg, protocol.run(variant, part, s, solution).to_dict(seed=seed), args.out)
     return EXIT_OK
 
 

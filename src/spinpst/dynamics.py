@@ -4,12 +4,12 @@ One eigensystem per (chain, k) pair serves every evaluation time:
 V(tau) = U exp(-i Lambda tau) U^dag.  The chain's sector blocks are real
 symmetric, so U is real.  A mirror-symmetric chain, as every published one
 is, splits its sector block into an even and an odd block under the site
-reflection, each about half the size, and diagonalises the two apart; U is
-still the one real matrix of eigenvectors in the sector basis, kept as the
-two blocks it factors into.  The transfer block collects the propagator
+reflection, each about half the size, and diagonalises the two apart; any
+other chain takes the same route with the identity as its mirror, one even
+block and an empty odd one.  The transfer block collects the propagator
 elements between "all excitations in the sender" and "all excitations in
 the extended receiver" states, both in sector-basis order, so it reads only
-those rows of U.
+those rows of U, and its map assembles and keeps only them.
 
 A scan evaluates the block on a uniform tau grid, one block of SCAN_CHUNK
 points per call.  Within a block the phases exp(-i lambda j delta) are an entire
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import embed_subsystem, mirror_ordinals
-from .chain import CouplingMatrix, Partition, hamiltonian_block, sector_hops
+from .basis import binom, embed_subsystem, mirror_ordinals
+from .chain import CouplingMatrix, Partition, sector_hops
 
 HERMITICITY_TOL = 1e-10
 # Largest mirror asymmetry max|D - JDJ| / max|D| whose sector blocks split by
@@ -49,47 +49,15 @@ MAX_PHASE_ERROR = 1e-9
 
 @dataclass(frozen=True)
 class SectorEigensystem:
-    """Eigenvalues of one k-sector Hamiltonian block and the factor of its eigenvectors.
-
-    U, column a the eigenvector of eigenvalue a (ascending), is kept as the
-    blocks it was computed in.  One block is U itself.  A mirror split keeps
-    the even and the odd eigenvector blocks, their pair rows already divided
-    by sqrt2; ``block_row`` gives each sector ordinal its row of the even
-    block (the pair index, or n_pairs plus the fixed-state index), which for
-    a pair is also its row of the odd block, ``parity`` is +1 for the first
-    state of a pair, -1 for its mirror image and 0 for a fixed state, and
-    ``order`` sorts the columns [even | odd] by eigenvalue.  ``rows`` builds
-    any rows of U from these, bit for bit those of the assembled U, and
-    ``eigenvectors`` assembles all of U on each call.
-    """
+    """Eigenvalues (ascending) of one k-sector Hamiltonian block and the rows of
+    its eigenvectors U asked for, all of U by default; column a goes with eigenvalue a."""
 
     eigenvalues: np.ndarray
-    blocks: tuple[np.ndarray, ...]
-    block_row: np.ndarray | None = None
-    parity: np.ndarray | None = None
-    order: np.ndarray | None = None
+    eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """All of U, assembled anew on each access."""
-        return self.rows(np.arange(self.dim))
-
-    def rows(self, ordinals) -> np.ndarray:
-        """U[ordinals, :] for a sequence of sector ordinals."""
-        ords = np.asarray(ordinals, dtype=int)
-        if len(self.blocks) == 1:
-            return self.blocks[0][ords]
-        even, odd = self.blocks
-        row, parity = self.block_row[ords], self.parity[ords]
-        pair = parity != 0
-        u = np.zeros((len(ords), self.dim))
-        u[:, :len(even)] = even[row]
-        u[pair, len(even):] = odd[row[pair]] * parity[pair, None]
-        return u[:, self.order]
 
 
 @dataclass(frozen=True)
@@ -121,7 +89,7 @@ def eigendecompose(h_block: np.ndarray) -> SectorEigensystem:
     if asym > HERMITICITY_TOL:
         raise ValueError(f"input is not Hermitian (max asymmetry {asym:.2e})")
     evals, evecs = np.linalg.eigh(h)
-    return SectorEigensystem(eigenvalues=evals, blocks=(evecs,))
+    return SectorEigensystem(eigenvalues=evals, eigenvectors=evecs)
 
 
 def propagator(eig: SectorEigensystem, tau: float) -> np.ndarray:
@@ -133,31 +101,31 @@ def propagator(eig: SectorEigensystem, tau: float) -> np.ndarray:
     return (u * phases) @ u.conj().T
 
 
-def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
-    """Eigendecomposition of the k-sector block of a chain's Hamiltonian.
+def sector_eigensystem(couplings: CouplingMatrix, k: int, ordinals=None) -> SectorEigensystem:
+    """Eigendecomposition of the k-sector block of a chain's Hamiltonian, with
+    the rows of U at the sector ``ordinals`` (all of U for None).
 
-    A mirror-symmetric chain, max|D - JDJ| <= MIRROR_TOL max|D| for the site
-    reflection J, gives a block H that commutes with the reflection, which
-    pairs each state m with its mirror image Jm.  In the basis of
+    J is the site reflection for a mirror-symmetric chain, max|D - JDJ| <=
+    MIRROR_TOL max|D|, and the identity for any other.  The block H commutes
+    with J, which pairs each state m with its image Jm.  In the basis of
     (|m> + |Jm>)/sqrt2 and the states fixed by J, and of (|m> - |Jm>)/sqrt2,
-    H splits into an even and an odd block of about half the size each.
-    Both are summed from the symmetrised H_sym = (H + JHJ)/2, read off the
-    sector's hop list without forming H, and diagonalised apart; the
-    eigensystem keeps their eigenvectors as the factor of one real U in the
-    sector basis, eigenvalues ascending as from one block.
+    H splits into an even and an odd block.  Both are summed from the
+    symmetrised H_sym = (H + JHJ)/2, read off the sector's hop list without
+    forming H, and diagonalised apart; the rows asked for are assembled from
+    their eigenvectors, eigenvalues ascending as from one block.  Under the
+    identity every state is fixed: the even block is H, bit for bit, and the
+    odd block is 0 x 0.
     H_sym is the Hamiltonian of the couplings (D + JDJ)/2, and
     exp(-iH tau) - exp(-iH_sym tau) is an integral over [0, tau] of unitary
     factors around H - H_sym, so ||V_hat - V_hat_sym||_2 <= tau ||H - H_sym||_2.
     For the adjusted N=42 chain (k=2, max|D - JDJ| = 24 eps max|D|) that
-    bound is 1.7e-13 at tau = 65, and the split and the one-block transfer
-    blocks differ there by 5.3e-15.  Any other chain is diagonalised as one
-    block.
+    bound is 1.7e-13 at tau = 65, and the split and the unsplit (identity J)
+    transfer blocks differ there by 5.3e-15.
     """
     d = couplings.d
-    if np.abs(d - d[::-1, ::-1]).max() > MIRROR_TOL * np.abs(d).max():
-        return eigendecompose(hamiltonian_block(couplings, k))
-    mirror = mirror_ordinals(couplings.n_sites, k)
-    ordinal = np.arange(len(mirror))
+    ordinal = np.arange(binom(couplings.n_sites, k))
+    mirrored = np.abs(d - d[::-1, ::-1]).max() <= MIRROR_TOL * np.abs(d).max()
+    mirror = mirror_ordinals(couplings.n_sites, k) if mirrored else ordinal
     parity = np.sign(mirror - ordinal)
     a, fixed = ordinal[parity > 0], ordinal[parity == 0]
     n_pairs, n_fixed = len(a), len(fixed)
@@ -176,18 +144,22 @@ def sector_eigensystem(couplings: CouplingMatrix, k: int) -> SectorEigensystem:
     same = summed((p_r == p_c) & (p_r != 0), n_pairs, n_pairs)
     cross = summed((p_r == -p_c) & (p_r != 0), n_pairs, n_pairs)
     pair_fixed = summed((p_r != 0) & (p_c == 0), n_pairs, n_fixed) / np.sqrt(2)
-    even_h = np.block([[(same + cross) / 2, pair_fixed],
-                       [pair_fixed.T, summed((p_r == 0) & (p_c == 0), n_fixed, n_fixed)]])
+    fixed_fixed = summed((p_r == 0) & (p_c == 0), n_fixed, n_fixed)
+    del rows, cols, values, r, c, p_r, p_c     # no hop array lives beside a block copy
+    even_h = np.block([[(same + cross) / 2, pair_fixed], [pair_fixed.T, fixed_fixed]])
     odd_h = (same - cross) / 2
-    del rows, cols, values, r, c, p_r, p_c, same, cross    # only the blocks live through eigh
+    del same, cross, fixed_fixed               # only the blocks live through eigh
     even, odd = eigendecompose(even_h), eigendecompose(odd_h)
-    u_even, u_odd = even.blocks[0], odd.blocks[0]
-    u_even[:n_pairs] /= np.sqrt(2)
-    u_odd /= np.sqrt(2)
     evals = np.concatenate([even.eigenvalues, odd.eigenvalues])
     order = np.argsort(evals, kind="stable")
-    return SectorEigensystem(eigenvalues=evals[order], blocks=(u_even, u_odd),
-                             block_row=block_row, parity=parity, order=order)
+    ords = ordinal if ordinals is None else np.asarray(ordinals, dtype=int)
+    row, sign = block_row[ords], parity[ords]
+    pair = sign != 0
+    u = np.zeros((len(ords), len(evals)))
+    u[:, :len(even_h)] = even.eigenvectors[row]
+    u[pair, len(even_h):] = odd.eigenvectors[row[pair]] * sign[pair, None]
+    u[pair] /= np.sqrt(2)
+    return SectorEigensystem(eigenvalues=evals[order], eigenvectors=u[:, order])
 
 
 class TransferMap:
@@ -205,12 +177,12 @@ class TransferMap:
     def __init__(self, couplings: CouplingMatrix, partition: Partition, k: int):
         self.partition = partition
         self.k = k
-        self.eig = sector_eigensystem(couplings, k)
+        er, sender = (embed_subsystem(sites, partition.n_sites, k)
+                      for sites in (partition.er_sites, partition.sender_sites))
+        self.n_er_k, self.n_s_k = len(er), len(sender)
+        self.eig = sector_eigensystem(couplings, k, np.concatenate([er, sender]))
         self.lam_max = float(np.abs(self.eig.eigenvalues).max(initial=0.0))
-        n = partition.n_sites
-        u_er = self.eig.rows(embed_subsystem(partition.er_sites, n, k))
-        u_s = self.eig.rows(embed_subsystem(partition.sender_sites, n, k))
-        self.n_er_k, self.n_s_k = len(u_er), len(u_s)
+        u_er, u_s = np.split(self.eig.eigenvectors, [len(er)])
         self._khatri_rao = np.einsum("ra,sa->ars", u_er, u_s).reshape(self.eig.dim, -1)
         self._step_table: tuple = (None,)     # ((b, step), interp, node_phases)
 

@@ -53,21 +53,22 @@ AMPLIFICATION_EPSILON = 0.01    # all-failure probability the reported M reaches
 @dataclass(frozen=True)
 class ProtocolReport:
     variant: str
+    k: int
+    tau0: float
     success_probability: float
     fidelity: float
     output_amplitudes: np.ndarray
     lambda_expected: complex
 
-    def to_dict(self, k: int | None = None, tau0: float | None = None,
-                seed: int | None = None) -> dict:
+    def to_dict(self, seed: int | None = None) -> dict:
         amp = None
         if 0.0 < self.success_probability < 1.0:
             amp = amplification_runs(self.success_probability, AMPLIFICATION_EPSILON)
         lam_abs = abs(self.lambda_expected)
         return {
             "variant": self.variant,
-            "k": k,
-            "tau0": tau0,
+            "k": self.k,
+            "tau0": self.tau0,
             "lambda": {"abs": lam_abs,
                        "arg": float(np.angle(self.lambda_expected))},
             "success_probability": self.success_probability,
@@ -154,6 +155,6 @@ def run(variant: str, partition: Partition, s, solution: RestoreSolution) -> Pro
     out = branch / math.sqrt(prob) if prob > 0.0 else np.zeros(dim, dtype=complex)
     # |<s, out>| of two unit vectors, whose rounding can exceed 1; np.minimum
     # keeps a NaN from a NaN input
-    return ProtocolReport(variant=variant, success_probability=prob,
+    return ProtocolReport(variant=variant, k=v.k, tau0=v.tau, success_probability=prob,
                           fidelity=float(np.minimum(abs(np.vdot(s, out)), 1.0)),
                           output_amplitudes=out, lambda_expected=complex(solution.lam))

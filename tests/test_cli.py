@@ -84,15 +84,19 @@ def no_eigendecomposition(monkeypatch):
     monkeypatch.setattr(scale, "scan", computed)
 
 
-def test_cli_import_loads_no_scipy():
+def python(*argv, check=True) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's package, text output captured."""
     src = str(Path(spinpst.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          check=check, timeout=120, env=env)
+
+
+def test_cli_import_loads_no_scipy():
     probe = ("import sys, spinpst.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, timeout=60, env=env).stdout
-    assert out.strip() == "[]"
+    assert python("-c", probe).stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -512,17 +516,23 @@ class TestCommands:
         assert main(["solve", "--config", str(p)]) == code
         assert ("config error" if code == 2 else "infeasible") in capsys.readouterr().err
 
-    def test_over_constrained_circuit_exits_4(self, tmp_path, capsys):
-        # q=1 and all 3 free rows: 34 real constraints on 8 angles
+    def test_over_constrained_circuit_exits_4(self, tmp_path):
+        # q=1 and all 3 free rows: 34 real constraints on 8 angles; in its own
+        # process, as a user runs it, the warning is one line without a source location
         p = tmp_path / "over.cfg"
         p.write_text("chain.n = 10\npartition.n_s = 3\npartition.n_r = 3\n"
                      "partition.n_er = 4\nexcitation.k = 2\n"
                      "solver.mode = circuit-preserving\nsolver.q = 1\n"
                      "solver.n_extra_zero_rows = 3\nsolver.restarts = 4\n"
                      "solver.tau = 12.493\n")
-        with pytest.warns(UserWarning, match="constraints exceed"):
-            assert main(["fit-circuit", "--config", str(p)]) == 4
-        assert "no convergence" in capsys.readouterr().err
+        proc = python("-m", "spinpst.cli", "fit-circuit", "--config", str(p), check=False)
+        assert proc.returncode == 4
+        warning, failure = proc.stderr.splitlines()
+        assert warning == ("warning: 34 real constraints exceed 8 parameters; the fit may "
+                           "only reach a least-squares residual (solver.q = 1, "
+                           "solver.n_extra_zero_rows = 3)")
+        assert failure.startswith("no convergence")
+        assert ".py:" not in proc.stderr and "UserWarning" not in proc.stderr
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_fit_circuit_non_positive_restarts_exits_2(self, tmp_path, capsys, restarts):
@@ -634,7 +644,7 @@ class TestCommands:
         builds, blocks = [], []
         sector_eigensystem, eigendecompose = dynamics.sector_eigensystem, dynamics.eigendecompose
         monkeypatch.setattr(dynamics, "sector_eigensystem",
-                            lambda c, k: builds.append(k) or sector_eigensystem(c, k))
+                            lambda c, k, ords: builds.append(k) or sector_eigensystem(c, k, ords))
         monkeypatch.setattr(dynamics, "eigendecompose",
                             lambda h: blocks.append(len(h)) or eigendecompose(h))
         mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"

@@ -284,14 +284,14 @@ class TestInterpolatedBlocks:
 
 
 def diagonalised_blocks(couplings, k):
-    """The sector eigensystem and the sizes of the blocks it diagonalised."""
-    sizes = []
+    """The sector eigensystem and the blocks it diagonalised."""
+    blocks = []
     eigendecompose = dynamics.eigendecompose
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "eigendecompose",
-                   lambda h: sizes.append(len(h)) or eigendecompose(h))
+                   lambda h: blocks.append(h) or eigendecompose(h))
         eig = dynamics.sector_eigensystem(couplings, k)
-    return eig, sizes
+    return eig, blocks
 
 
 def mirror_positions(gaps, odd):
@@ -302,8 +302,8 @@ def mirror_positions(gaps, odd):
 
 def assert_split_eigensystem(couplings, k):
     h = chain.hamiltonian_block(couplings, k)
-    eig, sizes = diagonalised_blocks(couplings, k)
-    assert len(sizes) == 2 and sum(sizes) == len(h)
+    eig, blocks = diagonalised_blocks(couplings, k)
+    assert len(blocks) == 2 and sum(map(len, blocks)) == len(h)
     u, lam = eig.eigenvectors, eig.eigenvalues
     assert u.dtype == np.float64
     assert np.abs(u.T @ u - np.eye(len(h))).max() < 1e-12
@@ -333,47 +333,42 @@ class TestMirrorSplit:
     def test_fixed_states_and_dim_one_sectors(self):
         # n=5, k=1: the middle site is fixed by the reflection; k=0, 5 have one state
         c = build_couplings(ChainSpec(n_sites=5))
-        assert [diagonalised_blocks(c, k)[1] for k in (0, 1, 5)] == [[1, 0], [3, 2], [1, 0]]
+        sizes = [[len(h) for h in diagonalised_blocks(c, k)[1]] for k in (0, 1, 5)]
+        assert sizes == [[1, 0], [3, 2], [1, 0]]
 
-    def test_asymmetric_chain_takes_one_block(self):
-        c = dipole_couplings((0.0, 1.0, 2.1, 3.3, 4.2, 5.0))
-        for k in range(7):
-            eig, sizes = diagonalised_blocks(c, k)
-            one = dynamics.eigendecompose(chain.hamiltonian_block(c, k))
-            assert sizes == [one.dim]
-            assert np.array_equal(eig.eigenvalues, one.eigenvalues)
-            assert np.array_equal(eig.eigenvectors, one.eigenvectors)
+    @pytest.mark.parametrize("couplings", [
+        dipole_couplings((0.0, 1.0, 2.1, 3.3, 4.2, 5.0)),
+        dipole_couplings((0.0, 1.0, 2.1, 3.3, 4.2, 5.0, 6.1, 7.0)),
+        build_couplings(ChainSpec(n_sites=12, nn_overrides={3: 0.8}))],
+        ids=["positions-6", "positions-8", "override-12"])
+    def test_asymmetric_chains_take_the_trivial_mirror(self, couplings):
+        # J is the identity: every state is fixed, the even block is the whole
+        # sector block and the odd block is 0 x 0, bit for bit one dense eigh
+        for k in range(couplings.n_sites + 1):
+            eig, (even, odd) = diagonalised_blocks(couplings, k)
+            h = chain.hamiltonian_block(couplings, k)
+            one = dynamics.eigendecompose(h)
+            assert odd.shape == (0, 0)
+            assert_same_bits(even, h)
+            assert_same_bits(eig.eigenvalues, one.eigenvalues)
+            assert_same_bits(eig.eigenvectors, one.eigenvectors)
 
     @pytest.mark.parametrize("name", ["table1a_er4", "table2_n30", "table2_n42_distance"])
     def test_parity_blocks_are_the_gathered_blocks(self, name, monkeypatch):
         # N = 10, 30 and the adjusted N = 42 chain, bit for bit, without a dense block
         c = RunConfig.from_file(CONFIGS / f"{name}.cfg").couplings()
         even, odd = gathered_parity_blocks(c, 2)
-        blocks, eigendecompose = [], dynamics.eigendecompose
-        monkeypatch.setattr(dynamics, "eigendecompose",
-                            lambda h: blocks.append(h) or eigendecompose(h))
-        monkeypatch.setattr(dynamics, "hamiltonian_block", None)
-        dynamics.sector_eigensystem(c, 2)
+        monkeypatch.setattr(chain, "hamiltonian_block", None)
+        _, blocks = diagonalised_blocks(c, 2)
         assert len(blocks) == 2
         assert np.array_equal(blocks[0], even) and np.array_equal(blocks[1], odd)
-
-    def test_asymmetric_override_takes_one_block_through_hamiltonian_block(self, monkeypatch):
-        c = build_couplings(ChainSpec(n_sites=12, nn_overrides={3: 0.8}))
-        calls, build = [], dynamics.hamiltonian_block
-        monkeypatch.setattr(dynamics, "hamiltonian_block",
-                            lambda c, k: calls.append(k) or build(c, k))
-        eig, sizes = diagonalised_blocks(c, 2)
-        assert calls == [2] and sizes == [66]
-        one = dynamics.eigendecompose(chain.hamiltonian_block(c, 2))
-        assert np.array_equal(eig.eigenvalues, one.eigenvalues)
-        assert np.array_equal(eig.eigenvectors, one.eigenvectors)
 
     def test_n42_distance_reading_splits(self):
         c = RunConfig.from_file(CONFIGS / "table2_n42_distance.cfg").couplings()
         # its positions come from a cumsum: mirror-symmetric only to rounding
         assert 0 < np.abs(c.d - c.d[::-1, ::-1]).max() <= dynamics.MIRROR_TOL * c.d.max()
-        eig, sizes = diagonalised_blocks(c, 2)
-        assert sizes == [441, 420]       # 21 mirror-fixed states and 420 pairs
+        eig, blocks = diagonalised_blocks(c, 2)
+        assert [len(h) for h in blocks] == [441, 420]       # 21 mirror-fixed states and 420 pairs
         h = chain.hamiltonian_block(c, 2)
         assert np.abs(h @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues).max() < 1e-12
 
@@ -396,21 +391,18 @@ class TestEigenvectorRows:
     def test_rows_of_split_sectors_are_the_assembled_rows(self, n, rng):
         c = build_couplings(ChainSpec(n_sites=n))
         for k in range(n + 1):
-            eig, sizes = diagonalised_blocks(c, k)
-            assert len(sizes) == 2
-            u = eig.eigenvectors
-            for size in (0, 1, 5, 2 * eig.dim):
-                ords = rng.integers(0, eig.dim, size)
-                assert_same_bits(eig.rows(ords), u[ords])
-            assert_same_bits(eig.rows(list(range(eig.dim))), u)
+            u = dynamics.sector_eigensystem(c, k).eigenvectors
+            for size in (0, 1, 5, 2 * len(u)):
+                ords = rng.integers(0, len(u), size)
+                assert_same_bits(dynamics.sector_eigensystem(c, k, ords).eigenvectors, u[ords])
+            assert_same_bits(dynamics.sector_eigensystem(c, k, list(range(len(u)))).eigenvectors, u)
 
     def test_rows_of_one_block_sectors_are_the_assembled_rows(self, rng):
         c = dipole_couplings((0.0, 1.0, 2.1, 3.3, 4.2, 5.0))
         for k in range(7):
-            eig, sizes = diagonalised_blocks(c, k)
-            assert sizes == [eig.dim]
-            ords = rng.integers(0, eig.dim, 2 * eig.dim)
-            assert_same_bits(eig.rows(ords), eig.eigenvectors[ords])
+            u = dynamics.sector_eigensystem(c, k).eigenvectors
+            ords = rng.integers(0, len(u), 2 * len(u))
+            assert_same_bits(dynamics.sector_eigensystem(c, k, ords).eigenvectors, u[ords])
 
     @pytest.mark.parametrize("positions", [None, (0.0, 1.0, 2.1, 3.3, 4.2, 5.0, 6.1, 7.0)],
                              ids=["mirror", "asymmetric"])
@@ -419,7 +411,7 @@ class TestEigenvectorRows:
         for n_s, n_er, k in [(2, 3, 1), (3, 4, 2), (3, 5, 3)]:
             part = Partition(n_sites=8, n_s=n_s, n_r=n_s, n_er=n_er)
             tm = TransferMap(c, part, k)
-            u = tm.eig.eigenvectors
+            u = dynamics.sector_eigensystem(c, k).eigenvectors
             u_er = u[basis.embed_subsystem(part.er_sites, 8, k)]
             u_s = u[basis.embed_subsystem(part.sender_sites, 8, k)]
             want = np.einsum("ra,sa->ars", u_er, u_s).reshape(tm.eig.dim, -1)
@@ -430,17 +422,17 @@ class TestEigenvectorRows:
         cfg = RunConfig.from_file(CONFIGS / "table2_n42_distance.cfg")
         partition = cfg.partition()
         positions = np.arange(42.0)
-        positions[5] += 0.01                 # site 6: no mirror split, one block
+        positions[5] += 0.01                 # site 6: the trivial mirror, one block
         asymmetric = dipole_couplings(positions)
-        for couplings, split in ((cfg.couplings(), True), (asymmetric, False)):
+        for couplings in (cfg.couplings(), asymmetric):
             tracemalloc.start()
             try:
                 tm = TransferMap(couplings, partition, 2)
                 alive, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert len(tm.eig.blocks) == (2 if split else 1)
+            # the map keeps the eigenvector rows of its ER and sender states, no more
+            assert tm.eig.eigenvectors.shape == (tm.n_er_k + tm.n_s_k, tm.eig.dim)
             dense = tm.eig.dim ** 2 * 8      # one dim x dim float64 matrix
             assert peak < 2.5 * dense
-            if split:
-                assert alive < 0.75 * dense
+            assert alive < 0.1 * dense

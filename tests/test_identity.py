@@ -34,3 +34,17 @@ def test_command_list_covers_every_config():
                           for seed in identity.SEEDS
                           for command, out in (("solve", " --out solve.json"),
                                                ("fit-circuit", ""), ("simulate", "")))}
+
+
+def test_numeric_summary_of_json_and_csv_pairs():
+    summary = _identity().numeric_summary
+    a = b'{"tau0": 12.493, "roots": [0.5, 1e-9], "mode": "x", "ok": true}'
+    b = b'{"tau0": 12.493, "roots": [0.5000001, 3e-9], "mode": "y", "ok": false}'
+    assert summary(a, b) == "largest numeric deviation 1e-07, 2 other values differ"
+    assert summary(a, b'{"tau0": 12.493}') == "JSON of different shape"
+    head = b"tau,root_1,min_root\n"
+    a = head + b"0,1e-14,1e-14\n0.001,0.25,2e-9\n0.002,0.5,0.5\n"
+    b = head + b"0,1.00000001e-14,1e-14\n0.001,0.25000001,2e-9\n0.002,0.5,0.5\n"
+    assert summary(a, b) == "2 of 9 cells changed, 1 with |value| >= 1e-6, largest change 1e-08"
+    assert summary(a, head + b"0,1,1\n") == "CSV of different shape"
+    assert summary(a, b"") == summary(b"a\nx\n", b"a\ny\n") == "not JSON or a CSV of numbers"

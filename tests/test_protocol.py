@@ -267,6 +267,8 @@ def test_runners_match_full_space_oracle(case, chain10, tmap10, solution5,
     variant = "nonpreserving" if case == "circuit-nonpreserving" else case
     s = random_state(rng, 2 if variant == "arbitrary" else 3)
     rep = protocol.run(variant, tm.partition, s, w)
+    # the report's k and tau0 are the solution's block's
+    assert (rep.k, rep.tau0) == (w.problem.v_hat.k, w.problem.v_hat.tau) == (2, tau0)
     prob, out = full_space_protocol(variant, chain10, tm.partition, 2, s, w, tau0)
     assert abs(rep.success_probability - prob) <= 1e-12
     assert np.abs(rep.output_amplitudes - out).max() <= 1e-12
@@ -313,15 +315,22 @@ def certified_deviation(solution, dim):
     return np.linalg.norm(m - solution.lam * np.eye(dim), 2) / abs(solution.lam)
 
 
-def assert_runs_within_certificate(variant, partition, solution, delta, rng, n=200):
+def assert_runs_within_certificate(run, dim, solution, delta, rng, n=200):
+    """``run(s)`` gives the fidelity and the success probability of a unit input s."""
     # M and each run are rounded apart, so a sample may pass a bound by a few eps
     slack = 4 * np.finfo(float).eps
-    lam2, dim = abs(solution.lam) ** 2, 2 if variant == "arbitrary" else 3
+    lam2 = abs(solution.lam) ** 2
     for _ in range(n):
-        rep = protocol.run(variant, partition, random_state(rng, dim), solution)
-        assert rep.fidelity >= (1 - delta) / (1 + delta) - slack
-        assert lam2 * (1 - delta) ** 2 - slack <= rep.success_probability
-        assert rep.success_probability <= lam2 * (1 + delta) ** 2 + slack
+        fidelity, prob = run(random_state(rng, dim))
+        assert fidelity >= (1 - delta) / (1 + delta) - slack
+        assert lam2 * (1 - delta) ** 2 - slack <= prob <= lam2 * (1 + delta) ** 2 + slack
+
+
+def protocol_runs(variant, partition, solution):
+    def run(s):
+        rep = protocol.run(variant, partition, s, solution)
+        return rep.fidelity, rep.success_probability
+    return run
 
 
 class TestCertificate:
@@ -336,9 +345,29 @@ class TestCertificate:
         mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"
         v_hat = TransferMap(chain10, part, 2).v_hat(PAPER_TABLE_1A[n_er][0])
         sol = solve_general(RestoreProblem(v_hat=v_hat, mode=mode, seed=n_er))
-        delta = certified_deviation(sol, 2 if variant == "arbitrary" else 3)
+        dim = 2 if variant == "arbitrary" else 3
+        delta = certified_deviation(sol, dim)
         assert delta <= 1e-12            # measured at most 9.8e-16
-        assert_runs_within_certificate(variant, part, sol, delta, rng)
+        assert_runs_within_certificate(protocol_runs(variant, part, sol), dim, sol, delta, rng)
+
+    @pytest.mark.parametrize("variant", protocol.VARIANTS)
+    def test_full_space_runs_within_the_certificate(self, variant, rng):
+        # M comes from the k-sector route; the bound holds for the gate-level
+        # 2**N composition as well (N=6, k=1, the scanned tau0 of 0..8)
+        couplings = build_couplings(ChainSpec(n_sites=6))
+        part = Partition(n_sites=6, n_s=2, n_r=2, n_er=3, s0_sites=(3,), r0_sites=(4,))
+        tau0 = 7.56
+        mode = "nonpreserving-general" if variant == "nonpreserving" else "preserving-general"
+        sol = solve_general(RestoreProblem(v_hat=TransferMap(couplings, part, 1).v_hat(tau0),
+                                           mode=mode, seed=0))
+        assert sol.converged
+        delta = certified_deviation(sol, 2)
+        assert delta <= 1e-12            # measured at most 3.2e-16
+
+        def run(s):
+            prob, out = full_space_protocol(variant, couplings, part, 1, s, sol, tau0)
+            return abs(np.vdot(s, out)), prob
+        assert_runs_within_certificate(run, 2, sol, delta, rng, n=1000)
 
     @pytest.mark.parametrize("mode", ["circuit-preserving", "circuit-nonpreserving"])
     def test_circuit_solutions_within_the_residual_bound(self, mode, circuit_np4, chain10,
@@ -355,7 +384,8 @@ class TestCertificate:
         delta = certified_deviation(sol, 3)
         assert delta <= math.sqrt(2 * (3 ** 2 - 1)) * sol.residual / abs(sol.lam)
         variant = "nonpreserving" if mode == "circuit-nonpreserving" else "k_excitation"
-        assert_runs_within_certificate(variant, tm.partition, sol, delta, rng)
+        assert_runs_within_certificate(protocol_runs(variant, tm.partition, sol), 3, sol,
+                                       delta, rng)
 
 
 def _perm_matrix(perm):
@@ -462,7 +492,7 @@ class TestReport:
                                            (0.0, None)],
                              ids=["sqrt-0.51", "imaginary-half", "one", "zero"])
     def test_runs_expected(self, lam, runs):
-        rep = protocol.ProtocolReport("k_excitation", abs(lam) ** 2, 1.0,
+        rep = protocol.ProtocolReport("k_excitation", 2, 10.0, abs(lam) ** 2, 1.0,
                                       np.ones(3) / math.sqrt(3), complex(lam))
         assert rep.to_dict()["runs_expected"] == runs
 
