@@ -6,8 +6,8 @@ x * det(G' - x I) - det(G - x diag(1,..,1,0)) = 0, where G = V_hat^dag V_hat
 is the Gram matrix and G' its leading principal block.  Expanding the
 second determinant along its last row shows that the polynomial is
 -det(G - x I), so the roots are the eigenvalues of G and |lambda| runs over
-the singular values of V_hat.  Both the one-tau roots and the scan take
-them from the Gram spectrum.
+the singular values of V_hat.  The scan takes them from the Gram spectrum,
+and the one-tau roots are the scan's kernel at the one grid point tau.
 
 The spectra come from one batched cyclic Jacobi kernel, ``jacobi_eigenvalues``:
 every Gram entry is an array over the batch, and each rotation updates the
@@ -114,17 +114,16 @@ def jacobi_eigenvalues(diag, upper) -> np.ndarray:
     return np.ldexp(np.sort(np.stack(diag, axis=-1), axis=-1), exp[:, None])
 
 
-def gram_eigenvalues(grams: np.ndarray) -> np.ndarray:
-    """``jacobi_eigenvalues`` of a (B, s, s) stack of Grams, (B, s)."""
-    pairs = itertools.combinations(range(grams.shape[-1]), 2)
-    return jacobi_eigenvalues(grams.diagonal(0, 1, 2).real.T.copy(),
-                              [grams[:, i, j].copy() for i, j in pairs])
+def _roots(diag, upper) -> np.ndarray:
+    """Ascending |lambda| roots, (B, s), of B Grams given as ``gram_batch`` parts."""
+    return np.sqrt(np.clip(jacobi_eigenvalues(diag, upper), 0, None))
 
 
 def roots_at(tm: TransferMap, tau: float) -> np.ndarray:
-    """All |lambda| roots at one registration time, ascending."""
-    v = tm.v_hat(tau).v_hat
-    return np.sqrt(np.clip(gram_eigenvalues((v.conj().T @ v)[None])[0], 0.0, None))
+    """All |lambda| roots at one registration time, ascending: ``scan``'s kernel on the
+    one-point grid [tau], whose step table is the exact 1 x 1 identity for any step."""
+    tm.check_reach(abs(tau))
+    return _roots(*tm.gram_batch(np.array([tau]), 1.0))[0]
 
 
 def _grid(tau_min: float, tau_max: float, step: float) -> np.ndarray:
@@ -165,7 +164,7 @@ def scan(tm: TransferMap, tau_min: float, tau_max: float, step: float) -> ScanRe
         diag = np.concatenate([d for d, _ in parts], axis=1)
         upper = [np.concatenate(u) for u in zip(*(u for _, u in parts))]
         del parts           # no array of a batch outlives its Jacobi call
-        roots[lo:lo + 2 * SCAN_CHUNK] = np.sqrt(np.clip(jacobi_eigenvalues(diag, upper), 0, None))
+        roots[lo:lo + 2 * SCAN_CHUNK] = _roots(diag, upper)
         del diag, upper
     mins = roots[:, 0]
     i_max = int(np.argmax(mins))

@@ -220,6 +220,13 @@ def gram_stack(diag: np.ndarray, upper) -> np.ndarray:
     return g
 
 
+def gram_parts(grams: np.ndarray) -> tuple[np.ndarray, list]:
+    """``gram_stack`` inverted: the (s, B) real diagonal and the upper triangle of a
+    (B, s, s) stack of Grams, as fresh arrays that ``scale.jacobi_eigenvalues`` may rotate."""
+    return grams.diagonal(0, 1, 2).real.T.copy(), [
+        grams[:, i, j].copy() for i, j in itertools.combinations(range(grams.shape[-1]), 2)]
+
+
 def plane_gram_parts(v: np.ndarray) -> tuple[np.ndarray, list]:
     """``TransferMap.gram_batch``'s Gram arithmetic, written out, on an (n, r, s) stack of
     blocks: real planes (column, re/im, row; grid point last) and dots down their columns."""

@@ -1,8 +1,10 @@
-"""The fixed command list of ``tools/identity.py`` covers every shipped config.
+"""The fixed lists of ``tools/``: the command list of ``identity.py`` covers every
+shipped config, and every mutation of ``mutants.py`` still applies to ``src/``.
 
-The script itself runs two trees over a few hundred commands, too slow for
-this suite; only its list is checked here, so that a new config cannot drop
-out of the identity check unnoticed.
+The scripts themselves run two trees over a few hundred commands, or the named
+tests once per mutation, too slow for this suite; only their lists are checked
+here, so that a new config cannot drop out of the identity check and an edit
+of ``src/`` cannot leave a mutation that changes nothing, unnoticed.
 """
 
 import importlib.util
@@ -11,15 +13,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _identity():
-    spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_command_list_covers_every_config():
-    identity = _identity()
+    identity = _tool("identity")
     shipped = sorted(p.relative_to(ROOT).as_posix()
                      for folder in ("configs", "bench/configs")
                      for p in (ROOT / folder).glob("*.cfg"))
@@ -37,7 +39,7 @@ def test_command_list_covers_every_config():
 
 
 def test_numeric_summary_of_json_and_csv_pairs():
-    summary = _identity().numeric_summary
+    summary = _tool("identity").numeric_summary
     a = b'{"tau0": 12.493, "roots": [0.5, 1e-9], "mode": "x", "ok": true}'
     b = b'{"tau0": 12.493, "roots": [0.5000001, 3e-9], "mode": "y", "ok": false}'
     assert summary(a, b) == "largest numeric deviation 1e-07, 2 other values differ"
@@ -48,3 +50,14 @@ def test_numeric_summary_of_json_and_csv_pairs():
     assert summary(a, b) == "2 of 9 cells changed, 1 with |value| >= 1e-6, largest change 1e-08"
     assert summary(a, head + b"0,1,1\n") == "CSV of different shape"
     assert summary(a, b"") == summary(b"a\nx\n", b"a\ny\n") == "not JSON or a CSV of numbers"
+
+
+def test_each_search_text_occurs_once_in_src():
+    sources = {p.name: p.read_text() for p in (ROOT / "src" / "spinpst").glob("*.py")}
+    for name, search, replacement, tests in _tool("mutants").MUTATIONS:
+        assert sources[name].count(search) == 1, (name, search)
+        assert sum(text.count(search) for text in sources.values()) == 1, search
+        assert search != replacement and tests
+        for test in tests:
+            path, *_, function = test.split("::")
+            assert f"def {function}(" in (ROOT / path).read_text(), test

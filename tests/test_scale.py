@@ -11,9 +11,10 @@ from spinpst.config import RunConfig
 from spinpst.dynamics import SCAN_CHUNK
 from spinpst.paper import LAMBDA_TOL, PAPER_ROOTS, PAPER_TABLE_1A, TAU0_TOL
 
-from _oracles import (cubic_from_gram, expm_propagator, feasibility, gram, gram_stack,
-                      hamiltonian_block_loop, lambda_polynomial, lapack_singular_values,
-                      pauli_xx_hamiltonian, random_unitary, real_roots, transfer_block)
+from _oracles import (cubic_from_gram, expm_propagator, feasibility, gram, gram_parts,
+                      gram_stack, hamiltonian_block_loop, lambda_polynomial,
+                      lapack_singular_values, pauli_xx_hamiltonian, random_unitary, real_roots,
+                      transfer_block)
 
 EPS = np.finfo(float).eps
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -133,7 +134,7 @@ def spectral_gram(rng, eigenvalues):
 def assert_matches_lapack(grams, factor=8):
     """Kernel eigenvalues ascending and within factor * s * eps * ||G||_2 of LAPACK's."""
     grams = np.asarray(grams)
-    got = scale.gram_eigenvalues(grams)
+    got = scale.jacobi_eigenvalues(*gram_parts(grams))
     assert np.all(np.diff(got, axis=-1) >= 0)
     tol = factor * grams.shape[-1] * EPS * np.linalg.norm(grams, 2, axis=(1, 2))
     want = lapack_singular_values(grams) ** 2
@@ -157,14 +158,14 @@ class TestGramEigenvalues:
         got = assert_matches_lapack(grams)
         # each row is computed as if alone
         for i in range(len(grams)):
-            assert np.array_equal(scale.gram_eigenvalues(grams[i:i + 1])[0], got[i])
+            assert np.array_equal(scale.jacobi_eigenvalues(*gram_parts(grams[i:i + 1]))[0], got[i])
 
     def test_zero_gram(self):
-        assert np.array_equal(scale.gram_eigenvalues(np.zeros((4, 3, 3), dtype=complex)),
-                              np.zeros((4, 3)))
+        zeros = gram_parts(np.zeros((4, 3, 3), dtype=complex))
+        assert np.array_equal(scale.jacobi_eigenvalues(*zeros), np.zeros((4, 3)))
 
     def test_scalar_gram_triple_root(self):
-        got = scale.gram_eigenvalues(0.49 * np.eye(3, dtype=complex)[None])
+        got = scale.jacobi_eigenvalues(*gram_parts(0.49 * np.eye(3, dtype=complex)[None]))
         assert np.array_equal(got, np.full((1, 3), 0.49))
 
     def test_rank_deficient(self, rng):
@@ -184,13 +185,13 @@ class TestGramEigenvalues:
 
     def test_power_of_two_scaling_is_exact(self, rng):
         g = spectral_gram(rng, [0.1, 0.3, 0.8])
-        got = scale.gram_eigenvalues(np.stack([g, g * 2.0 ** -900]))
+        got = scale.jacobi_eigenvalues(*gram_parts(np.stack([g, g * 2.0 ** -900])))
         assert np.array_equal(got[1] * 2.0 ** 900, got[0])
 
     def test_sweep_cap_raises(self, rng, monkeypatch):
         monkeypatch.setattr(scale, "JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(np.linalg.LinAlgError):
-            scale.gram_eigenvalues(spectral_gram(rng, [0.1, 0.3, 0.8])[None])
+            scale.jacobi_eigenvalues(*gram_parts(spectral_gram(rng, [0.1, 0.3, 0.8])[None]))
 
 
 def oracle_scan_rows(tm, taus, step):
@@ -331,9 +332,23 @@ class TestScan:
             assert np.allclose(row, direct, atol=1e-9)
 
     def test_roots_at_is_the_scan_route(self, tmap10):
+        # the scan's kernel on a one-point grid: a one-row scan bit for bit, and
+        # within 8 eps of the rows an interpolated block gives
         res = scale.scan(tmap10(5), 14.0, 14.5, 0.1)
         for tau, row in zip(res.taus, res.roots):
-            assert np.abs(scale.roots_at(tmap10(5), tau) - row).max() < 1e-13
+            roots = scale.roots_at(tmap10(5), tau)
+            assert np.array_equal(roots, scale.scan(tmap10(5), tau, tau, 0.1).roots[0])
+            assert np.abs(roots - row).max() <= 8 * EPS
+
+    @pytest.mark.parametrize("tau", [1e17, np.nan])
+    def test_roots_at_checks_reach_before_the_kernel(self, tau):
+        tm = TransferMap(build_couplings(ChainSpec(n_sites=6)),
+                         Partition(n_sites=6, n_s=2, n_r=2, n_er=3), 1)
+        calls = []
+        tm.gram_batch = lambda *args: calls.append(args)
+        with pytest.raises(ValueError, match="errs by up to"):
+            scale.roots_at(tm, tau)
+        assert calls == []
 
 
 class TestFeasibility:
